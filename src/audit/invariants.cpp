@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "core/availability.hpp"
@@ -549,23 +550,17 @@ Violations check_perfect_retune(const PerfectRetuneCounts& counts) {
 
 Violations check_envelope_log(std::span<const EnvelopeRecord> log) {
   Violations out;
-  // Highest accepted seq per (sender, kind) stream.
-  std::map<std::pair<std::size_t, std::uint16_t>, std::uint64_t> last;
+  std::set<std::tuple<std::size_t, std::uint16_t, std::uint64_t>> seen;
   for (std::size_t at = 0; at < log.size(); ++at) {
     const EnvelopeRecord& record = log[at];
     if (record.seq == 0) continue;  // unsequenced control
-    const auto key = std::make_pair(record.sender, record.kind);
-    const auto it = last.find(key);
-    if (it != last.end() && record.seq <= it->second) {
-      add(out, "envelope.seq_monotonic",
+    if (!seen.emplace(record.sender, record.kind, record.seq).second) {
+      add(out, "envelope.seq_once",
           "record " + std::to_string(at) + ": sender " +
               std::to_string(record.sender) + " kind " +
               std::to_string(record.kind) + " accepted seq " +
-              std::to_string(record.seq) + " after " +
-              std::to_string(it->second) +
-              " (duplicate or stale retransmission admitted)");
-    } else {
-      last[key] = record.seq;
+              std::to_string(record.seq) +
+              " a second time (duplicate admitted)");
     }
   }
   return out;

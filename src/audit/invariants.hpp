@@ -205,10 +205,11 @@ struct EnvelopeRecord {
   std::uint64_t seq = 0;
 };
 
-/// Envelope sequencing invariant: among *accepted* records, every
-/// (sender, kind) stream's sequence ids must be strictly increasing —
-/// SeqTracker dedup admitted a duplicate or a stale retransmission
-/// otherwise. Unsequenced control records (seq == 0) are exempt.
+/// Envelope at-most-once invariant: among *accepted* records, no
+/// (sender, kind, seq) appears twice — the receive filter
+/// (ReliableChannel::accept) admitted a duplicate otherwise. Arrival order
+/// is free: a message overtaken by a later one is still accepted once.
+/// Unsequenced control records (seq == 0) are exempt.
 [[nodiscard]] Violations check_envelope_log(
     std::span<const EnvelopeRecord> log);
 

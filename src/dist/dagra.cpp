@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/envelope.hpp"
+#include "sim/reliable_channel.hpp"
 #include "util/timer.hpp"
 #include "workload/trace.hpp"
 
@@ -89,6 +90,17 @@ struct FetchResponse {
   core::ObjectId object = 0;
 };
 
+/// One exchange of a site's channel: the current update of one outgoing
+/// lane, or a replica fetch executing a received update.
+struct Exchange {
+  enum class Kind : std::uint8_t { kUpdate, kFetch };
+  Kind kind = Kind::kUpdate;
+  core::SiteId peer = 0;         // update: lane destination; fetch: holder
+  core::ObjectId object = 0;     // fetch
+  core::SiteId retuner = 0;      // fetch: whose update it executes
+  std::uint64_t update_seq = 0;  // fetch: that update's seq
+};
+
 struct SharedState {
   sim::RetryStats retry_stats;
   std::size_t updates_sent = 0;
@@ -100,7 +112,7 @@ struct SharedState {
 
 /// One site of the decentralized adaptive round: drift receiver for every
 /// site, plus the retuner role at sites whose EWMA trigger fired.
-class DriftNode final : public sim::Node {
+class DriftNode final : public sim::Node, private sim::ChannelClient {
  public:
   DriftNode(core::SiteId self, const core::Problem& observed,
             const core::ReplicationScheme& before, const DadaptOptions& options,
@@ -110,8 +122,8 @@ class DriftNode final : public sim::Node {
         before_(before),
         options_(options),
         network_(network),
-        shared_(shared) {
-    retry_base_ = options.retry.resolve_base(network.worst_one_way_latency());
+        shared_(shared),
+        channel_(network, self, options.retry, shared.retry_stats, *this) {
     const std::size_t objects = observed.objects();
     bits_.resize(objects);
     for (core::ObjectId k = 0; k < objects; ++k)
@@ -141,7 +153,7 @@ class DriftNode final : public sim::Node {
         on_update(message.from, envelope);
         return;
       case MessageKind::kDriftColumnAck:
-        if (ack_seq_.accept(envelope.sender, envelope.seq)) {
+        if (channel_.accept(envelope)) {
           record(envelope);
           on_ack(envelope.sender, envelope.seq);
         } else {
@@ -150,8 +162,7 @@ class DriftNode final : public sim::Node {
         return;
       case MessageKind::kDriftFetchRequest: {
         const auto& fetch = sim::unseal<FetchRequest>(envelope);
-        if (request_seq_.accept(envelope.sender, envelope.seq))
-          record(envelope);
+        if (channel_.accept(envelope)) record(envelope);
         // Serve every request (duplicates included — the requester dedups);
         // the response carries the object's size in data units.
         network_.send(self_, message.from,
@@ -161,7 +172,7 @@ class DriftNode final : public sim::Node {
         return;
       }
       case MessageKind::kDriftFetchResponse: {
-        if (!response_seq_.accept(envelope.sender, envelope.seq)) {
+        if (!channel_.accept(envelope)) {
           ++shared_.retry_stats.duplicates;
           return;
         }
@@ -176,19 +187,17 @@ class DriftNode final : public sim::Node {
   }
 
   void on_crash() override {
-    // Volatile in-flight state is lost; committed replica bits survive.
-    fetches_.clear();
+    // Volatile in-flight fetches are lost; committed replica bits and the
+    // retuner's lanes survive.
+    channel_.close_if([](const Exchange& exchange) {
+      return exchange.kind == Exchange::Kind::kFetch;
+    });
   }
 
   void on_recover() override {
     // Retuner role: re-announce the current unacked update on every lane.
-    for (auto& [dest, lane] : outbox_) {
-      if (lane.next < lane.queue.size() && !lane.acked) {
-        ++shared_.retry_stats.retries;
-        transmit_update(dest, lane);
-        lane.attempt = 0;
-        arm_lane_timer(dest);
-      }
+    for (const auto& [dest, lane] : outbox_) {
+      if (channel_.find(lane.key) != nullptr) channel_.restart(lane.key);
     }
   }
 
@@ -201,16 +210,8 @@ class DriftNode final : public sim::Node {
     /// Envelope seq of queue[p] is base_seq + p.
     std::uint64_t base_seq = 1;
     std::size_t next = 0;
-    std::size_t attempt = 0;
-    bool acked = false;
-  };
-
-  struct PendingFetch {
-    core::ObjectId object = 0;
-    core::SiteId retuner = 0;
-    std::uint64_t update_seq = 0;
-    core::SiteId holder = 0;
-    std::size_t attempt = 0;
+    /// The exchange carrying queue[next] (faults armed only).
+    sim::ExchangeKey key = 0;
   };
 
   // --- retuner role -------------------------------------------------------
@@ -258,10 +259,9 @@ class DriftNode final : public sim::Node {
     }
     for (auto& [dest, lane] : outbox_) {
       if (lane.queue.empty()) continue;
-      if (network_.faults_armed()) {
-        transmit_update(dest, lane);
+      if (channel_.armed()) {
         ++shared_.updates_sent;
-        arm_lane_timer(dest);
+        lane.key = channel_.open({Exchange::Kind::kUpdate, dest});
       } else {
         // Perfect network: delivery is guaranteed and in-order per lane —
         // blast the whole queue, no acks, no timers.
@@ -280,57 +280,59 @@ class DriftNode final : public sim::Node {
                             lane.base_seq + lane.next, update));
   }
 
-  void arm_lane_timer(core::SiteId dest) {
-    const std::size_t at = outbox_[dest].next;
-    network_.queue().schedule_in(
-        options_.retry.timeout_for(retry_base_, outbox_[dest].attempt),
-        [this, dest, at] { on_lane_timer(dest, at); });
-  }
-
-  void on_lane_timer(core::SiteId dest, std::size_t at) {
-    Lane& lane = outbox_[dest];
-    if (lane.next != at || lane.next >= lane.queue.size() || lane.acked)
-      return;
-    if (!network_.site_up(self_)) return;  // on_recover resends
-    ++shared_.retry_stats.timeouts;
-    if (lane.attempt >= options_.retry.max_retries) {
-      ++shared_.retry_stats.give_ups;
-      advance_lane(dest);  // skip the lost update; seq gaps are legal
-      return;
-    }
-    ++lane.attempt;
-    ++shared_.retry_stats.retries;
-    transmit_update(dest, lane);
-    arm_lane_timer(dest);
-  }
-
   void on_ack(core::SiteId dest, std::uint64_t seq) {
     const auto it = outbox_.find(dest);
     if (it == outbox_.end()) return;
     Lane& lane = it->second;
     if (lane.next >= lane.queue.size()) return;
     if (lane.base_seq + lane.next != seq) return;  // stale ack
-    lane.acked = true;
     advance_lane(dest);
   }
 
   void advance_lane(core::SiteId dest) {
     Lane& lane = outbox_[dest];
+    channel_.close(lane.key);
     ++lane.next;
-    lane.attempt = 0;
-    lane.acked = false;
     if (lane.next < lane.queue.size()) {
-      transmit_update(dest, lane);
       ++shared_.updates_sent;
-      arm_lane_timer(dest);
+      lane.key = channel_.open({Exchange::Kind::kUpdate, dest});
     }
+  }
+
+  // --- channel hooks ------------------------------------------------------
+
+  std::size_t transmit(sim::ExchangeKey key, std::size_t attempt) override {
+    const Exchange& exchange = channel_[key];
+    if (exchange.kind == Exchange::Kind::kUpdate) {
+      transmit_update(exchange.peer, outbox_[exchange.peer]);
+    } else {
+      const core::SiteId holder = channel_.fetch_target(
+          exchange.peer, observed_.primary(exchange.object), attempt);
+      network_.send(self_, holder, 0.0,
+                    sim::seal(MessageKind::kDriftFetchRequest, self_, key,
+                              FetchRequest{exchange.object}));
+    }
+    return 1;
+  }
+
+  void give_up(sim::ExchangeKey key) override {
+    const Exchange exchange = channel_[key];
+    if (exchange.kind == Exchange::Kind::kUpdate) {
+      advance_lane(exchange.peer);  // skip the lost update; seq gaps are legal
+      return;
+    }
+    // The replica cannot be hosted without its data. Ack the directive
+    // anyway (processed, not applied) so the lane advances.
+    ++shared_.directives_failed;
+    ack(exchange.retuner, exchange.update_seq);
+    channel_.close(key);
   }
 
   // --- receiver role ------------------------------------------------------
 
   void on_update(core::SiteId from, const Envelope& envelope) {
     const auto& update = sim::unseal<ColumnUpdate>(envelope);
-    if (!update_seq_.accept(envelope.sender, envelope.seq)) {
+    if (!channel_.accept(envelope)) {
       // Duplicate: our ack was lost — re-ack so the lane advances.
       ++shared_.retry_stats.duplicates;
       ack(from, envelope.seq);
@@ -371,53 +373,15 @@ class DriftNode final : public sim::Node {
 
   void start_fetch(core::ObjectId k, core::SiteId retuner,
                    std::uint64_t update_seq, core::SiteId holder) {
-    const std::uint64_t id = next_fetch_id_++;
-    fetches_.emplace(id, PendingFetch{k, retuner, update_seq, holder, 0});
-    network_.send(self_, holder, 0.0,
-                  sim::seal(MessageKind::kDriftFetchRequest, self_, id,
-                            FetchRequest{k}));
-    if (network_.faults_armed()) arm_fetch_timer(id);
+    (void)channel_.open(
+        {Exchange::Kind::kFetch, holder, k, retuner, update_seq});
   }
 
-  void arm_fetch_timer(std::uint64_t id) {
-    const auto it = fetches_.find(id);
-    if (it == fetches_.end()) return;
-    network_.queue().schedule_in(
-        options_.retry.timeout_for(retry_base_, it->second.attempt),
-        [this, id] { on_fetch_timer(id); });
-  }
-
-  void on_fetch_timer(std::uint64_t id) {
-    const auto it = fetches_.find(id);
-    if (it == fetches_.end()) return;  // resolved (or wiped by a crash)
-    if (!network_.site_up(self_)) return;
-    PendingFetch& fetch = it->second;
-    ++shared_.retry_stats.timeouts;
-    if (fetch.attempt >= options_.retry.max_retries) {
-      // Give up: the replica cannot be hosted without its data. Ack the
-      // directive anyway (processed, not applied) so the lane advances.
-      ++shared_.retry_stats.give_ups;
-      ++shared_.directives_failed;
-      ack(fetch.retuner, fetch.update_seq);
-      fetches_.erase(it);
-      return;
-    }
-    ++fetch.attempt;
-    ++shared_.retry_stats.retries;
-    // Past half the budget, fall back to the primary — it always holds.
-    if (fetch.attempt > options_.retry.max_retries / 2)
-      fetch.holder = observed_.primary(fetch.object);
-    network_.send(self_, fetch.holder, 0.0,
-                  sim::seal(MessageKind::kDriftFetchRequest, self_, id,
-                            FetchRequest{fetch.object}));
-    arm_fetch_timer(id);
-  }
-
-  void on_fetched(std::uint64_t id) {
-    const auto it = fetches_.find(id);
-    if (it == fetches_.end()) return;  // late response after give-up/crash
-    const PendingFetch fetch = it->second;
-    fetches_.erase(it);
+  void on_fetched(sim::ExchangeKey key) {
+    const Exchange* pending = channel_.find(key);
+    if (pending == nullptr) return;  // late response after give-up/crash
+    const Exchange fetch = *pending;
+    channel_.close(key);
     if (winner_[fetch.object] != fetch.retuner) {
       // A lower-id retuner overrode this object while the fetch was in
       // flight; its directive stands, but the loser still gets its ack.
@@ -432,7 +396,7 @@ class DriftNode final : public sim::Node {
   }
 
   void ack(core::SiteId retuner, std::uint64_t update_seq) {
-    if (!network_.faults_armed()) return;  // perfect network: no ack traffic
+    if (!channel_.armed()) return;  // perfect network: no ack traffic
     network_.send(self_, retuner, 0.0,
                   sim::seal(MessageKind::kDriftColumnAck, self_, update_seq,
                             ColumnAck{}));
@@ -450,7 +414,7 @@ class DriftNode final : public sim::Node {
   const DadaptOptions& options_;
   sim::DesNetwork& network_;
   SharedState& shared_;
-  double retry_base_ = 0.0;
+  sim::ReliableChannel<Exchange> channel_;
 
   std::vector<std::uint8_t> bits_;     // own replica row (N)
   std::vector<core::SiteId> winner_;   // per object: applied retuner id
@@ -459,12 +423,6 @@ class DriftNode final : public sim::Node {
   std::vector<core::ObjectId> changed_;
   std::map<core::SiteId, Lane> outbox_;
   std::uint64_t next_seq_ = 1;
-  std::map<std::uint64_t, PendingFetch> fetches_;
-  std::uint64_t next_fetch_id_ = 1;
-  sim::SeqTracker update_seq_;
-  sim::SeqTracker ack_seq_;
-  sim::SeqTracker request_seq_;
-  sim::SeqTracker response_seq_;
 };
 
 }  // namespace

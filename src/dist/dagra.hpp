@@ -17,10 +17,15 @@
 // its own bit (replica gains fetch the object from the nearest current
 // holder before acking; drops and no-ops ack immediately), and conflicts
 // between concurrent retuners resolve deterministically to the lowest
-// retuner site id regardless of arrival order. The driver assembles the
-// final scheme from the per-site *actual* bits and repairs any capacity
-// overflow by evicting accepted gains (descending object id) — there is no
-// apply-time veto, mirroring the retune protocol's assembly-time policy.
+// retuner site id regardless of arrival order. With a FaultPlan, each
+// lane's current update and each replica fetch is a sim::ReliableChannel
+// exchange (DESIGN.md Section 8, "ReliableChannel"), admitted exactly once
+// in any arrival order.
+//
+// run_decentralized_adapt assembles the final scheme from the per-site
+// *actual* bits and repairs any capacity overflow by evicting accepted
+// gains (descending object id) — there is no apply-time veto, mirroring the
+// retune protocol's assembly-time policy.
 //
 // Equivalence: when exactly one site drifted, its local view *is* the
 // global observed problem, so its micro-AGRA input (problem, scheme,
@@ -93,7 +98,8 @@ struct DadaptResult {
   double round_time = 0.0;
   /// Per-site accepted-envelope logs (index = site id); each one feeds
   /// audit::check_envelope_log. Kept per site because distinct receivers
-  /// legitimately interleave one sender's sequence ids.
+  /// legitimately accept the same (sender, kind, seq): a fetch retried at
+  /// the primary reaches two holders.
   std::vector<std::vector<audit::EnvelopeRecord>> envelope_logs{};
 };
 

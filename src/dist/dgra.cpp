@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/envelope.hpp"
+#include "sim/reliable_channel.hpp"
 #include "util/timer.hpp"
 
 namespace drep::dist {
@@ -30,6 +31,12 @@ struct ElitesPayload {
 /// Empty kGaElitesAck payload; the envelope's seq names the acked epoch.
 struct ElitesAck {};
 
+/// The cargo of an island's open elites exchange.
+struct Outgoing {
+  std::size_t epoch = 0;
+  std::vector<GraEngine::EvalIndividual> elites;
+};
+
 /// Driver-owned state every island appends to.
 struct SharedCounters {
   sim::RetryStats retry_stats;
@@ -45,7 +52,7 @@ struct SharedCounters {
 /// state the node mutates is its own (engine, buffers, timers); the only
 /// cross-island effect is the elites message, which matches the
 /// centralized driver's snapshot-then-exchange semantics.
-class IslandNode final : public sim::Node {
+class IslandNode final : public sim::Node, private sim::ChannelClient {
  public:
   IslandNode(sim::SiteId self, std::size_t islands, GraEngine& engine,
              const algo::GraConfig& config, const DgraOptions& options,
@@ -57,11 +64,9 @@ class IslandNode final : public sim::Node {
         migration_interval_(config.migration_interval),
         migration_count_(config.migration_count),
         elite_size_units_(options.elite_size_units),
-        retry_(options.retry),
         network_(network),
-        shared_(shared) {
-    retry_base_ = retry_.resolve_base(network.worst_one_way_latency());
-  }
+        shared_(shared),
+        channel_(network, self, options.retry, shared.retry_stats, *this) {}
 
   [[nodiscard]] std::size_t epochs_done() const noexcept { return epoch_; }
   [[nodiscard]] std::size_t generations_done() const noexcept { return done_; }
@@ -100,7 +105,7 @@ class IslandNode final : public sim::Node {
                         sim::seal(MessageKind::kGaElitesAck, self_,
                                   envelope.seq, ElitesAck{}));
         }
-        if (!elites_seq_.accept(envelope.sender, envelope.seq)) {
+        if (!channel_.accept(envelope)) {
           ++shared_.retry_stats.duplicates;
           return;
         }
@@ -109,9 +114,10 @@ class IslandNode final : public sim::Node {
         return;
       }
       case MessageKind::kGaElitesAck: {
-        if (ack_seq_.accept(envelope.sender, envelope.seq)) record(envelope);
-        if (pending_ && pending_->epoch == envelope.seq)
-          pending_->acked = true;
+        if (channel_.accept(envelope)) record(envelope);
+        const Outgoing* outgoing = channel_.find(pending_);
+        if (outgoing != nullptr && outgoing->epoch == envelope.seq)
+          channel_.close(pending_);
         return;
       }
       default:
@@ -131,12 +137,7 @@ class IslandNode final : public sim::Node {
     // Re-announce the last elites the successor never acked: the rejoin
     // path that re-admits a crashed island's genetic material (same seq,
     // so the successor dedups if an earlier transmission did land).
-    if (pending_ && !pending_->acked) {
-      ++shared_.retry_stats.retries;
-      transmit(pending_->epoch, pending_->elites);
-      pending_->attempt = 0;
-      arm_retransmit(pending_->epoch);
-    }
+    if (channel_.find(pending_) != nullptr) channel_.restart(pending_);
     if (stalled_) {
       stalled_ = false;
       schedule_next_epoch();
@@ -150,45 +151,30 @@ class IslandNode final : public sim::Node {
     network_.queue().schedule_in(0.0, [this] { run_epoch(); });
   }
 
+  /// This epoch's elites supersede the last batch's exchange. Without a
+  /// plan no ack arrives, so at most that one exchange stays open.
   void send_elites(std::size_t epoch,
                    std::vector<GraEngine::EvalIndividual> elites) {
     ++shared_.migrations_sent;
-    transmit(epoch, elites);
-    if (network_.faults_armed()) {
-      pending_ = Pending{epoch, std::move(elites), 0, false};
-      arm_retransmit(epoch);
-    }
+    channel_.close(pending_);
+    pending_ = channel_.open({epoch, std::move(elites)});
   }
 
-  void transmit(std::size_t epoch,
-                const std::vector<GraEngine::EvalIndividual>& elites) {
+  std::size_t transmit(sim::ExchangeKey key, std::size_t /*attempt*/) override {
+    const Outgoing& outgoing = channel_[key];
     const sim::SiteId successor =
         static_cast<sim::SiteId>((self_ + 1) % islands_);
-    network_.send(self_, successor,
-                  static_cast<double>(elites.size()) * elite_size_units_,
-                  sim::seal(MessageKind::kGaElites, self_, epoch,
-                            ElitesPayload{epoch, elites}));
+    network_.send(
+        self_, successor,
+        static_cast<double>(outgoing.elites.size()) * elite_size_units_,
+        sim::seal(MessageKind::kGaElites, self_, outgoing.epoch,
+                  ElitesPayload{outgoing.epoch, outgoing.elites}));
+    return 1;
   }
 
-  void arm_retransmit(std::size_t epoch) {
-    network_.queue().schedule_in(
-        retry_.timeout_for(retry_base_, pending_->attempt),
-        [this, epoch] { on_retransmit_timer(epoch); });
-  }
-
-  void on_retransmit_timer(std::size_t epoch) {
-    if (!pending_ || pending_->epoch != epoch || pending_->acked) return;
-    if (!network_.site_up(self_)) return;  // on_recover resends
-    ++shared_.retry_stats.timeouts;
-    if (pending_->attempt >= retry_.max_retries) {
-      ++shared_.retry_stats.give_ups;
-      return;
-    }
-    ++pending_->attempt;
-    ++shared_.retry_stats.retries;
-    transmit(epoch, pending_->elites);
-    arm_retransmit(epoch);
-  }
+  /// A give-up leaves the exchange open: a late ack still settles it, and a
+  /// recovering island resends it.
+  void give_up(sim::ExchangeKey /*key*/) override {}
 
   void await(std::size_t epoch) {
     const auto buffered = buffer_.find(epoch);
@@ -206,11 +192,9 @@ class IslandNode final : public sim::Node {
   }
 
   void arm_deadline(std::size_t epoch) {
-    // Enough time for the sender's full retry schedule plus two one-way
-    // base latencies; past it the predecessor gave up or is down.
-    network_.queue().schedule_in(
-        retry_.give_up_time(retry_base_) + 2.0 * retry_base_,
-        [this, epoch] { on_deadline(epoch); });
+    // Past the channel's deadline the predecessor gave up or is down.
+    network_.queue().schedule_in(channel_.deadline(),
+                                 [this, epoch] { on_deadline(epoch); });
   }
 
   void on_deadline(std::size_t epoch) {
@@ -253,13 +237,6 @@ class IslandNode final : public sim::Node {
          static_cast<std::uint16_t>(envelope.kind), envelope.seq});
   }
 
-  struct Pending {
-    std::size_t epoch = 0;
-    std::vector<GraEngine::EvalIndividual> elites;
-    std::size_t attempt = 0;
-    bool acked = false;
-  };
-
   sim::SiteId self_;
   std::size_t islands_;
   GraEngine& engine_;
@@ -267,18 +244,15 @@ class IslandNode final : public sim::Node {
   std::size_t migration_interval_;
   std::size_t migration_count_;
   double elite_size_units_;
-  sim::RetryPolicy retry_;
-  double retry_base_ = 0.0;
   sim::DesNetwork& network_;
   SharedCounters& shared_;
+  sim::ReliableChannel<Outgoing> channel_;
 
   std::size_t done_ = 0;   // generations run
   std::size_t epoch_ = 0;  // completed epoch barriers
   std::optional<std::size_t> waiting_for_{};
   std::map<std::size_t, std::vector<GraEngine::EvalIndividual>> buffer_;
-  std::optional<Pending> pending_{};
-  sim::SeqTracker elites_seq_;
-  sim::SeqTracker ack_seq_;
+  sim::ExchangeKey pending_ = 0;  // the last elites sent, until acked
   bool stalled_ = false;
   bool ever_crashed_ = false;
 };

@@ -24,12 +24,13 @@
 // fork, no migration), so `--algo=dgra` at islands=1 equals `--algo=gra`.
 //
 // Fault semantics (armed only when a FaultPlan is attached, so the perfect
-// network exchanges zero extra messages):
-//   * every kGaElites is acked; unacked elites retransmit under the
-//     RetryPolicy's bounded exponential backoff, re-sending the same seq so
-//     receivers dedup;
+// network exchanges zero extra messages); delivery is the island's
+// sim::ReliableChannel (DESIGN.md Section 8, "ReliableChannel"):
+//   * every kGaElites is acked; unacked elites retransmit with the same seq
+//     and the receiver admits each epoch's elites exactly once, in any
+//     arrival order (elites overtaken by the next epoch's still land);
 //   * a receiver waiting on its predecessor's epoch-e elites proceeds
-//     without them after give_up_time + 2×base (migrations_missed);
+//     without them after the channel's deadline (migrations_missed);
 //   * elites arriving after their epoch passed — dropped-then-retransmitted
 //     or resent by a rejoining island — are still admitted into the
 //     population (elites_readmitted), so a crashed island's genetic

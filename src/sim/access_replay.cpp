@@ -1,13 +1,12 @@
 #include "sim/access_replay.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/reliable_channel.hpp"
 
 namespace drep::sim {
 
@@ -16,7 +15,7 @@ namespace {
 using core::ObjectId;
 
 // Protocol payloads. Ids are 0 on a perfect network (no retries, nothing to
-// correlate) and unique per exchange under a fault plan.
+// correlate) and the sender's ExchangeKey under a fault plan.
 struct ReadRequest {
   ObjectId object;
   std::uint64_t id;
@@ -46,35 +45,43 @@ struct MigrationShip {
   ObjectId object;
 };
 
-/// Retry-layer context shared by all nodes of one replay.
-struct ReplayContext {
-  RetryPolicy policy;
-  double base = 0.0;
-  ReplayResult* result = nullptr;
-  std::uint64_t next_id = 1;
+/// One exchange of the fault path, as the channel keeps it.
+struct Pending {
+  enum class Kind : std::uint8_t { kRead, kShip, kLeg };
+  Kind kind = Kind::kRead;
+  ObjectId object = 0;
+  SiteId target = 0;       // update legs
+  double issued_at = 0.0;  // reads
 };
 
 /// One protocol endpoint per site. All sites share the scheme (the paper's
 /// two-field (SP_k, SN_k) record per object is exactly what
 /// ReplicationScheme::nearest/primary provide).
-class ReplicaNode final : public Node {
+class ReplicaNode final : public Node, private ChannelClient {
  public:
   ReplicaNode(SiteId self, const core::ReplicationScheme& scheme,
-              DesNetwork& network, ReplayContext& ctx, double latency_per_cost)
+              DesNetwork& network, const RetryPolicy& retry,
+              ReplayResult& result, double latency_per_cost)
       : self_(self),
         scheme_(&scheme),
         network_(&network),
-        ctx_(&ctx),
-        latency_per_cost_(latency_per_cost) {}
+        result_(&result),
+        latency_per_cost_(latency_per_cost),
+        channel_(network, self, retry, result.retry_stats, *this) {}
 
+  /// Without a plan a remote read is charged its analytic round trip and
+  /// fired off; with one, it is an exchange routed to a live replica.
   void issue(const workload::Request& request) {
     DREP_COUNT("drep_replay_requests_total", 1);
-    if (armed()) {
-      issue_faulty(request);
+    ReplayResult& result = *result_;
+    const core::Problem& problem = scheme_->problem();
+    const bool armed = channel_.armed();
+    if (armed && !network_->site_up(self_)) {
+      // A crashed site serves nobody.
+      ++(request.is_write ? result.failed_writes : result.failed_reads);
+      DREP_COUNT("drep_replay_failed_requests_total", 1);
       return;
     }
-    ReplayResult& result = *ctx_->result;
-    const core::Problem& problem = scheme_->problem();
     if (!request.is_write) {
       const SiteId nearest = scheme_->nearest(self_, request.object);
       if (nearest == self_) {
@@ -82,6 +89,10 @@ class ReplicaNode final : public Node {
         result.read_latency.add(0.0);
         DREP_COUNT("drep_replay_local_reads_total", 1);
         DREP_OBSERVE("drep_replay_read_latency", obs::latency_buckets(), 0.0);
+        return;
+      }
+      if (armed) {
+        issue_faulty_read(request.object, nearest);
         return;
       }
       ++result.remote_reads;
@@ -98,13 +109,22 @@ class ReplicaNode final : public Node {
     ++result.writes;
     DREP_COUNT("drep_replay_writes_total", 1);
     const SiteId primary = problem.primary(request.object);
-    record_write_latency(request.object, primary);
     if (primary == self_) {
+      record_write_latency(request.object, primary);
       broadcast(request.object, /*writer=*/self_);
-    } else {
+      return;
+    }
+    if (armed && !network_->site_up(primary)) {
+      ++result.failed_writes;  // nowhere to commit the new version
+      DREP_COUNT("drep_replay_failed_requests_total", 1);
+      return;
+    }
+    record_write_latency(request.object, primary);
+    if (armed)
+      (void)channel_.open({Pending::Kind::kShip, request.object, 0, 0.0});
+    else
       network_->send(self_, primary, problem.object_size(request.object),
                      WriteShip{request.object, self_, 0});
-    }
   }
 
   void handle(const Message& message) override {
@@ -114,49 +134,39 @@ class ReplicaNode final : public Node {
                      ReadResponse{read->object, read->id});
     } else if (const auto* resp =
                    std::any_cast<ReadResponse>(&message.payload)) {
-      if (armed()) on_read_response(*resp);
+      if (channel_.armed()) on_read_response(*resp);
     } else if (const auto* ship = std::any_cast<WriteShip>(&message.payload)) {
       on_write_ship(*ship);
     } else if (const auto* ack = std::any_cast<WriteAck>(&message.payload)) {
-      on_write_ack(*ack);
+      (void)channel_.settle(ack->id);
     } else if (const auto* update =
                    std::any_cast<UpdateBroadcast>(&message.payload)) {
       // Applying the same version twice is idempotent; just ack.
-      if (armed()) network_->send(self_, message.from, 0.0,
-                                  UpdateAck{update->id});
+      if (channel_.armed())
+        network_->send(self_, message.from, 0.0, UpdateAck{update->id});
     } else if (const auto* uack =
                    std::any_cast<UpdateAck>(&message.payload)) {
-      on_update_ack(*uack);
+      (void)channel_.settle(uack->id);
     }
   }
 
   /// A crash loses every in-flight exchange at this site: pending reads and
   /// write shipments fail, un-acked broadcast legs leave replicas stale.
   void on_crash() override {
-    ReplayResult& result = *ctx_->result;
-    result.failed_reads += pending_reads_.size();
-    result.failed_writes += pending_ships_.size();
-    result.stale_replica_updates += pending_legs_.size();
-    pending_reads_.clear();
-    pending_ships_.clear();
-    pending_legs_.clear();
+    channel_.close_if([this](const Pending& pending) {
+      ++lost_count(pending.kind);
+      return true;
+    });
   }
 
  private:
-  struct PendingRead {
-    ObjectId object;
-    double issued_at;
-  };
-  struct PendingLeg {
-    ObjectId object;
-    SiteId target;
-  };
-
-  [[nodiscard]] bool armed() const { return network_->faults_armed(); }
-
-  void arm_timer(std::size_t attempt, std::function<void()> handler) {
-    network_->queue().schedule_in(
-        ctx_->policy.timeout_for(ctx_->base, attempt), std::move(handler));
+  [[nodiscard]] std::size_t& lost_count(Pending::Kind kind) noexcept {
+    switch (kind) {
+      case Pending::Kind::kRead: return result_->failed_reads;
+      case Pending::Kind::kShip: return result_->failed_writes;
+      case Pending::Kind::kLeg: break;
+    }
+    return result_->stale_replica_updates;
   }
 
   /// Visibility latency: ship to the primary plus the slowest broadcast
@@ -171,67 +181,27 @@ class ReplicaNode final : public Node {
     }
     const double write_latency =
         latency_per_cost_ * (problem.cost(self_, primary) + slowest_leg);
-    ctx_->result->write_latency.add(write_latency);
+    result_->write_latency.add(write_latency);
     DREP_OBSERVE("drep_replay_write_latency", obs::latency_buckets(),
                  write_latency);
   }
 
-  // --- fault-plan issue path ----------------------------------------------
-
-  void issue_faulty(const workload::Request& request) {
-    ReplayResult& result = *ctx_->result;
-    const core::Problem& problem = scheme_->problem();
-    if (!network_->site_up(self_)) {
-      // A crashed site serves nobody.
-      ++(request.is_write ? result.failed_writes : result.failed_reads);
+  void issue_faulty_read(ObjectId object, SiteId nearest) {
+    ReplayResult& result = *result_;
+    const std::optional<SiteId> target = live_read_target(object);
+    if (!target) {
+      ++result.failed_reads;  // every replicator is down
       DREP_COUNT("drep_replay_failed_requests_total", 1);
       return;
     }
-    if (!request.is_write) {
-      const SiteId nearest = scheme_->nearest(self_, request.object);
-      if (nearest == self_) {
-        ++result.local_reads;
-        result.read_latency.add(0.0);
-        DREP_COUNT("drep_replay_local_reads_total", 1);
-        DREP_OBSERVE("drep_replay_read_latency", obs::latency_buckets(), 0.0);
-        return;
-      }
-      const std::optional<SiteId> target = live_read_target(request.object);
-      if (!target) {
-        ++result.failed_reads;  // every replicator is down
-        DREP_COUNT("drep_replay_failed_requests_total", 1);
-        return;
-      }
-      if (*target != nearest) {
-        ++result.degraded_reads;
-        DREP_COUNT("drep_replay_degraded_reads_total", 1);
-      }
-      ++result.remote_reads;
-      DREP_COUNT("drep_replay_remote_reads_total", 1);
-      const std::uint64_t id = ctx_->next_id++;
-      pending_reads_.emplace(id,
-                             PendingRead{request.object,
-                                         network_->queue().now()});
-      send_read(id, request.object, 0);
-      return;
+    if (*target != nearest) {
+      ++result.degraded_reads;
+      DREP_COUNT("drep_replay_degraded_reads_total", 1);
     }
-    ++result.writes;
-    DREP_COUNT("drep_replay_writes_total", 1);
-    const SiteId primary = problem.primary(request.object);
-    if (primary == self_) {
-      record_write_latency(request.object, primary);
-      broadcast(request.object, /*writer=*/self_);
-      return;
-    }
-    if (!network_->site_up(primary)) {
-      ++result.failed_writes;  // nowhere to commit the new version
-      DREP_COUNT("drep_replay_failed_requests_total", 1);
-      return;
-    }
-    record_write_latency(request.object, primary);
-    const std::uint64_t id = ctx_->next_id++;
-    pending_ships_.emplace(id, request.object);
-    send_ship(id, request.object, 0);
+    ++result.remote_reads;
+    DREP_COUNT("drep_replay_remote_reads_total", 1);
+    (void)channel_.open(
+        {Pending::Kind::kRead, object, 0, network_->queue().now()});
   }
 
   /// Nearest replicator when alive, else the cheapest live replica (ties to
@@ -254,78 +224,69 @@ class ReplicaNode final : public Node {
     return best;
   }
 
-  void send_read(std::uint64_t id, ObjectId object, std::size_t attempt) {
-    // Re-pick the target every attempt: the previous one may have crashed
-    // (or recovered) since.
-    if (const std::optional<SiteId> target = live_read_target(object))
-      network_->send(self_, *target, 0.0, ReadRequest{object, id});
-    arm_timer(attempt, [this, id, attempt] {
-      const auto it = pending_reads_.find(id);
-      if (it == pending_reads_.end() || !network_->site_up(self_)) return;
-      ++ctx_->result->retry_stats.timeouts;
-      if (attempt >= ctx_->policy.max_retries) {
-        ++ctx_->result->retry_stats.give_ups;
-        ++ctx_->result->failed_reads;
-        DREP_COUNT("drep_replay_failed_requests_total", 1);
-        pending_reads_.erase(it);
-        return;
-      }
-      ++ctx_->result->retry_stats.retries;
-      send_read(id, it->second.object, attempt + 1);
-    });
+  std::size_t transmit(ExchangeKey key, std::size_t /*attempt*/) override {
+    const Pending& pending = channel_[key];
+    const core::Problem& problem = scheme_->problem();
+    switch (pending.kind) {
+      case Pending::Kind::kRead:
+        // Re-pick the target every attempt: the previous one may have
+        // crashed (or recovered) since. The attempt counts as a retry even
+        // when no live replica can take it.
+        if (const std::optional<SiteId> target =
+                live_read_target(pending.object))
+          network_->send(self_, *target, 0.0, ReadRequest{pending.object, key});
+        break;
+      case Pending::Kind::kShip:
+        network_->send(self_, problem.primary(pending.object),
+                       problem.object_size(pending.object),
+                       WriteShip{pending.object, self_, key});
+        break;
+      case Pending::Kind::kLeg:
+        network_->send(self_, pending.target,
+                       problem.object_size(pending.object),
+                       UpdateBroadcast{pending.object, key});
+        break;
+    }
+    return 1;
+  }
+
+  void give_up(ExchangeKey key) override {
+    const Pending::Kind kind = channel_[key].kind;
+    ++lost_count(kind);
+    if (kind == Pending::Kind::kLeg)
+      DREP_COUNT("drep_replay_stale_updates_total", 1);
+    else
+      DREP_COUNT("drep_replay_failed_requests_total", 1);
+    channel_.close(key);
   }
 
   void on_read_response(const ReadResponse& resp) {
-    const auto it = pending_reads_.find(resp.id);
-    if (it == pending_reads_.end()) {
-      ++ctx_->result->retry_stats.duplicates;
+    const Pending* read = channel_.find(resp.id);
+    if (read == nullptr) {
+      ++result_->retry_stats.duplicates;
       return;
     }
     // Measured response time; equals the analytic 2·λ·C round trip when the
     // first attempt got through un-spiked.
-    const double latency = network_->queue().now() - it->second.issued_at;
-    ctx_->result->read_latency.add(latency);
+    const double latency = network_->queue().now() - read->issued_at;
+    result_->read_latency.add(latency);
     DREP_OBSERVE("drep_replay_read_latency", obs::latency_buckets(), latency);
-    pending_reads_.erase(it);
-  }
-
-  void send_ship(std::uint64_t id, ObjectId object, std::size_t attempt) {
-    const core::Problem& problem = scheme_->problem();
-    network_->send(self_, problem.primary(object),
-                   problem.object_size(object), WriteShip{object, self_, id});
-    arm_timer(attempt, [this, id, attempt] {
-      const auto it = pending_ships_.find(id);
-      if (it == pending_ships_.end() || !network_->site_up(self_)) return;
-      ++ctx_->result->retry_stats.timeouts;
-      if (attempt >= ctx_->policy.max_retries) {
-        ++ctx_->result->retry_stats.give_ups;
-        ++ctx_->result->failed_writes;
-        DREP_COUNT("drep_replay_failed_requests_total", 1);
-        pending_ships_.erase(it);
-        return;
-      }
-      ++ctx_->result->retry_stats.retries;
-      send_ship(id, it->second, attempt + 1);
-    });
+    channel_.close(resp.id);
   }
 
   void on_write_ship(const WriteShip& ship) {
-    if (!armed()) {
+    if (!channel_.armed()) {
       broadcast(ship.object, ship.writer);
       return;
     }
     // The primary deduplicates replayed shipments: the version already
-    // committed and fanned out, only the ack was lost.
-    if (seen_ships_.insert(ship.id).second)
+    // committed and fanned out, only the ack was lost. Stream 0: shipments
+    // are the replay's only deduplicated message.
+    if (channel_.accept(ship.writer, 0, ship.id))
       broadcast(ship.object, ship.writer);
     else
-      ++ctx_->result->retry_stats.duplicates;
+      ++result_->retry_stats.duplicates;
     network_->send(self_, ship.writer, 0.0, WriteAck{ship.id});
-  }
-
-  void on_write_ack(const WriteAck& ack) {
-    if (pending_ships_.erase(ack.id) == 0)
-      ++ctx_->result->retry_stats.duplicates;
   }
 
   /// Primary-side fan-out of an update to every other replicator, excluding
@@ -335,56 +296,75 @@ class ReplicaNode final : public Node {
     const core::Problem& problem = scheme_->problem();
     for (const SiteId replicator : scheme_->replicas(object)) {
       if (replicator == self_ || replicator == writer) continue;
-      if (!armed()) {
+      if (!channel_.armed()) {
         network_->send(self_, replicator, problem.object_size(object),
                        UpdateBroadcast{object, 0});
         continue;
       }
-      const std::uint64_t id = ctx_->next_id++;
-      pending_legs_.emplace(id, PendingLeg{object, replicator});
-      send_leg(id, 0);
+      (void)channel_.open({Pending::Kind::kLeg, object, replicator, 0.0});
     }
-  }
-
-  void send_leg(std::uint64_t id, std::size_t attempt) {
-    const auto it = pending_legs_.find(id);
-    if (it == pending_legs_.end()) return;
-    const core::Problem& problem = scheme_->problem();
-    network_->send(self_, it->second.target,
-                   problem.object_size(it->second.object),
-                   UpdateBroadcast{it->second.object, id});
-    arm_timer(attempt, [this, id, attempt] {
-      const auto leg = pending_legs_.find(id);
-      if (leg == pending_legs_.end() || !network_->site_up(self_)) return;
-      ++ctx_->result->retry_stats.timeouts;
-      if (attempt >= ctx_->policy.max_retries) {
-        ++ctx_->result->retry_stats.give_ups;
-        ++ctx_->result->stale_replica_updates;
-        DREP_COUNT("drep_replay_stale_updates_total", 1);
-        pending_legs_.erase(leg);
-        return;
-      }
-      ++ctx_->result->retry_stats.retries;
-      send_leg(id, attempt + 1);
-    });
-  }
-
-  void on_update_ack(const UpdateAck& ack) {
-    if (pending_legs_.erase(ack.id) == 0)
-      ++ctx_->result->retry_stats.duplicates;
   }
 
   SiteId self_;
   const core::ReplicationScheme* scheme_;
   DesNetwork* network_;
-  ReplayContext* ctx_;
+  ReplayResult* result_;
   double latency_per_cost_;
-
-  std::map<std::uint64_t, PendingRead> pending_reads_;
-  std::map<std::uint64_t, ObjectId> pending_ships_;
-  std::map<std::uint64_t, PendingLeg> pending_legs_;
-  std::set<std::uint64_t> seen_ships_;
+  ReliableChannel<Pending> channel_;
 };
+
+/// The shared body of replay_trace and replay_trace_online. With a policy,
+/// each request first runs it against `online` (the same object as
+/// `scheme`) at injection time, before the request reaches its node — so
+/// the node already sees the post-decision scheme (the ReplayPolicy
+/// contract in the header).
+ReplayResult run_replay(const core::ReplicationScheme& scheme,
+                        std::span<const workload::Request> trace,
+                        const ReplayOptions& options,
+                        core::ReplicationScheme* online,
+                        ReplayPolicy* policy) {
+  const core::Problem& problem = scheme.problem();
+  DesNetwork network(problem.costs(), options.latency_per_cost);
+  if (options.faults) network.set_faults(*options.faults);
+
+  ReplayResult result;
+  std::vector<std::unique_ptr<ReplicaNode>> nodes;
+  nodes.reserve(problem.sites());
+  for (SiteId i = 0; i < problem.sites(); ++i) {
+    nodes.push_back(std::make_unique<ReplicaNode>(
+        i, scheme, network, options.retry, result, options.latency_per_cost));
+    network.attach(i, *nodes.back());
+  }
+
+  const auto inject = [&](std::size_t idx) {
+    const workload::Request& request = trace[idx];
+    if (policy != nullptr) {
+      for (const SchemeChange& change :
+           policy->on_request(idx, request, *online)) {
+        if (change.evict) {
+          ++result.online_evictions;
+          DREP_COUNT("drep_replay_online_evictions_total", 1);
+          continue;
+        }
+        ++result.online_migrations;
+        result.migration_traffic +=
+            change.shipped_units * problem.cost(change.source, change.site);
+        DREP_COUNT("drep_replay_online_migrations_total", 1);
+        network.send(change.source, change.site, change.shipped_units,
+                     MigrationShip{change.object});
+      }
+    }
+    nodes[request.site]->issue(request);
+  };
+  for (std::size_t idx = 0; idx < trace.size(); ++idx) {
+    network.queue().schedule(options.inter_arrival * static_cast<double>(idx),
+                             [&inject, idx] { inject(idx); });
+  }
+  network.run();
+  result.traffic = network.stats();
+  result.duration = network.queue().now();
+  return result;
+}
 
 }  // namespace
 
@@ -401,32 +381,7 @@ ReplayResult replay_trace(const core::ReplicationScheme& scheme,
                           std::span<const workload::Request> trace,
                           const ReplayOptions& options) {
   DREP_SPAN("sim/replay");
-  const core::Problem& problem = scheme.problem();
-  DesNetwork network(problem.costs(), options.latency_per_cost);
-  if (options.faults) network.set_faults(*options.faults);
-
-  ReplayResult result;
-  ReplayContext ctx{options.retry,
-                    options.retry.resolve_base(network.worst_one_way_latency()),
-                    &result};
-  std::vector<std::unique_ptr<ReplicaNode>> nodes;
-  nodes.reserve(problem.sites());
-  for (SiteId i = 0; i < problem.sites(); ++i) {
-    nodes.push_back(std::make_unique<ReplicaNode>(
-        i, scheme, network, ctx, options.latency_per_cost));
-    network.attach(i, *nodes.back());
-  }
-
-  for (std::size_t idx = 0; idx < trace.size(); ++idx) {
-    const workload::Request request = trace[idx];
-    network.queue().schedule(
-        options.inter_arrival * static_cast<double>(idx),
-        [&nodes, request] { nodes[request.site]->issue(request); });
-  }
-  network.run();
-  result.traffic = network.stats();
-  result.duration = network.queue().now();
-  return result;
+  return run_replay(scheme, trace, options, nullptr, nullptr);
 }
 
 ReplayResult replay_trace_online(core::ReplicationScheme& scheme,
@@ -434,53 +389,7 @@ ReplayResult replay_trace_online(core::ReplicationScheme& scheme,
                                  const ReplayOptions& options,
                                  ReplayPolicy& policy) {
   DREP_SPAN("sim/replay_online");
-  const core::Problem& problem = scheme.problem();
-  DesNetwork network(problem.costs(), options.latency_per_cost);
-  if (options.faults) network.set_faults(*options.faults);
-
-  ReplayResult result;
-  ReplayContext ctx{options.retry,
-                    options.retry.resolve_base(network.worst_one_way_latency()),
-                    &result};
-  std::vector<std::unique_ptr<ReplicaNode>> nodes;
-  nodes.reserve(problem.sites());
-  for (SiteId i = 0; i < problem.sites(); ++i) {
-    nodes.push_back(std::make_unique<ReplicaNode>(
-        i, scheme, network, ctx, options.latency_per_cost));
-    network.attach(i, *nodes.back());
-  }
-
-  for (std::size_t idx = 0; idx < trace.size(); ++idx) {
-    const workload::Request request = trace[idx];
-    // The policy runs at injection time, before the request reaches its
-    // node, so the node already sees the post-decision scheme (see the
-    // ReplayPolicy contract in the header).
-    network.queue().schedule(
-        options.inter_arrival * static_cast<double>(idx),
-        [&scheme, &network, &nodes, &result, &policy, &problem, idx,
-         request] {
-          for (const SchemeChange& change :
-               policy.on_request(idx, request, scheme)) {
-            if (change.evict) {
-              ++result.online_evictions;
-              DREP_COUNT("drep_replay_online_evictions_total", 1);
-              continue;
-            }
-            ++result.online_migrations;
-            result.migration_traffic +=
-                change.shipped_units *
-                problem.cost(change.source, change.site);
-            DREP_COUNT("drep_replay_online_migrations_total", 1);
-            network.send(change.source, change.site, change.shipped_units,
-                         MigrationShip{change.object});
-          }
-          nodes[request.site]->issue(request);
-        });
-  }
-  network.run();
-  result.traffic = network.stats();
-  result.duration = network.queue().now();
-  return result;
+  return run_replay(scheme, trace, options, &scheme, &policy);
 }
 
 }  // namespace drep::sim

@@ -20,11 +20,11 @@
 //     (ties to the lowest site id; the primary is always a candidate),
 //     counted as a degraded read; with no live replica at all the read
 //     fails;
-//   * reads and write shipments carry sequence ids, are retried with
-//     bounded exponential backoff, and are deduplicated (the primary
-//     re-acks a replayed WriteShip without re-broadcasting);
-//   * each update-broadcast leg is acked per replica and retried; a leg
-//     that exhausts its retries leaves that replica stale (counted);
+//   * reads, write shipments and update-broadcast legs are
+//     sim::ReliableChannel exchanges (DESIGN.md Section 8,
+//     "ReliableChannel"): retried until their ack, the primary re-acking a
+//     replayed WriteShip without re-broadcasting; a leg that exhausts its
+//     retries leaves that replica stale (counted);
 //   * read latency is then *measured* (request injection to response
 //     delivery, retransmissions included) instead of the analytic round
 //     trip — with all-zero fault rates the two coincide exactly. Write

@@ -46,7 +46,8 @@ void DesNetwork::set_faults(FaultPlan plan) {
   }
 }
 
-double DesNetwork::worst_one_way_latency() const noexcept {
+double DesNetwork::worst_one_way_latency() noexcept {
+  if (worst_latency_ >= 0.0) return worst_latency_;
   double worst = 0.0;
   for (SiteId i = 0; i < nodes_.size(); ++i) {
     for (SiteId j = 0; j < nodes_.size(); ++j) {
@@ -54,6 +55,7 @@ double DesNetwork::worst_one_way_latency() const noexcept {
       if (latency > worst) worst = latency;
     }
   }
+  worst_latency_ = worst;
   return worst;
 }
 

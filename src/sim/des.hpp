@@ -102,8 +102,8 @@ class DesNetwork {
     return !faults_ || !faults_->site_down(site, queue_.now());
   }
   /// latency_per_cost × max C(i,j): the worst healthy one-way delivery
-  /// latency, the anchor for RetryPolicy::resolve_base.
-  [[nodiscard]] double worst_one_way_latency() const noexcept;
+  /// latency, the anchor for RetryPolicy::resolve_base. Computed once.
+  [[nodiscard]] double worst_one_way_latency() noexcept;
 
   /// Attaches the protocol endpoint for `site`; the node must outlive the
   /// network's event processing.
@@ -126,6 +126,7 @@ class DesNetwork {
   TrafficStats stats_;
   std::optional<FaultPlan> faults_;
   util::Rng fault_rng_;
+  double worst_latency_ = -1.0;  // < 0 until first asked
 };
 
 }  // namespace drep::sim

@@ -8,6 +8,7 @@
 #include "core/replication.hpp"
 #include "obs/metrics.hpp"
 #include "sim/envelope.hpp"
+#include "sim/reliable_channel.hpp"
 
 namespace drep::sim {
 
@@ -44,6 +45,14 @@ struct AnnounceAck {
 struct Rejoin {};
 struct RejoinAck {};
 
+/// One exchange of the protocol, as the node's channel keeps it. A grant
+/// is always for the leader's current round.
+struct Exchange {
+  enum class Kind : std::uint8_t { kFetch, kAnnounce, kRejoin, kGrant };
+  Kind kind = Kind::kFetch;
+  ObjectId object = 0;  // fetch, announce
+};
+
 class SraNode;
 
 /// Shared run state: the leader's replication record (assembled into the
@@ -55,24 +64,27 @@ struct RunState {
   RetryStats retry;
   std::size_t sites_skipped = 0;
   std::size_t rejoins = 0;
-  std::uint64_t next_id = 0;
   std::vector<std::unique_ptr<SraNode>> nodes;
 };
 
 constexpr std::uint64_t kNoRound = 0;  // rounds start at 1
 
-class SraNode final : public Node {
+/// The leader's patience must outlast a full visit *including* the visited
+/// site's own fetch/announce retry budgets, so a token grant gets extra
+/// retries: prematurely skipping a live site is the one failure mode that
+/// can diverge the scheme.
+constexpr std::size_t kGrantExtraRetries = 4;
+
+class SraNode final : public Node, private ChannelClient {
  public:
   SraNode(SiteId self, const core::Problem& problem, DesNetwork& network,
-          SiteId leader_site, const RetryPolicy& retry, double retry_base,
-          RunState& state)
+          SiteId leader_site, const RetryPolicy& retry, RunState& state)
       : self_(self),
         problem_(&problem),
         network_(&network),
         leader_site_(leader_site),
-        retry_(retry),
-        retry_base_(retry_base),
         state_(&state),
+        channel_(network, self, retry, state.retry, *this),
         nearest_cost_(problem.objects()),
         nearest_site_(problem.objects()) {
     // Locally known statics: SP_k and the initial SN record (= SP_k).
@@ -140,12 +152,12 @@ class SraNode final : public Node {
         on_announce_ack(message.from, unseal<AnnounceAck>(envelope));
         break;
       case MessageKind::kSraRejoin:
-        on_rejoin(message.from);
+        readmit(message.from);
         network_->send(self_, message.from, 0.0,
                        seal(MessageKind::kSraRejoinAck, self_, 0, RejoinAck{}));
         break;
       case MessageKind::kSraRejoinAck:
-        rejoin_pending_ = false;
+        close_rejoins();
         break;
       default:
         throw std::logic_error("SraNode: unexpected message kind " +
@@ -157,25 +169,104 @@ class SraNode final : public Node {
   /// already-committed local replicas survive, like data on disk.
   void on_crash() override {
     serving_ = false;
-    fetch_id_ = 0;
-    announce_id_ = 0;
-    announce_missing_ = 0;
-    rejoin_pending_ = false;
+    channel_.close(fetch_key_);
+    channel_.close(announce_key_);
+    fetch_key_ = 0;
+    announce_key_ = 0;
   }
 
-  /// A recovered non-leader asks the leader to re-admit it.
+  /// A recovered non-leader asks the leader to re-admit it. Each recovery
+  /// opens its own rejoin exchange; the leader's ack settles all of them.
   void on_recover() override {
     if (self_ == leader_site_) return;
-    rejoin_pending_ = true;
-    send_rejoin(0);
+    (void)channel_.open({Exchange::Kind::kRejoin});
   }
 
  private:
-  [[nodiscard]] bool retries_armed() const { return network_->faults_armed(); }
+  // --- channel hooks -------------------------------------------------------
 
-  void arm_timer(std::size_t attempt, std::function<void()> handler) {
-    network_->queue().schedule_in(retry_.timeout_for(retry_base_, attempt),
-                                  std::move(handler));
+  std::size_t transmit(ExchangeKey key, std::size_t attempt) override {
+    const Exchange& exchange = channel_[key];
+    switch (exchange.kind) {
+      case Exchange::Kind::kFetch: {
+        // The nearest known replicator first; the primary (always a
+        // replicator) later, in case the nearest crashed.
+        const SiteId target = channel_.fetch_target(
+            nearest_site_[exchange.object], problem_->primary(exchange.object),
+            attempt);
+        network_->send(self_, target, 0.0,
+                       seal(MessageKind::kSraFetchRequest, self_, key,
+                            FetchRequest{exchange.object, key}));
+        return 1;
+      }
+      case Exchange::Kind::kAnnounce: {
+        // Every site that has not acked yet (all others on attempt 0).
+        std::size_t sent = 0;
+        for (SiteId j = 0; j < problem_->sites(); ++j) {
+          if (announce_acked_[j]) continue;
+          ++sent;
+          network_->send(self_, j, 0.0,
+                         seal(MessageKind::kSraReplicaAnnounce, self_, key,
+                              ReplicaAnnounce{exchange.object, self_, key}));
+        }
+        return sent;
+      }
+      case Exchange::Kind::kRejoin:
+        network_->send(self_, leader_site_, 0.0,
+                       seal(MessageKind::kSraRejoin, self_, 0, Rejoin{}));
+        return 1;
+      case Exchange::Kind::kGrant:
+        network_->send(self_, active_[granted_slot_], 0.0,
+                       seal(MessageKind::kSraTokenGrant, self_, current_round_,
+                            TokenGrant{current_round_}));
+        return 1;
+    }
+    return 0;
+  }
+
+  void give_up(ExchangeKey key) override {
+    switch (channel_[key].kind) {
+      case Exchange::Kind::kFetch: {
+        // Every reachable holder stopped answering: the object is
+        // unobtainable right now — prune it and move on.
+        const ObjectId object = channel_[key].object;
+        channel_.close(key);
+        fetch_key_ = 0;
+        const auto it =
+            std::find(candidates_.begin(), candidates_.end(), object);
+        if (it != candidates_.end()) candidates_.erase(it);
+        finish_visit();
+        return;
+      }
+      case Exchange::Kind::kAnnounce:
+        // The remaining sites are unreachable; they will carry a stale SN
+        // record until (if ever) they learn otherwise. Give the token back.
+        channel_.close(key);
+        announce_key_ = 0;
+        finish_visit();
+        return;
+      case Exchange::Kind::kRejoin:
+        close_rejoins();
+        return;
+      case Exchange::Kind::kGrant:
+        // Site presumed crashed: skip it; it may rejoin on recovery.
+        channel_.close(key);
+        grant_key_ = 0;
+        ++state_->sites_skipped;
+        skipped_.push_back(active_[granted_slot_]);
+        active_.erase(active_.begin() +
+                      static_cast<std::ptrdiff_t>(granted_slot_));
+        cursor_ = granted_slot_;
+        outstanding_ = false;
+        grant_next();
+        return;
+    }
+  }
+
+  void close_rejoins() {
+    channel_.close_if([](const Exchange& exchange) {
+      return exchange.kind == Exchange::Kind::kRejoin;
+    });
   }
 
   // --- site role -----------------------------------------------------------
@@ -232,56 +323,13 @@ class SraNode final : public Node {
     // The replication is committed only when the object actually arrives;
     // until then the candidate stays in L(self) so an aborted fetch leaves
     // consistent state.
-    pending_object_ = best_object;
-    begin_fetch();
-  }
-
-  void begin_fetch() {
-    fetch_id_ = ++state_->next_id;
-    send_fetch(0);
-  }
-
-  /// Fetch target for a given attempt: the nearest known replicator first,
-  /// falling back to the primary (always a replicator) on later attempts in
-  /// case the nearest crashed.
-  [[nodiscard]] SiteId fetch_target(std::size_t attempt) const {
-    const SiteId nearest = nearest_site_[pending_object_];
-    const SiteId primary = problem_->primary(pending_object_);
-    if (attempt <= retry_.max_retries / 2 || nearest == primary)
-      return nearest;
-    return primary;
-  }
-
-  void send_fetch(std::size_t attempt) {
-    network_->send(self_, fetch_target(attempt), 0.0,
-                   seal(MessageKind::kSraFetchRequest, self_, fetch_id_,
-                        FetchRequest{pending_object_, fetch_id_}));
-    if (!retries_armed()) return;
-    arm_timer(attempt, [this, id = fetch_id_, attempt] {
-      if (fetch_id_ != id || !network_->site_up(self_)) return;
-      ++state_->retry.timeouts;
-      if (attempt >= retry_.max_retries) {
-        // Every reachable holder stopped answering: the object is
-        // unobtainable right now — prune it and move on.
-        ++state_->retry.give_ups;
-        fetch_id_ = 0;
-        const auto it = std::find(candidates_.begin(), candidates_.end(),
-                                  pending_object_);
-        if (it != candidates_.end()) candidates_.erase(it);
-        finish_visit();
-        return;
-      }
-      ++state_->retry.retries;
-      send_fetch(attempt + 1);
-    });
+    fetch_key_ = channel_.open({Exchange::Kind::kFetch, best_object});
   }
 
   void on_object_arrived(const FetchResponse& resp) {
-    if (resp.id != fetch_id_) {
-      ++state_->retry.duplicates;
-      return;
-    }
-    fetch_id_ = 0;
+    // Only the current fetch is open: anything else is a late duplicate.
+    if (!channel_.settle(resp.id)) return;
+    fetch_key_ = 0;
     const ObjectId object = resp.object;
     candidates_.erase(
         std::find(candidates_.begin(), candidates_.end(), object));
@@ -295,58 +343,25 @@ class SraNode final : public Node {
   /// Reliable broadcast: every other site updates its SN record and acks;
   /// un-acked sites are re-announced with backoff.
   void begin_announce(ObjectId object) {
-    announce_object_ = object;
     announce_acked_.assign(problem_->sites(), false);
     announce_acked_[self_] = true;
-    announce_missing_ = problem_->sites() - 1;
-    if (announce_missing_ == 0) {
+    if (problem_->sites() == 1) {
       finish_visit();
       return;
     }
-    announce_id_ = ++state_->next_id;
-    for (SiteId j = 0; j < problem_->sites(); ++j) {
-      if (j != self_)
-        network_->send(self_, j, 0.0,
-                       seal(MessageKind::kSraReplicaAnnounce, self_,
-                            announce_id_,
-                            ReplicaAnnounce{object, self_, announce_id_}));
-    }
-    if (retries_armed()) arm_announce_timer(0);
-  }
-
-  void arm_announce_timer(std::size_t attempt) {
-    arm_timer(attempt, [this, id = announce_id_, attempt] {
-      if (announce_id_ != id || !network_->site_up(self_)) return;
-      ++state_->retry.timeouts;
-      if (attempt >= retry_.max_retries) {
-        // The remaining sites are unreachable; they will carry a stale SN
-        // record until (if ever) they learn otherwise. Give the token back.
-        ++state_->retry.give_ups;
-        announce_id_ = 0;
-        announce_missing_ = 0;
-        finish_visit();
-        return;
-      }
-      for (SiteId j = 0; j < problem_->sites(); ++j) {
-        if (!announce_acked_[j]) {
-          ++state_->retry.retries;
-          network_->send(self_, j, 0.0,
-                         seal(MessageKind::kSraReplicaAnnounce, self_, id,
-                              ReplicaAnnounce{announce_object_, self_, id}));
-        }
-      }
-      arm_announce_timer(attempt + 1);
-    });
+    announce_key_ = channel_.open({Exchange::Kind::kAnnounce, object});
   }
 
   void on_announce_ack(SiteId from, const AnnounceAck& ack) {
-    if (ack.id != announce_id_ || announce_acked_[from]) {
+    if (ack.id != announce_key_ || announce_acked_[from]) {
       ++state_->retry.duplicates;
       return;
     }
     announce_acked_[from] = true;
-    if (--announce_missing_ == 0) {
-      announce_id_ = 0;
+    if (std::find(announce_acked_.begin(), announce_acked_.end(), false) ==
+        announce_acked_.end()) {
+      channel_.close(announce_key_);
+      announce_key_ = 0;
       finish_visit();
     }
   }
@@ -375,23 +390,6 @@ class SraNode final : public Node {
                         TokenReturn{last_served_round_, last_return_empty_}));
   }
 
-  void send_rejoin(std::size_t attempt) {
-    network_->send(self_, leader_site_, 0.0,
-                   seal(MessageKind::kSraRejoin, self_, 0, Rejoin{}));
-    if (!retries_armed()) return;
-    arm_timer(attempt, [this, attempt] {
-      if (!rejoin_pending_ || !network_->site_up(self_)) return;
-      ++state_->retry.timeouts;
-      if (attempt >= retry_.max_retries) {
-        ++state_->retry.give_ups;
-        rejoin_pending_ = false;
-        return;
-      }
-      ++state_->retry.retries;
-      send_rejoin(attempt + 1);
-    });
-  }
-
   // --- leader role ---------------------------------------------------------
 
   void record_replication(ObjectId object, SiteId site) {
@@ -409,47 +407,12 @@ class SraNode final : public Node {
     current_round_ = ++round_counter_;
     outstanding_ = true;
     ++state_->token_passes;
-    const SiteId site = active_[slot];
-    if (site == self_) {
+    if (active_[slot] == self_) {
       begin_visit(current_round_);  // the leader's own site takes its turn
     } else {
-      network_->send(self_, site, 0.0,
-                     seal(MessageKind::kSraTokenGrant, self_, current_round_,
-                          TokenGrant{current_round_}));
-      if (retries_armed()) arm_grant_timer(current_round_, 0);
+      grant_key_ =
+          channel_.open({Exchange::Kind::kGrant}, kGrantExtraRetries);
     }
-  }
-
-  /// The leader's patience must outlast a full visit *including* the
-  /// visited site's own fetch/announce retry budgets, so its retry cap is
-  /// padded: prematurely skipping a live site is the one failure mode that
-  /// can diverge the scheme.
-  [[nodiscard]] std::size_t grant_max_retries() const {
-    return retry_.max_retries + 4;
-  }
-
-  void arm_grant_timer(std::uint64_t round, std::size_t attempt) {
-    arm_timer(attempt, [this, round, attempt] {
-      if (!outstanding_ || current_round_ != round) return;
-      ++state_->retry.timeouts;
-      if (attempt >= grant_max_retries()) {
-        // Site presumed crashed: skip it; it may rejoin on recovery.
-        ++state_->retry.give_ups;
-        ++state_->sites_skipped;
-        skipped_.push_back(active_[granted_slot_]);
-        active_.erase(active_.begin() +
-                      static_cast<std::ptrdiff_t>(granted_slot_));
-        cursor_ = granted_slot_;
-        outstanding_ = false;
-        grant_next();
-        return;
-      }
-      ++state_->retry.retries;
-      network_->send(self_, active_[granted_slot_], 0.0,
-                     seal(MessageKind::kSraTokenGrant, self_, round,
-                          TokenGrant{round}));
-      arm_grant_timer(round, attempt + 1);
-    });
   }
 
   void on_token_return(SiteId from, const TokenReturn& ret) {
@@ -460,6 +423,8 @@ class SraNode final : public Node {
       return;
     }
     outstanding_ = false;
+    channel_.close(grant_key_);
+    grant_key_ = 0;
     if (ret.list_empty) {
       active_.erase(active_.begin() +
                     static_cast<std::ptrdiff_t>(granted_slot_));
@@ -469,8 +434,6 @@ class SraNode final : public Node {
     }
     grant_next();
   }
-
-  void on_rejoin(SiteId from) { readmit(from); }
 
   void readmit(SiteId site) {
     const auto it = std::find(skipped_.begin(), skipped_.end(), site);
@@ -489,9 +452,8 @@ class SraNode final : public Node {
   const core::Problem* problem_;
   DesNetwork* network_;
   SiteId leader_site_;
-  RetryPolicy retry_;
-  double retry_base_;
   RunState* state_;
+  ReliableChannel<Exchange> channel_;
 
   // Site-local state.
   std::vector<double> nearest_cost_;
@@ -505,13 +467,9 @@ class SraNode final : public Node {
   std::uint64_t serving_round_ = kNoRound;
   std::uint64_t last_served_round_ = kNoRound;
   bool last_return_empty_ = false;
-  ObjectId pending_object_ = 0;
-  std::uint64_t fetch_id_ = 0;  // 0 = no fetch outstanding
-  ObjectId announce_object_ = 0;
-  std::uint64_t announce_id_ = 0;  // 0 = no announce outstanding
+  ExchangeKey fetch_key_ = 0;     // 0 = no fetch outstanding
+  ExchangeKey announce_key_ = 0;  // 0 = no announce outstanding
   std::vector<bool> announce_acked_;
-  std::size_t announce_missing_ = 0;
-  bool rejoin_pending_ = false;
 
   // Leader-only state.
   std::vector<SiteId> active_;
@@ -520,6 +478,7 @@ class SraNode final : public Node {
   std::size_t granted_slot_ = 0;
   std::uint64_t round_counter_ = kNoRound;
   std::uint64_t current_round_ = kNoRound;
+  ExchangeKey grant_key_ = 0;  // 0 while the leader visits itself
   bool outstanding_ = false;
   bool finished_ = false;
 };
@@ -552,14 +511,11 @@ DistributedSraResult run_distributed_sra(const core::Problem& problem,
     }
     network.set_faults(*options.faults);
   }
-  const double retry_base =
-      options.retry.resolve_base(network.worst_one_way_latency());
   RunState state;
   state.nodes.reserve(problem.sites());
   for (SiteId i = 0; i < problem.sites(); ++i) {
     state.nodes.push_back(std::make_unique<SraNode>(
-        i, problem, network, options.leader_site, options.retry, retry_base,
-        state));
+        i, problem, network, options.leader_site, options.retry, state));
     network.attach(i, *state.nodes[i]);
   }
   state.nodes[options.leader_site]->start();

@@ -8,15 +8,15 @@
 // token. Runs over the discrete-event network, so message counts, data
 // traffic, and completion time are measured rather than asserted.
 //
-// With a FaultPlan armed the protocol survives an imperfect network:
-//   * every exchange (token grant, object fetch, replica announce, rejoin)
-//     carries a sequence id, is retried with bounded exponential backoff,
-//     and is deduplicated at the receiver, so pure message loss only costs
-//     retransmissions — the resulting scheme still equals centralized SRA;
+// With a FaultPlan armed the protocol survives an imperfect network. Every
+// exchange (token grant, object fetch, replica announce, rejoin) runs
+// through the node's sim::ReliableChannel (DESIGN.md Section 8,
+// "ReliableChannel"), so pure message loss only costs retransmissions —
+// the resulting scheme still equals centralized SRA. On top of it:
 //   * the leader re-issues an unanswered token grant and, after exhausting
-//     its retries, skips the site (presumed crashed); a skipped site
-//     rejoins the active list when it recovers (explicit Rejoin message) or
-//     when a late token return proves it alive;
+//     its (padded) retries, skips the site (presumed crashed); a skipped
+//     site rejoins the active list when it recovers (explicit Rejoin
+//     message) or when a late token return proves it alive;
 //   * a fetch falls back from the nearest replicator to the primary when
 //     the nearest stops answering; an unobtainable object is pruned.
 // The leader site itself is assumed to stay up (the paper's monitor-style

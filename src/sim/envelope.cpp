@@ -75,17 +75,4 @@ const Envelope& open(const Message& message) {
   return *envelope;
 }
 
-bool SeqTracker::accept(SiteId sender, std::uint64_t seq) {
-  auto [it, inserted] = last_.try_emplace(sender, seq);
-  if (inserted) return true;
-  if (seq <= it->second) return false;
-  it->second = seq;
-  return true;
-}
-
-std::uint64_t SeqTracker::last(SiteId sender) const {
-  const auto it = last_.find(sender);
-  return it == last_.end() ? 0 : it->second;
-}
-
 }  // namespace drep::sim

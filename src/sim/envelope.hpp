@@ -8,7 +8,8 @@
 //
 //   version   wire-format version; receivers reject anything unknown
 //   kind      global message-type tag (one enum across all protocols)
-//   seq       per-sender sequence id for dedup/idempotence (0 = unsequenced)
+//   seq       per-sender sequence id for dedup/idempotence (0 = unsequenced);
+//             receivers dedup through ReliableChannel::accept
 //   sender    originating site
 //   payload   the protocol-specific struct, still a std::any
 //
@@ -20,7 +21,6 @@
 
 #include <any>
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -105,19 +105,5 @@ template <typename Payload>
   }
   return *payload;
 }
-
-/// Per-sender highest-accepted sequence tracker. accept() returns true the
-/// first time a (sender, seq) at or above the sender's watermark+1 is seen
-/// and false for duplicates/stale retransmissions (seq <= last accepted).
-/// Gaps are allowed — a dropped message's seq is simply never accepted.
-class SeqTracker {
- public:
-  [[nodiscard]] bool accept(SiteId sender, std::uint64_t seq);
-  /// Highest accepted seq for `sender` (0 = none yet).
-  [[nodiscard]] std::uint64_t last(SiteId sender) const;
-
- private:
-  std::map<SiteId, std::uint64_t> last_;
-};
 
 }  // namespace drep::sim

@@ -12,10 +12,10 @@
 // pair fully determines a run — faulty experiments are as repeatable as
 // healthy ones.
 //
-// The protocols built on top (distributed SRA, the monitor retune round,
-// trace replay) pair the plan with a RetryPolicy: per-message timeouts with
-// bounded exponential backoff. Arming the retry machinery is keyed on a plan
-// being *present*, not on its rates being non-zero, which is what makes the
+// The protocols built on top deliver through sim::ReliableChannel, which
+// pairs the plan with a RetryPolicy: per-message timeouts with bounded
+// exponential backoff. Arming the retry machinery is keyed on a plan being
+// *present*, not on its rates being non-zero, which is what makes the
 // "zero-rate plan replays to exactly the analytic D" equivalence property a
 // real statement about the retry layer rather than a tautology.
 

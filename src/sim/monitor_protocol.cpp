@@ -9,6 +9,7 @@
 #include "core/cost_model.hpp"
 #include "obs/metrics.hpp"
 #include "sim/envelope.hpp"
+#include "sim/reliable_channel.hpp"
 
 namespace drep::sim {
 
@@ -18,7 +19,8 @@ using core::ObjectId;
 
 // Protocol payloads, carried inside the shared sim::Envelope. Ids make
 // retransmissions idempotent: a directive, its migration fetch, and its ack
-// all carry the directive's sequence id (mirrored as the envelope seq).
+// all carry the directive's id — the monitor channel's exchange key,
+// mirrored as the envelope seq.
 struct StatsReport {};  // pattern rows; zero-size control traffic
 struct StatsAck {};
 struct AddReplica {
@@ -42,27 +44,42 @@ struct Ack {
   std::uint64_t id;
 };
 
-/// Retry-layer context shared by both endpoint kinds.
-struct RetryContext {
-  RetryPolicy policy;
-  double base = 0.0;
-  RetryStats* stats = nullptr;
+/// Any site, the monitor's included, serves a fetch from its replica.
+void serve_fetch(DesNetwork& network, const core::Problem& problem,
+                 SiteId self, const Message& message,
+                 const Envelope& envelope) {
+  const auto& fetch = unseal<FetchRequest>(envelope);
+  network.send(self, message.from, problem.object_size(fetch.object),
+               seal(MessageKind::kRetuneFetchResponse, self, fetch.id,
+                    FetchResponse{fetch.object, fetch.id}));
+}
+
+/// One exchange of the round, as an endpoint's channel keeps it.
+struct Exchange {
+  enum class Kind : std::uint8_t { kReport, kFetch, kDirective, kSelfFetch };
+  Kind kind = Kind::kReport;
+  ObjectId object = 0;
+  SiteId target = 0;            // directive: the site it goes to
+  SiteId holder = 0;            // fetches and add directives: fetch from here
+  std::uint64_t directive = 0;  // site fetch: the directive it executes
+  bool drop = false;            // directive: DropReplica instead of AddReplica
 };
 
 /// Site endpoint: ships its stats report (retried until acked when faults
 /// are armed), answers fetches, executes directives idempotently, and acks
 /// them back to the monitor site.
-class SiteEndpoint final : public Node {
+class SiteEndpoint final : public Node, private ChannelClient {
  public:
   SiteEndpoint(SiteId self, SiteId monitor_site, const core::Problem& problem,
-               DesNetwork& network, const RetryContext& retry)
+               DesNetwork& network, const RetryPolicy& retry,
+               RetryStats& stats)
       : self_(self),
         monitor_site_(monitor_site),
         problem_(&problem),
         network_(&network),
-        retry_(retry) {}
+        channel_(network, self, retry, stats, *this) {}
 
-  void start_report() { send_report(0); }
+  void start_report() { (void)channel_.open({Exchange::Kind::kReport}); }
 
   void handle(const Message& message) override {
     const Envelope& envelope = open(message);
@@ -73,18 +90,17 @@ class SiteEndpoint final : public Node {
       case MessageKind::kRetuneDropReplica:
         on_drop(unseal<DropReplica>(envelope));
         break;
-      case MessageKind::kRetuneFetchRequest: {
-        const auto& fetch = unseal<FetchRequest>(envelope);
-        network_->send(self_, message.from, problem_->object_size(fetch.object),
-                       seal(MessageKind::kRetuneFetchResponse, self_, fetch.id,
-                            FetchResponse{fetch.object, fetch.id}));
+      case MessageKind::kRetuneFetchRequest:
+        serve_fetch(*network_, *problem_, self_, message, envelope);
         break;
-      }
       case MessageKind::kRetuneFetchResponse:
         on_fetched(unseal<FetchResponse>(envelope));
         break;
       case MessageKind::kRetuneStatsAck:
         stats_acked_ = true;
+        channel_.close_if([](const Exchange& exchange) {
+          return exchange.kind == Exchange::Kind::kReport;
+        });
         break;
       default:
         break;  // StatsReport / Ack terminate at the monitor endpoint.
@@ -95,94 +111,70 @@ class SiteEndpoint final : public Node {
     // In-flight migration state is volatile; completed directives (the
     // replica is on disk) survive.
     migrating_.clear();
+    channel_.close_if([](const Exchange& exchange) {
+      return exchange.kind == Exchange::Kind::kFetch;
+    });
   }
 
   void on_recover() override {
-    if (!stats_acked_) send_report(0);  // late report; the monitor dedups
+    // A late report in its own exchange; the monitor dedups.
+    if (!stats_acked_) (void)channel_.open({Exchange::Kind::kReport});
   }
 
  private:
-  struct Migration {
-    ObjectId object;
-    SiteId from;
-  };
-
-  [[nodiscard]] bool retries_armed() const { return network_->faults_armed(); }
-
-  void arm_timer(std::size_t attempt, std::function<void()> handler) {
-    network_->queue().schedule_in(
-        retry_.policy.timeout_for(retry_.base, attempt), std::move(handler));
+  std::size_t transmit(ExchangeKey key, std::size_t attempt) override {
+    const Exchange& exchange = channel_[key];
+    if (exchange.kind == Exchange::Kind::kReport) {
+      network_->send(self_, monitor_site_, 0.0,
+                     seal(MessageKind::kRetuneStatsReport, self_, 0,
+                          StatsReport{}));
+      return 1;
+    }
+    // A migration fetch carries its directive's id, so a response to any
+    // incarnation of that directive completes it.
+    const SiteId target = channel_.fetch_target(
+        exchange.holder, problem_->primary(exchange.object), attempt);
+    network_->send(self_, target, 0.0,
+                   seal(MessageKind::kRetuneFetchRequest, self_,
+                        exchange.directive,
+                        FetchRequest{exchange.object, exchange.directive}));
+    return 1;
   }
 
-  void send_report(std::size_t attempt) {
-    network_->send(self_, monitor_site_, 0.0,
-                   seal(MessageKind::kRetuneStatsReport, self_, 0,
-                        StatsReport{}));
-    if (!retries_armed()) return;
-    arm_timer(attempt, [this, attempt] {
-      if (stats_acked_ || !network_->site_up(self_)) return;
-      ++retry_.stats->timeouts;
-      if (attempt >= retry_.policy.max_retries) {
-        ++retry_.stats->give_ups;  // the monitor's deadline covers for us
-        return;
-      }
-      ++retry_.stats->retries;
-      send_report(attempt + 1);
-    });
+  void give_up(ExchangeKey key) override {
+    // A report's give-up leaves the rest to the monitor's deadline; an
+    // abandoned migration restarts when the monitor retries its directive.
+    if (channel_[key].kind == Exchange::Kind::kFetch)
+      migrating_.erase(channel_[key].directive);
+    channel_.close(key);
   }
 
   void on_add(const AddReplica& add) {
     if (completed_.count(add.id) != 0) {
-      ++retry_.stats->duplicates;  // already migrated; the ack was lost
+      ++channel_.stats().duplicates;  // already migrated; the ack was lost
       network_->send(self_, monitor_site_, 0.0,
                      seal(MessageKind::kRetuneAck, self_, add.id, Ack{add.id}));
       return;
     }
     // The rollout can direct several additions at one site back-to-back, so
     // migrations run concurrently, keyed by directive id.
-    if (!migrating_.emplace(add.id, Migration{add.object, add.fetch_from})
-             .second) {
-      ++retry_.stats->duplicates;  // this migration is still in flight
+    const auto [it, inserted] = migrating_.try_emplace(add.id, 0);
+    if (!inserted) {
+      ++channel_.stats().duplicates;  // this migration is still in flight
       return;
     }
-    send_fetch(add.id, 0);
-  }
-
-  /// Fetch the designated previous holder first; fall back to the object's
-  /// primary (always a holder) on later attempts in case it crashed.
-  [[nodiscard]] SiteId fetch_target(const Migration& m,
-                                    std::size_t attempt) const {
-    const SiteId primary = problem_->primary(m.object);
-    if (attempt <= retry_.policy.max_retries / 2 || m.from == primary)
-      return m.from;
-    return primary;
-  }
-
-  void send_fetch(std::uint64_t id, std::size_t attempt) {
-    const Migration& m = migrating_.at(id);
-    network_->send(self_, fetch_target(m, attempt), 0.0,
-                   seal(MessageKind::kRetuneFetchRequest, self_, id,
-                        FetchRequest{m.object, id}));
-    if (!retries_armed()) return;
-    arm_timer(attempt, [this, id, attempt] {
-      if (migrating_.count(id) == 0 || !network_->site_up(self_)) return;
-      ++retry_.stats->timeouts;
-      if (attempt >= retry_.policy.max_retries) {
-        // Abandon; a retried directive from the monitor restarts us.
-        ++retry_.stats->give_ups;
-        migrating_.erase(id);
-        return;
-      }
-      ++retry_.stats->retries;
-      send_fetch(id, attempt + 1);
-    });
+    it->second = channel_.open(
+        {Exchange::Kind::kFetch, add.object, 0, add.fetch_from, add.id});
   }
 
   void on_fetched(const FetchResponse& resp) {
-    if (migrating_.erase(resp.id) == 0) {
-      ++retry_.stats->duplicates;
+    const auto it = migrating_.find(resp.id);
+    if (it == migrating_.end()) {
+      ++channel_.stats().duplicates;
       return;
     }
+    channel_.close(it->second);
+    migrating_.erase(it);
     const bool first_completion = completed_.insert(resp.id).second;
     // Audit (compiled out unless DREP_AUDIT=ON): a directive that completes
     // twice means on_add re-admitted an already-completed id — the
@@ -204,7 +196,7 @@ class SiteEndpoint final : public Node {
 
   void on_drop(const DropReplica& drop) {
     // Local deallocation is instantaneous and idempotent; always ack.
-    if (!completed_.insert(drop.id).second) ++retry_.stats->duplicates;
+    if (!completed_.insert(drop.id).second) ++channel_.stats().duplicates;
     network_->send(self_, monitor_site_, 0.0,
                    seal(MessageKind::kRetuneAck, self_, drop.id,
                         Ack{drop.id}));
@@ -214,27 +206,28 @@ class SiteEndpoint final : public Node {
   SiteId monitor_site_;
   const core::Problem* problem_;
   DesNetwork* network_;
-  RetryContext retry_;
+  ReliableChannel<Exchange> channel_;
   bool stats_acked_ = false;
-  std::map<std::uint64_t, Migration> migrating_;
+  /// Directive id -> the exchange fetching its object.
+  std::map<std::uint64_t, ExchangeKey> migrating_;
   std::set<std::uint64_t> completed_;
 };
 
 /// The monitor-site endpoint: collects stats reports (with a give-up
 /// deadline under faults), then disseminates the scheme delta and shepherds
 /// every directive to an ack or a counted failure.
-class MonitorEndpoint final : public Node {
+class MonitorEndpoint final : public Node, private ChannelClient {
  public:
   using Trigger = std::function<void()>;
 
   MonitorEndpoint(SiteId self, const core::Problem& problem,
-                  DesNetwork& network, const RetryContext& retry,
+                  DesNetwork& network, const RetryPolicy& retry,
                   RetuneReport& report, Trigger trigger)
       : self_(self),
         problem_(&problem),
         network_(&network),
-        retry_(retry),
         report_(&report),
+        channel_(network, self, retry, report.retry_stats, *this),
         reported_(problem.sites(), false),
         awaiting_reports_(problem.sites() - 1),
         trigger_(std::move(trigger)) {
@@ -247,83 +240,78 @@ class MonitorEndpoint final : public Node {
       case MessageKind::kRetuneStatsReport:
         on_report(message.from);
         break;
-      case MessageKind::kRetuneFetchRequest: {
-        // The monitor site holds replicas like any other site: serve fetches.
-        const auto& fetch = unseal<FetchRequest>(envelope);
-        if (message.from != self_) {
-          network_->send(self_, message.from,
-                         problem_->object_size(fetch.object),
-                         seal(MessageKind::kRetuneFetchResponse, self_,
-                              fetch.id, FetchResponse{fetch.object, fetch.id}));
-        }
+      case MessageKind::kRetuneFetchRequest:
+        if (message.from != self_)
+          serve_fetch(*network_, *problem_, self_, message, envelope);
         break;
-      }
       case MessageKind::kRetuneFetchResponse:
-        on_self_fetched(unseal<FetchResponse>(envelope));
+        (void)channel_.settle(unseal<FetchResponse>(envelope).id);
         break;
       case MessageKind::kRetuneAck:
-        on_ack(unseal<Ack>(envelope));
+        (void)channel_.settle(unseal<Ack>(envelope).id);
         break;
       default:
         break;  // directives and StatsAck terminate at the site endpoints
     }
   }
 
-  /// Collection give-up horizon: one full retry ladder plus a round trip.
+  /// Under faults, the round proceeds with whatever reports arrived by the
+  /// channel's collection deadline.
   void arm_collection_deadline() {
-    network_->queue().schedule_in(
-        retry_.policy.give_up_time(retry_.base) + 2.0 * retry_.base, [this] {
-          if (triggered_) return;
-          report_->reports_missing = awaiting_reports_;
-          fire_trigger();
-        });
+    network_->queue().schedule_in(channel_.deadline(), [this] {
+      if (triggered_) return;
+      report_->reports_missing = awaiting_reports_;
+      fire_trigger();
+    });
   }
 
-  /// Queues a sealed directive for `target` and shepherds it to an ack.
-  void direct(SiteId target, Envelope envelope) {
-    directives_.push_back({target, std::move(envelope), false});
-    send_directive(directives_.size() - 1, 0);
+  /// Rolls out one scheme change at `target`: a replica gain fetches
+  /// `object` from `holder` (directly when the target is the monitor's own
+  /// site), a drop is a directive — the monitor drops its own locally.
+  void roll_out(SiteId target, ObjectId object, SiteId holder, bool drop) {
+    if (target != self_) {
+      (void)channel_.open(
+          {Exchange::Kind::kDirective, object, target, holder, 0, drop});
+    } else if (!drop) {
+      (void)channel_.open({Exchange::Kind::kSelfFetch, object, 0, holder});
+    }
   }
-
-  /// The monitor's own replica additions fetch directly (no directive).
-  void self_fetch(ObjectId object, SiteId from) {
-    const std::uint64_t id = next_id_++;
-    self_fetches_.push_back({object, from, id, false});
-    send_self_fetch(self_fetches_.size() - 1, 0);
-  }
-
-  [[nodiscard]] bool triggered() const noexcept { return triggered_; }
 
  private:
-  struct Directive {
-    SiteId target;
-    Envelope envelope;  // retransmissions re-send the identical envelope
-    bool acked;
-  };
-  struct SelfFetch {
-    ObjectId object;
-    SiteId from;
-    std::uint64_t id;
-    bool done;
-  };
-
-  [[nodiscard]] bool retries_armed() const { return network_->faults_armed(); }
-
-  void arm_timer(std::size_t attempt, std::function<void()> handler) {
-    network_->queue().schedule_in(
-        retry_.policy.timeout_for(retry_.base, attempt), std::move(handler));
+  std::size_t transmit(ExchangeKey key, std::size_t attempt) override {
+    const Exchange& exchange = channel_[key];
+    if (exchange.kind == Exchange::Kind::kSelfFetch) {
+      const SiteId target = channel_.fetch_target(
+          exchange.holder, problem_->primary(exchange.object), attempt);
+      network_->send(self_, target, 0.0,
+                     seal(MessageKind::kRetuneFetchRequest, self_, key,
+                          FetchRequest{exchange.object, key}));
+    } else if (exchange.drop) {
+      network_->send(self_, exchange.target, 0.0,
+                     seal(MessageKind::kRetuneDropReplica, self_, key,
+                          DropReplica{exchange.object, key}));
+    } else {
+      network_->send(self_, exchange.target, 0.0,
+                     seal(MessageKind::kRetuneAddReplica, self_, key,
+                          AddReplica{exchange.object, exchange.holder, key}));
+    }
+    return 1;
   }
+
+  /// The site presumably crashed and keeps its stale replica set. The
+  /// exchange stays open: an ack that still arrives completes it.
+  void give_up(ExchangeKey /*key*/) override { ++report_->directives_failed; }
 
   void on_report(SiteId from) {
     if (reported_[from]) {
-      ++retry_.stats->duplicates;
+      ++report_->retry_stats.duplicates;
     } else {
       reported_[from] = true;
       if (awaiting_reports_ > 0) --awaiting_reports_;
       if (awaiting_reports_ == 0 && !triggered_) fire_trigger();
     }
     // Ack only when the sender runs a retry loop that needs stopping.
-    if (retries_armed()) {
+    if (channel_.armed()) {
       network_->send(self_, from, 0.0,
                      seal(MessageKind::kRetuneStatsAck, self_, 0, StatsAck{}));
     }
@@ -334,97 +322,15 @@ class MonitorEndpoint final : public Node {
     trigger_();
   }
 
-  void send_directive(std::size_t index, std::size_t attempt) {
-    const Directive& d = directives_[index];
-    network_->send(self_, d.target, 0.0, d.envelope);
-    if (!retries_armed()) return;
-    arm_timer(attempt, [this, index, attempt] {
-      if (directives_[index].acked) return;
-      ++retry_.stats->timeouts;
-      if (attempt >= retry_.policy.max_retries) {
-        // Site presumed crashed: it keeps its stale replica set.
-        ++retry_.stats->give_ups;
-        ++report_->directives_failed;
-        return;
-      }
-      ++retry_.stats->retries;
-      send_directive(index, attempt + 1);
-    });
-  }
-
-  void on_ack(const Ack& ack) {
-    for (Directive& d : directives_) {
-      const std::uint64_t id = directive_id(d);
-      if (id == ack.id) {
-        if (d.acked)
-          ++retry_.stats->duplicates;
-        else
-          d.acked = true;
-        return;
-      }
-    }
-    ++retry_.stats->duplicates;  // ack for an unknown (stale) directive
-  }
-
-  static std::uint64_t directive_id(const Directive& d) {
-    return d.envelope.seq;  // sealed with the directive id as the seq
-  }
-
-  [[nodiscard]] SiteId self_fetch_target(const SelfFetch& f,
-                                         std::size_t attempt) const {
-    const SiteId primary = problem_->primary(f.object);
-    if (attempt <= retry_.policy.max_retries / 2 || f.from == primary)
-      return f.from;
-    return primary;
-  }
-
-  void send_self_fetch(std::size_t index, std::size_t attempt) {
-    const SelfFetch& f = self_fetches_[index];
-    network_->send(self_, self_fetch_target(f, attempt), 0.0,
-                   seal(MessageKind::kRetuneFetchRequest, self_, f.id,
-                        FetchRequest{f.object, f.id}));
-    if (!retries_armed()) return;
-    arm_timer(attempt, [this, index, attempt] {
-      if (self_fetches_[index].done) return;
-      ++retry_.stats->timeouts;
-      if (attempt >= retry_.policy.max_retries) {
-        ++retry_.stats->give_ups;
-        ++report_->directives_failed;
-        return;
-      }
-      ++retry_.stats->retries;
-      send_self_fetch(index, attempt + 1);
-    });
-  }
-
-  void on_self_fetched(const FetchResponse& resp) {
-    for (SelfFetch& f : self_fetches_) {
-      if (f.id == resp.id) {
-        if (f.done)
-          ++retry_.stats->duplicates;
-        else
-          f.done = true;
-        return;
-      }
-    }
-    ++retry_.stats->duplicates;
-  }
-
- public:
-  std::uint64_t next_id_ = 1;
-
- private:
   SiteId self_;
   const core::Problem* problem_;
   DesNetwork* network_;
-  RetryContext retry_;
   RetuneReport* report_;
+  ReliableChannel<Exchange> channel_;
   std::vector<bool> reported_;
   std::size_t awaiting_reports_;
   bool triggered_ = false;
   Trigger trigger_;
-  std::vector<Directive> directives_;
-  std::vector<SelfFetch> self_fetches_;
 };
 
 }  // namespace
@@ -459,10 +365,6 @@ RetuneReport run_retune_round(const core::Problem& observed, Monitor& monitor,
     }
     network.set_faults(*options.faults);
   }
-  RetryContext retry{options.retry,
-                     options.retry.resolve_base(network.worst_one_way_latency()),
-                     &report.retry_stats};
-
   const core::ReplicationScheme before(observed, monitor.current_scheme());
 
   // The optimization itself runs when the last stats report lands (or the
@@ -480,7 +382,7 @@ RetuneReport run_retune_round(const core::Problem& observed, Monitor& monitor,
   MonitorEndpoint* monitor_node = nullptr;
   {
     auto owned = std::make_unique<MonitorEndpoint>(
-        monitor_site, observed, network, retry, report, [&] {
+        monitor_site, observed, network, options.retry, report, [&] {
       optimize();
       // Disseminate the delta: additions fetch from the nearest previous
       // holder, deallocations are dropped locally.
@@ -490,25 +392,8 @@ RetuneReport run_retune_round(const core::Problem& observed, Monitor& monitor,
           const bool was = before.has_replica(i, k);
           const bool is = after.has_replica(i, k);
           if (was == is) continue;
-          if (is) {
-            ++report.replicas_added;
-            if (i == monitor_site) {
-              monitor_node->self_fetch(k, before.nearest(i, k));
-            } else {
-              const std::uint64_t id = monitor_node->next_id_++;
-              monitor_node->direct(
-                  i, seal(MessageKind::kRetuneAddReplica, monitor_site, id,
-                          AddReplica{k, before.nearest(i, k), id}));
-            }
-          } else {
-            ++report.replicas_dropped;
-            if (i != monitor_site) {
-              const std::uint64_t id = monitor_node->next_id_++;
-              monitor_node->direct(
-                  i, seal(MessageKind::kRetuneDropReplica, monitor_site, id,
-                          DropReplica{k, id}));
-            }
-          }
+          ++(is ? report.replicas_added : report.replicas_dropped);
+          monitor_node->roll_out(i, k, before.nearest(i, k), !is);
         }
       }
       report.migration_traffic = core::migration_cost(before, after);
@@ -519,9 +404,9 @@ RetuneReport run_retune_round(const core::Problem& observed, Monitor& monitor,
   std::vector<SiteEndpoint*> sites(m, nullptr);
   for (SiteId i = 0; i < m; ++i) {
     if (i != monitor_site) {
-      auto owned =
-          std::make_unique<SiteEndpoint>(i, monitor_site, observed, network,
-                                         retry);
+      auto owned = std::make_unique<SiteEndpoint>(
+          i, monitor_site, observed, network, options.retry,
+          report.retry_stats);
       sites[i] = owned.get();
       nodes[i] = std::move(owned);
     }

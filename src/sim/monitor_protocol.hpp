@@ -19,12 +19,13 @@
 // and migration NTC of actually *rolling out* an adaptation, plus how long
 // the round takes in network time units.
 //
-// With a FaultPlan armed the round survives an imperfect network:
-//   * stats reports are acked by the monitor and retried by the sites;
-//     after a collection deadline (the retry give-up horizon) the monitor
-//     proceeds with whatever arrived, counting `reports_missing`;
-//   * directives carry sequence ids, are retried with bounded exponential
-//     backoff until acked, and are deduplicated (a completed directive is
+// With a FaultPlan armed the round survives an imperfect network; reports,
+// directives and fetches are sim::ReliableChannel exchanges (DESIGN.md
+// Section 8, "ReliableChannel"):
+//   * stats reports are acked by the monitor; after the channel's
+//     collection deadline the monitor proceeds with whatever arrived,
+//     counting `reports_missing`;
+//   * directives are deduplicated at the site (a completed directive is
 //     re-acked, not re-executed); a directive that exhausts its retries —
 //     its site presumably crashed — counts as `directives_failed`;
 //   * a migration fetch falls back from the designated holder to the

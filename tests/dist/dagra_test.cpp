@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "algo/gra.hpp"
@@ -140,6 +141,32 @@ TEST(DagraConformance, FaultyRoundIsDeterministic) {
   EXPECT_EQ(runs[0].result.scheme.matrix(), runs[1].result.scheme.matrix());
   EXPECT_EQ(runs[0].updates_applied, runs[1].updates_applied);
   EXPECT_EQ(runs[0].retry_stats.retries, runs[1].retry_stats.retries);
+}
+
+// Several concurrent retuners under 20% loss: a replica fetch whose
+// response arrives after a later fetch's response to the same holder is
+// still pending and must complete (a per-sender watermark would discard it
+// and fail the directive). Every directive succeeds with this budget.
+TEST(DagraConformance, OvertakenFetchResponsesComplete) {
+  for (const std::uint64_t seed : {5u, 6u, 16u}) {
+    const core::Problem baseline = testing::small_random_problem(seed);
+    core::Problem observed = baseline;
+    for (const core::SiteId site : {1u, 2u, 3u, 5u}) {
+      for (core::ObjectId k = 0; k < 8; ++k)
+        observed.set_reads(site, k, 10.0 * baseline.reads(site, k) + 5.0);
+    }
+    DadaptOptions options = base_options(baseline);
+    options.faults =
+        sim::FaultPlan::parse("seed=" + std::to_string(seed) + ",drop=0.2");
+    const DadaptResult dist =
+        run_decentralized_adapt(baseline, observed, options);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    EXPECT_FALSE(dist.drifted_sites.empty());
+    EXPECT_EQ(dist.directives_failed, 0u);
+    EXPECT_TRUE(audit::check_scheme(dist.result.scheme).empty());
+    for (const auto& log : dist.envelope_logs)
+      EXPECT_TRUE(audit::check_envelope_log(log).empty());
+  }
 }
 
 TEST(DagraConformance, OptionValidation) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "algo/gra.hpp"
@@ -201,6 +202,60 @@ TEST(DgraConformance, FaultyRunIsDeterministic) {
   EXPECT_EQ(runs[0].migrations_applied, runs[1].migrations_applied);
   EXPECT_EQ(runs[0].retry_stats.retries, runs[1].retry_stats.retries);
   EXPECT_EQ(runs[0].envelope_log.size(), runs[1].envelope_log.size());
+}
+
+// Pinned drop+crash run. Elites on one link are sent in epoch order and
+// only the newest is ever retransmitted, so without spikes nothing is
+// overtaken: every counter pins the delivery schedule.
+TEST(DgraConformance, DropCrashRunIsPinned) {
+  const core::Problem problem = testing::small_random_problem(13);
+  DgraOptions options;
+  options.gra = base_config(4);
+  options.faults = sim::FaultPlan::parse("seed=9,drop=0.2,crash=1@0.5..40");
+  util::Rng rng(5);
+  const DgraResult dist = run_decentralized_gra(problem, options, rng);
+  EXPECT_EQ(dist.traffic.sent_messages, 24u);
+  EXPECT_EQ(dist.traffic.data_messages, 9u);
+  EXPECT_EQ(dist.traffic.control_messages, 5u);
+  EXPECT_EQ(dist.traffic.dropped_link, 8u);
+  EXPECT_EQ(dist.traffic.dropped_site_down, 2u);
+  EXPECT_EQ(dist.traffic.latency_spikes, 0u);
+  EXPECT_EQ(dist.retry_stats.retries, 7u);
+  EXPECT_EQ(dist.retry_stats.timeouts, 6u);
+  EXPECT_EQ(dist.retry_stats.give_ups, 0u);
+  EXPECT_EQ(dist.retry_stats.duplicates, 2u);
+  EXPECT_EQ(dist.migrations_sent, 8u);
+  EXPECT_EQ(dist.migrations_applied, 7u);
+  EXPECT_EQ(dist.migrations_missed, 1u);
+  EXPECT_EQ(dist.elites_readmitted, 0u);
+  EXPECT_EQ(dist.islands_crashed, 1u);
+  EXPECT_DOUBLE_EQ(dist.round_time, 3168.0);
+}
+
+// A spike-only plan loses nothing, so every migration must land at its own
+// epoch — including elites overtaken by the next epoch's, which a
+// per-sender watermark dedup would discard.
+TEST(DgraConformance, SpikeOnlyPlanMissesNoMigration) {
+  const core::Problem problem = testing::small_random_problem(13);
+  for (const std::size_t islands : {2u, 4u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      DgraOptions options;
+      options.gra = base_config(islands);
+      options.gra.generations = 40;
+      options.gra.migration_count = 2;
+      options.faults = sim::FaultPlan::parse(
+          "seed=" + std::to_string(seed) + ",spike=0.3,spikex=4");
+      util::Rng rng(seed);
+      const DgraResult dist = run_decentralized_gra(problem, options, rng);
+      SCOPED_TRACE("K=" + std::to_string(islands) +
+                   " seed=" + std::to_string(seed));
+      EXPECT_EQ(dist.migrations_missed, 0u);
+      // 40 generations at interval 5: 7 exchanging epochs per island.
+      EXPECT_EQ(dist.migrations_applied, 7 * islands);
+      EXPECT_EQ(dist.traffic.dropped_messages(), 0u);
+      EXPECT_TRUE(audit::check_envelope_log(dist.envelope_log).empty());
+    }
+  }
 }
 
 TEST(DgraConformance, OptionValidation) {

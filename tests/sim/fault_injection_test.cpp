@@ -398,6 +398,92 @@ TEST(FaultInjection, WritesFailWhenThePrimaryIsDown) {
   EXPECT_DOUBLE_EQ(result.traffic.data_traffic, 0.0);
 }
 
+// --- pinned faulty runs ----------------------------------------------------
+//
+// One seeded drop+spike+crash run of each sim protocol with every counter
+// pinned. These exchanges are matched by exact id, so spikes reorder
+// nothing they depend on: the counters pin the order of every send, retry
+// timer and fault-RNG draw, and any drift means the protocol's delivery
+// schedule changed.
+
+void expect_traffic(const TrafficStats& t, std::size_t sent, std::size_t data,
+                    std::size_t control, std::size_t dropped_link,
+                    std::size_t dropped_site_down, std::size_t spikes) {
+  EXPECT_EQ(t.sent_messages, sent);
+  EXPECT_EQ(t.data_messages, data);
+  EXPECT_EQ(t.control_messages, control);
+  EXPECT_EQ(t.dropped_link, dropped_link);
+  EXPECT_EQ(t.dropped_site_down, dropped_site_down);
+  EXPECT_EQ(t.latency_spikes, spikes);
+}
+
+void expect_retries(const RetryStats& r, std::size_t retries,
+                    std::size_t timeouts, std::size_t give_ups,
+                    std::size_t duplicates) {
+  EXPECT_EQ(r.retries, retries);
+  EXPECT_EQ(r.timeouts, timeouts);
+  EXPECT_EQ(r.give_ups, give_ups);
+  EXPECT_EQ(r.duplicates, duplicates);
+}
+
+TEST(FaultInjectionGolden, DistributedSraDropSpikeCrash) {
+  const core::Problem p = testing::small_random_problem(21, 8, 10);
+  DistributedSraOptions options;
+  options.faults = FaultPlan::parse(
+      "seed=3,drop=0.15,spike=0.2,spikex=3,crash=3@100..8000");
+  options.retry.max_retries = 2;
+  const DistributedSraResult result = run_distributed_sra(p, options);
+  expect_traffic(result.traffic, 312, 9, 210, 47, 46, 41);
+  EXPECT_DOUBLE_EQ(result.traffic.data_traffic, 1299.0);
+  expect_retries(result.retry_stats, 113, 105, 17, 37);
+  EXPECT_EQ(result.sites_skipped, 1u);
+  EXPECT_EQ(result.rejoins, 1u);
+  EXPECT_EQ(result.token_passes, 24u);
+  EXPECT_EQ(result.replications, 9u);
+  EXPECT_DOUBLE_EQ(result.duration, 8027.0);
+}
+
+TEST(FaultInjectionGolden, RetuneRoundDropSpikeCrash) {
+  core::Problem p = testing::small_random_problem(33, 10, 12, 5.0, 15.0);
+  util::Rng rng(6);
+  Monitor monitor(p, fast_monitor(), rng);
+  apply_drift(p, 33);
+  RetuneOptions options;
+  options.monitor_site = 0;
+  options.faults = FaultPlan::parse(
+      "seed=4,drop=0.15,spike=0.2,spikex=3,crash=3@100..3000");
+  const RetuneReport report = run_retune_round(p, monitor, options, rng);
+  expect_traffic(report.traffic, 53, 2, 37, 8, 6, 12);
+  EXPECT_DOUBLE_EQ(report.traffic.data_traffic, 264.0);
+  expect_retries(report.retry_stats, 13, 14, 1, 1);
+  EXPECT_EQ(report.reports_missing, 0u);
+  EXPECT_EQ(report.directives_failed, 1u);
+  EXPECT_EQ(report.replicas_added, 2u);
+  EXPECT_EQ(report.replicas_dropped, 7u);
+  EXPECT_DOUBLE_EQ(report.round_time, 4682.0);
+}
+
+TEST(FaultInjectionGolden, TraceReplayDropSpikeCrash) {
+  const core::Problem p = testing::small_random_problem(13, 8, 10);
+  const algo::AlgorithmResult sra = algo::solve_sra(p);
+  util::Rng trng(3);
+  const auto trace = workload::build_trace(p, trng);
+  ReplayOptions options;
+  options.faults = FaultPlan::parse(
+      "seed=5,drop=0.15,spike=0.1,spikex=3,crash=2@50..400");
+  options.inter_arrival = 0.5;
+  const ReplayResult result = replay_trace(sra.scheme, trace, options);
+  expect_traffic(result.traffic, 3120, 1252, 1424, 443, 1, 265);
+  EXPECT_DOUBLE_EQ(result.traffic.data_traffic, 169732.0);
+  expect_retries(result.retry_stats, 445, 445, 0, 20);
+  EXPECT_EQ(result.failed_reads, 81u);
+  EXPECT_EQ(result.failed_writes, 9u);
+  EXPECT_EQ(result.degraded_reads, 30u);
+  EXPECT_EQ(result.stale_replica_updates, 0u);
+  EXPECT_EQ(result.remote_reads, 1089u);
+  EXPECT_DOUBLE_EQ(result.duration, 1769.0);
+}
+
 // --- static-analysis fold --------------------------------------------------
 
 TEST(FaultInjection, FailuresFoldMatchesExplicitSiteSet) {

@@ -29,7 +29,9 @@
 // 15): per seed, dgra on a perfect network must be bit-for-bit the
 // centralized gra from the same stream, a faulted dgra must stay within the
 // degradation ceiling with clean envelope logs, and a decentralized
-// adaptive round (perfect and faulty) must assemble a valid scheme.
+// adaptive round over 1–3 drifted sites (perfect and faulty) must assemble
+// a valid scheme. A spike-only pass (reordering, no loss) must miss no
+// dgra migration and fail no dagra directive.
 //
 // Exit status: 0 = every case clean, 1 = violations found, 2 = usage error.
 
@@ -126,6 +128,15 @@ sim::FaultPlan make_faults(const FuzzCase& c) {
   if (c.sites > 2)
     plan.crashes.push_back(
         {static_cast<net::SiteId>(c.sites - 1), 0.0, 200.0});
+  return plan;
+}
+
+/// A lossless plan that only reorders: latency spikes, no drops, no crash.
+sim::FaultPlan spike_faults(const FuzzCase& c) {
+  sim::FaultPlan plan;
+  plan.seed = c.seed * 2654435761ULL + 29;
+  plan.spike_probability = 0.3;
+  plan.spike_factor = 4.0;
   return plan;
 }
 
@@ -555,12 +566,28 @@ audit::Violations run_decentralized_case(const FuzzCase& c) {
     note(out, "dgra/faulty", audit::check_envelope_log(faulty.envelope_log));
     note(out, "dgra/faulty", audit::check_scheme(faulty.merged.best.scheme));
 
-    // --- decentralized adaptive round over a drifted problem ------------
+    // --- spike-only plan: messages overtake each other, none is lost ----
+    options.faults = spike_faults(c);
+    util::Rng spiked_rng = rng.fork(2);
+    const dist::DgraResult spiked =
+        dist::run_decentralized_gra(problem, options, spiked_rng);
+    note(out, "dgra/spiked", audit::check_envelope_log(spiked.envelope_log));
+    if (spiked.migrations_missed != 0)
+      out.push_back({"dgra/spiked: migrations_missed",
+                     std::to_string(spiked.migrations_missed) +
+                         " migration(s) missed on a lossless network"});
+
+    // --- decentralized adaptive round over 1-3 drifted sites ------------
     core::Problem drifted = problem;
     util::Rng drift_rng = rng.fork(3);
-    const auto hot = static_cast<core::SiteId>(drift_rng.index(c.sites));
-    for (core::ObjectId k = 0; k < std::min<std::size_t>(3, c.objects); ++k)
-      drifted.set_reads(hot, k, 10.0 * problem.reads(hot, k) + 50.0);
+    std::vector<core::SiteId> hot_sites(c.sites);
+    for (core::SiteId i = 0; i < c.sites; ++i) hot_sites[i] = i;
+    drift_rng.shuffle(hot_sites);
+    hot_sites.resize(1 + drift_rng.index(std::min<std::size_t>(3, c.sites)));
+    for (const core::SiteId hot : hot_sites) {
+      for (core::ObjectId k = 0; k < std::min<std::size_t>(3, c.objects); ++k)
+        drifted.set_reads(hot, k, 10.0 * problem.reads(hot, k) + 50.0);
+    }
 
     dist::DadaptOptions adapt;
     adapt.agra.population = 6;
@@ -583,6 +610,18 @@ audit::Violations run_decentralized_case(const FuzzCase& c) {
     note(out, "dagra/faulty", audit::check_scheme(faulty_round.result.scheme));
     for (const auto& log : faulty_round.envelope_logs)
       note(out, "dagra/faulty", audit::check_envelope_log(log));
+
+    dist::DadaptOptions spiked_adapt = adapt;
+    spiked_adapt.faults = spike_faults(c);
+    const dist::DadaptResult spiked_round =
+        dist::run_decentralized_adapt(problem, drifted, spiked_adapt);
+    note(out, "dagra/spiked", audit::check_scheme(spiked_round.result.scheme));
+    for (const auto& log : spiked_round.envelope_logs)
+      note(out, "dagra/spiked", audit::check_envelope_log(log));
+    if (spiked_round.directives_failed != 0)
+      out.push_back({"dagra/spiked: directives_failed",
+                     std::to_string(spiked_round.directives_failed) +
+                         " directive(s) failed on a lossless network"});
   } catch (const audit::AuditFailure& failure) {
     note(out, "hook", failure.violations());
   } catch (const std::exception& e) {
