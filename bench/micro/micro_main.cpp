@@ -6,12 +6,16 @@
 //   --benchmark_out=<repo root>/BENCH_<basename(argv[0])>.json
 //   --benchmark_out_format=json
 // before benchmark::Initialize unless the caller passed --benchmark_out
-// themselves, mirroring the figure harness's artifact convention.
+// themselves, mirroring the figure harness's artifact convention. The
+// artifact's context names the build (`git describe` at configure time) it
+// was measured on.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "obs/report.hpp"
 
 #ifndef DREP_BENCH_ARTIFACT_DIR
 #define DREP_BENCH_ARTIFACT_DIR "."
@@ -43,6 +47,7 @@ int main(int argc, char** argv) {
     args.push_back(format_flag.data());
   }
   int args_count = static_cast<int>(args.size());
+  benchmark::AddCustomContext("drep_build", drep::obs::build_version());
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
     return 1;

@@ -88,27 +88,42 @@ void DesNetwork::send(SiteId from, SiteId to, double size_units,
       }
     }
   }
-  Message message{from, to, size_units, std::move(payload)};
-  queue_.schedule_in(latency, [this, message = std::move(message), cost]() {
-    if (faults_ && faults_->site_down(message.to, queue_.now())) {
-      ++stats_.dropped_site_down;
-      DREP_COUNT("drep_des_dropped_site_down_total", 1);
-      return;
-    }
-    if (message.size_units > 0) {
-      stats_.data_traffic += message.size_units * cost;
-      ++stats_.data_messages;
-      DREP_COUNT("drep_des_data_messages_total", 1);
-      DREP_COUNT("drep_des_traffic_units_total", message.size_units * cost);
-    } else {
-      ++stats_.control_messages;
-      DREP_COUNT("drep_des_control_messages_total", 1);
-    }
-    Node* node = nodes_[message.to];
-    if (node == nullptr)
-      throw std::logic_error("DesNetwork: message to unattached site");
-    node->handle(message);
-  });
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  in_flight_[slot] = Message{from, to, size_units, std::move(payload)};
+  queue_.schedule_in(latency, [this, slot] { deliver(slot); });
+}
+
+void DesNetwork::deliver(std::uint32_t slot) {
+  // Move the message out and free its slot before anything can throw or
+  // send: a handler's sends may grow the store and reuse the slot.
+  const Message message = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  if (faults_ && faults_->site_down(message.to, queue_.now())) {
+    ++stats_.dropped_site_down;
+    DREP_COUNT("drep_des_dropped_site_down_total", 1);
+    return;
+  }
+  if (message.size_units > 0) {
+    const double cost = costs_->at(message.from, message.to);
+    stats_.data_traffic += message.size_units * cost;
+    ++stats_.data_messages;
+    DREP_COUNT("drep_des_data_messages_total", 1);
+    DREP_COUNT("drep_des_traffic_units_total", message.size_units * cost);
+  } else {
+    ++stats_.control_messages;
+    DREP_COUNT("drep_des_control_messages_total", 1);
+  }
+  Node* node = nodes_[message.to];
+  if (node == nullptr)
+    throw std::logic_error("DesNetwork: message to unattached site");
+  node->handle(message);
 }
 
 void DesNetwork::run() {

@@ -19,6 +19,7 @@
 
 #include <any>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -119,9 +120,17 @@ class DesNetwork {
   void run();
 
  private:
+  /// Delivers the message in `slot` and frees the slot.
+  void deliver(std::uint32_t slot);
+
   const net::CostMatrix* costs_;
   double latency_per_cost_;
   EventQueue queue_;
+  /// Messages in flight, in slots reused through a free list. A delivery
+  /// event captures only (this, slot), which fits std::function's inline
+  /// storage, so a send allocates nothing beyond its payload.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<Node*> nodes_;
   TrafficStats stats_;
   std::optional<FaultPlan> faults_;

@@ -75,6 +75,98 @@ TEST(DesNetwork, UnattachedDestinationThrows) {
   EXPECT_THROW(network.run(), std::logic_error);
 }
 
+// The first run throws at the delivery to the unattached site; that message
+// is spent, and a second run delivers the rest in time order with the
+// conservation counts balanced.
+TEST(DesNetwork, RunResumesAfterAnUnattachedDestinationThrows) {
+  const net::CostMatrix costs = line_costs();
+  DesNetwork network(costs);
+  RecorderNode node0;
+  network.attach(0, node0);
+  network.send(2, 0, 3.0, std::string("late"));   // t=5
+  network.send(0, 1, 1.0, std::string("lost"));   // t=2, site 1 unattached
+  network.send(0, 0, 1.0, std::string("early"));  // t=0
+  EXPECT_THROW(network.run(), std::logic_error);
+  ASSERT_EQ(node0.received.size(), 1u);
+  EXPECT_EQ(network.queue().pending(), 1u);
+
+  network.run();
+  ASSERT_EQ(node0.received.size(), 2u);
+  EXPECT_EQ(std::any_cast<std::string>(node0.received[0].payload), "early");
+  EXPECT_EQ(std::any_cast<std::string>(node0.received[1].payload), "late");
+  EXPECT_EQ(node0.received[1].from, 2u);
+  EXPECT_DOUBLE_EQ(network.queue().now(), 5.0);
+  const TrafficStats& stats = network.stats();
+  EXPECT_EQ(stats.sent_messages, 3u);
+  EXPECT_EQ(stats.sent_messages,
+            stats.total_messages() + stats.dropped_messages());
+}
+
+/// Long enough that std::any keeps it on the heap.
+std::string burst_payload(int i) {
+  return "burst payload number " + std::to_string(i) +
+         " padded well past any small-object buffer";
+}
+
+// A handler that sends a burst during its own delivery grows the in-flight
+// store while the message it is handling is still in use. Every payload
+// must still arrive intact, exactly once.
+TEST(DesNetwork, BurstSentDuringDeliveryArrivesIntactExactlyOnce) {
+  const net::CostMatrix costs = line_costs();
+  DesNetwork network(costs);
+  constexpr int kBurst = 300;
+  class Burster final : public Node {
+   public:
+    explicit Burster(DesNetwork& net) : net_(&net) {}
+    void handle(const Message& message) override {
+      received.push_back(std::any_cast<std::string>(message.payload));
+      if (received.size() > 1) return;
+      // Self-sends land on this very instant; the rest cross the network.
+      for (int i = 0; i < kBurst; ++i)
+        net_->send(1, i % 3 == 0 ? 1 : 2, 1.0, burst_payload(i));
+      // The message being handled is still intact after the burst.
+      EXPECT_EQ(std::any_cast<std::string>(message.payload), "trigger");
+      EXPECT_EQ(message.from, 0u);
+    }
+    std::vector<std::string> received;
+
+   private:
+    DesNetwork* net_;
+  };
+  Burster node1(network);
+  RecorderNode node0, node2;
+  network.attach(0, node0);
+  network.attach(1, node1);
+  network.attach(2, node2);
+  network.send(0, 1, 1.0, std::string("trigger"));
+  network.run();
+
+  std::vector<int> seen(kBurst, 0);
+  const auto tally = [&](const std::string& payload) {
+    for (int i = 0; i < kBurst; ++i) {
+      if (payload == burst_payload(i)) {
+        ++seen[static_cast<std::size_t>(i)];
+        return;
+      }
+    }
+    ADD_FAILURE() << "corrupted payload: " << payload;
+  };
+  ASSERT_EQ(node1.received.size(), 1u + kBurst / 3);
+  for (std::size_t k = 1; k < node1.received.size(); ++k)
+    tally(node1.received[k]);
+  for (const Message& message : node2.received)
+    tally(std::any_cast<std::string>(message.payload));
+  for (int i = 0; i < kBurst; ++i)
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], 1) << "payload " << i;
+
+  const TrafficStats& stats = network.stats();
+  EXPECT_EQ(stats.sent_messages, 1u + kBurst);
+  EXPECT_EQ(stats.data_messages, 1u + kBurst);
+  EXPECT_EQ(stats.sent_messages,
+            stats.total_messages() + stats.dropped_messages());
+  EXPECT_EQ(network.queue().pending(), 0u);
+}
+
 TEST(DesNetwork, AttachValidation) {
   const net::CostMatrix costs = line_costs();
   DesNetwork network(costs);

@@ -17,6 +17,7 @@
 #include "sim/distributed_sra.hpp"
 #include "sim/monitor_protocol.hpp"
 #include "testing/builders.hpp"
+#include "workload/generator.hpp"
 #include "workload/pattern_change.hpp"
 #include "workload/trace.hpp"
 
@@ -482,6 +483,49 @@ TEST(FaultInjectionGolden, TraceReplayDropSpikeCrash) {
   EXPECT_EQ(result.stale_replica_updates, 0u);
   EXPECT_EQ(result.remote_reads, 1089u);
   EXPECT_DOUBLE_EQ(result.duration, 1769.0);
+}
+
+// The shape of the end-to-end benchmark's paper-adapt workload: one 50×200
+// network with its generator settings and the 5% drop plan its replays run
+// under. At inter_arrival = 0 every injection shares t=0 and all traffic
+// lands on a few hundred integer instants; at a fractional spacing almost
+// every event time is distinct. Recorded before the event queue kept one
+// bucket per timestamp: the counters pin the order of every event, timer
+// and fault-RNG draw in both regimes.
+
+ReplayResult paper_shape_replay(double inter_arrival) {
+  workload::GeneratorConfig config;
+  config.sites = 50;
+  config.objects = 200;
+  config.update_ratio_percent = 5.0;
+  config.capacity_percent = 15.0;
+  util::Rng rng(14);
+  const core::Problem p = workload::generate(config, rng);
+  const algo::AlgorithmResult sra = algo::solve_sra(p);
+  util::Rng trng(15);
+  const auto trace = workload::build_trace(p, trng);
+  ReplayOptions options;
+  options.faults = FaultPlan::parse("seed=16,drop=0.05");
+  options.inter_arrival = inter_arrival;
+  return replay_trace(sra.scheme, trace, options);
+}
+
+TEST(FaultInjectionGolden, PaperShapeReplayAllInjectionsAtZero) {
+  const ReplayResult result = paper_shape_replay(0.0);
+  expect_traffic(result.traffic, 452686, 210549, 219563, 22574, 0, 0);
+  expect_retries(result.retry_stats, 22574, 22574, 0, 551);
+  EXPECT_EQ(result.duration, 1260.0);
+  EXPECT_EQ(result.read_latency.count(), 205225u);
+  EXPECT_EQ(result.read_latency.mean(), 6.6783384090632802);
+}
+
+TEST(FaultInjectionGolden, PaperShapeReplayDistinctInjectionTimes) {
+  const ReplayResult result = paper_shape_replay(0.0137);
+  expect_traffic(result.traffic, 452647, 210513, 219561, 22573, 0, 0);
+  expect_retries(result.retry_stats, 22573, 22573, 0, 496);
+  EXPECT_EQ(result.duration, 5452.6062999999995);
+  EXPECT_EQ(result.read_latency.count(), 205225u);
+  EXPECT_EQ(result.read_latency.mean(), 6.6925666950908136);
 }
 
 // --- static-analysis fold --------------------------------------------------

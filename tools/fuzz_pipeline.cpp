@@ -3,7 +3,8 @@
 // Each case is a pure function of {seed, sites, objects, epochs}: a problem
 // is generated, driven through SRA → GRA (+ DeltaEvaluator churn) → the
 // epoch simulation (all three adaptation policies) → distributed SRA
-// (perfect and faulty) → trace replay (perfect and faulty) → a monitor
+// (perfect and faulty) → trace replay (perfect and faulty, with every
+// injection at t=0 and at a fractional spacing) → a monitor
 // retune round → the online engine (standalone vs DES replay, perfect and
 // faulty, plus decision-log replay and registry determinism) → the serving
 // front-end (snapshot freeze coherence plus a 1-vs-2-worker trace-replay
@@ -326,6 +327,32 @@ audit::Violations run_case(const FuzzCase& c) {
         sim::replay_trace(sra.scheme, trace, replay_opt);
     note(out, "replay/faulty", audit::check_message_conservation(
                                    message_counts(faulty_replay.traffic)));
+
+    // --- trace replay at distinct event times ---------------------------
+    // The replays above inject everything at t=0, so all their traffic
+    // shares a few instants. A seed-derived fractional spacing puts nearly
+    // every event on a timestamp of its own, the event queue's other regime.
+    util::Rng spacing_rng = rng.fork(15);
+    const double spacing = spacing_rng.uniform_real(0.001, 0.1);
+    const sim::ReplayResult spaced =
+        sim::replay_trace(sra.scheme, trace, 1.0, spacing);
+    note(out, "replay/spaced", audit::check_message_conservation(
+                                   message_counts(spaced.traffic)));
+    if (std::abs(spaced.traffic.data_traffic - analytic) >
+        1e-9 * std::max(1.0, std::abs(analytic))) {
+      out.push_back({"replay/spaced: traffic.analytic",
+                     "replay traffic at inter_arrival " +
+                         std::to_string(spacing) + " is " +
+                         std::to_string(spaced.traffic.data_traffic) +
+                         " != analytic D " + std::to_string(analytic)});
+    }
+    sim::ReplayOptions spaced_opt = replay_opt;
+    spaced_opt.inter_arrival = spacing;
+    const sim::ReplayResult faulty_spaced =
+        sim::replay_trace(sra.scheme, trace, spaced_opt);
+    note(out, "replay/spaced/faulty",
+         audit::check_message_conservation(
+             message_counts(faulty_spaced.traffic)));
 
     // --- monitor retune round on a perfect network ----------------------
     util::Rng monitor_rng = rng.fork(10);
