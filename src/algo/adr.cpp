@@ -67,9 +67,14 @@ AlgorithmResult solve_adr(const core::Problem& problem, const net::Graph& tree,
 
   core::ReplicationScheme scheme(problem);
   AdrStats local;
+  // R_k as a site mask, kept beside the scheme while object k is processed:
+  // the passes test membership per tree edge, and a mask answers in O(1).
+  std::vector<char> held(problem.sites(), 0);
 
   for (ObjectId k = 0; k < problem.objects(); ++k) {
     const SiteId root = problem.primary(k);
+    std::fill(held.begin(), held.end(), 0);
+    held[root] = 1;
     const RootedTree rooted = root_at(tree, problem, k, root);
     const double total_reads = problem.total_reads(k);
     const double total_writes = problem.total_writes(k);
@@ -92,15 +97,16 @@ AlgorithmResult solve_adr(const core::Problem& problem, const net::Graph& tree,
       ++round;
       // Expansion pass over border edges.
       for (SiteId u = 0; u < problem.sites(); ++u) {
-        if (!scheme.has_replica(u, k)) continue;
+        if (held[u] == 0) continue;
         for (const net::Edge& e : tree.neighbors(u)) {
           const SiteId j = e.to;
-          if (scheme.has_replica(j, k)) continue;
+          if (held[j] != 0) continue;
           if (config.respect_capacity && !scheme.fits(j, k)) continue;
           const double gain = beyond_reads(u, j);
           const double cost = total_writes - beyond_writes(u, j);
           if (gain > cost) {
             scheme.add(j, k);
+            held[j] = 1;
             ++local.expansions;
             changed = true;
           }
@@ -108,10 +114,10 @@ AlgorithmResult solve_adr(const core::Problem& problem, const net::Graph& tree,
       }
       // Contraction pass over fringe replicas (never the primary).
       for (SiteId u = 0; u < problem.sites(); ++u) {
-        if (u == root || !scheme.has_replica(u, k)) continue;
+        if (u == root || held[u] == 0) continue;
         std::size_t replicated_neighbors = 0;
         for (const net::Edge& e : tree.neighbors(u))
-          replicated_neighbors += scheme.has_replica(e.to, k) ? 1u : 0u;
+          replicated_neighbors += held[e.to] != 0 ? 1u : 0u;
         if (replicated_neighbors != 1) continue;  // not a fringe node
         // u's side of its single replicated edge is its own rooted subtree
         // (the replicated neighbour is u's parent: R always contains the
@@ -120,6 +126,7 @@ AlgorithmResult solve_adr(const core::Problem& problem, const net::Graph& tree,
         const double elsewhere_writes = total_writes - rooted.subtree_writes[u];
         if (elsewhere_writes > side_reads) {
           scheme.remove(u, k);
+          held[u] = 0;
           ++local.contractions;
           changed = true;
         }

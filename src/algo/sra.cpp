@@ -1,9 +1,9 @@
 #include "algo/sra.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "audit/gate.hpp"
-#include "core/benefit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/timer.hpp"
@@ -21,6 +21,38 @@ AlgorithmResult make_result(core::ReplicationScheme scheme,
   return result;
 }
 
+namespace {
+
+/// A live candidate: object k at demand cell z of the visiting site. The
+/// benefit terms that stay constant over the candidate's lifetime are baked
+/// in at list build — its site is fixed, so the Eq. 5 write penalty
+/// (TW_k - w_k(i)) · C(i, SP_k) never changes, and neither do r_k(i) or o_k.
+/// The scan then touches one scattered array (the nearest-cost cache) per
+/// candidate instead of five; every precomputed double is the product
+/// core::local_benefit forms, so benefits are bit-identical to it.
+struct Candidate {
+  core::ObjectId object = 0;
+  std::size_t demand_index = 0;
+  double reads = 0.0;          // r_k(i)
+  double write_penalty = 0.0;  // (TW_k - w_k(i)) * C(i, SP_k)
+  double size = 0.0;           // o_k
+};
+
+/// Number of objects in `sorted_sizes` satisfying the fits() predicate
+/// `free >= o_k - slack` for a site with the given free capacity. The
+/// predicate is monotone non-increasing along ascending sizes (floating
+/// point subtraction of a constant preserves ordering), so a partition
+/// point evaluates the EXACT fits() expression yet costs O(log N).
+std::size_t count_fitting(const std::vector<double>& sorted_sizes, double free,
+                          double slack) {
+  const auto it =
+      std::partition_point(sorted_sizes.begin(), sorted_sizes.end(),
+                           [&](double o) { return free >= o - slack; });
+  return static_cast<std::size_t>(it - sorted_sizes.begin());
+}
+
+}  // namespace
+
 AlgorithmResult solve_sra(const core::Problem& problem,
                           const SraConfig& config, util::Rng& rng,
                           SraStats* stats) {
@@ -29,22 +61,66 @@ AlgorithmResult solve_sra(const core::Problem& problem,
   core::ReplicationScheme scheme(problem);
   const std::size_t m = problem.sites();
   const std::size_t n = problem.objects();
+  const auto demand_reads = problem.demand_reads();
+  const auto demand_writes = problem.demand_writes();
 
-  // L(i): candidate objects per site. An object is a candidate while the
-  // site is not already a replicator, it fits, and its benefit is positive.
-  std::vector<std::vector<core::ObjectId>> candidates(m);
-  for (core::SiteId i = 0; i < m; ++i) {
-    candidates[i].reserve(n);
-    for (core::ObjectId k = 0; k < n; ++k) {
-      if (!scheme.has_replica(i, k) && scheme.fits(i, k))
-        candidates[i].push_back(k);
+  // L(i): the paper lists every object site i does not hold and that fits.
+  // Benefits only fall while SRA runs, so a candidate whose benefit is
+  // already non-positive at the start is evaluated once, at its site's
+  // first visit, and pruned there. That holds for every cell with
+  // r_k(i) = 0 (its benefit is -(TW_k - w_k(i))·C(i,SP_k) <= 0), stored or
+  // not. The list therefore splits:
+  //   * live candidates (nonzero-read cells with positive initial benefit),
+  //     appended in ascending object order, which the lowest-object-id
+  //     tie-break below rides on;
+  //   * dead candidates (every other fitting non-primary object), carried
+  //     as a per-site COUNT that is flushed into benefit_evaluations at the
+  //     site's first visit; the site stays in LS until then.
+  std::vector<std::vector<Candidate>> candidates(m);
+  const double* initial_cost = scheme.nearest_cost_data();
+  for (core::ObjectId k = 0; k < n; ++k) {
+    const core::SiteId sp = problem.primary(k);
+    const auto sp_row = problem.costs().row(sp);  // C(SP_k, i) == C(i, SP_k)
+    const auto sites = problem.demand_sites(k);
+    const std::size_t begin = problem.demand_begin(k);
+    for (std::size_t j = 0; j < sites.size(); ++j) {
+      const std::size_t z = begin + j;
+      const core::SiteId i = sites[j];
+      if (i == sp || demand_reads[z] == 0.0 || !scheme.fits(i, k)) continue;
+      const double penalty =
+          (problem.total_writes(k) - demand_writes[z]) * sp_row[i];
+      if (demand_reads[z] * initial_cost[z] - penalty <= 0.0) continue;
+      candidates[i].push_back(
+          {k, z, demand_reads[z], penalty, problem.object_size(k)});
     }
   }
-  // LS: sites with a non-empty candidate list.
+
+  // Dead counts without touching M·N cells: the fitting objects (a
+  // partition point over the sorted sizes) minus the site's fitting
+  // primaries minus its live candidates.
+  std::vector<double> sorted_sizes(n);
+  for (core::ObjectId k = 0; k < n; ++k) sorted_sizes[k] = problem.object_size(k);
+  std::sort(sorted_sizes.begin(), sorted_sizes.end());
+  std::vector<std::vector<double>> primary_sizes(m);
+  for (core::ObjectId k = 0; k < n; ++k)
+    primary_sizes[problem.primary(k)].push_back(problem.object_size(k));
+  for (auto& sizes : primary_sizes) std::sort(sizes.begin(), sizes.end());
+
+  std::vector<std::size_t> dead(m, 0);
+  for (core::SiteId i = 0; i < m; ++i) {
+    const double free = scheme.free_capacity(i);
+    const double slack = scheme.capacity_slack(i);
+    const std::size_t fitting = count_fitting(sorted_sizes, free, slack);
+    const std::size_t fitting_primaries =
+        count_fitting(primary_sizes[i], free, slack);
+    dead[i] = fitting - fitting_primaries - candidates[i].size();
+  }
+
+  // LS: sites with a non-empty candidate list (live or dead).
   std::vector<core::SiteId> active;
   active.reserve(m);
   for (core::SiteId i = 0; i < m; ++i) {
-    if (!candidates[i].empty()) active.push_back(i);
+    if (!candidates[i].empty() || dead[i] != 0) active.push_back(i);
   }
 
   SraStats local_stats;
@@ -59,37 +135,52 @@ AlgorithmResult solve_sra(const core::Problem& problem,
     }
     const core::SiteId site = active[slot];
 
-    // One pass over L(site): find the best strictly-positive benefit and
-    // prune candidates that became unprofitable or no longer fit. Benefits
-    // are non-increasing over the run, so pruning is permanent.
+    // First visit flushes the dead candidates: each is evaluated once
+    // (benefit <= 0) and pruned.
+    local_stats.benefit_evaluations += dead[site];
+    dead[site] = 0;
+
+    // One pass over the live L(site): find the best strictly-positive
+    // benefit and prune candidates that became unprofitable or no longer
+    // fit. Benefits are non-increasing over the run, so pruning is
+    // permanent. Capacity is fixed for the whole scan (the placement
+    // happens after it), so free/slack hoist out of the loop — the
+    // per-candidate comparison is the exact fits() expression.
     //
-    // Tie-break: strict `>` keeps the FIRST maximal candidate. L(site) is
+    // Tie-break: strict `>` keeps the FIRST maximal candidate. The list is
     // built in ascending object order and compaction preserves it, so equal
     // benefits deterministically resolve to the lowest object id — `>=`
     // would pick the last one and make results depend on list order.
     double best_benefit = 0.0;
-    core::ObjectId best_object = 0;
+    std::size_t best_pos = 0;
     bool found = false;
     auto& list = candidates[site];
+    const double free = scheme.free_capacity(site);
+    const double slack = scheme.capacity_slack(site);
+    const double* nearest_cost = scheme.nearest_cost_data();
     std::size_t write_pos = 0;
-    for (const core::ObjectId k : list) {
+    const std::size_t count = list.size();
+    for (std::size_t at = 0; at < count; ++at) {
+      const Candidate cand = list[at];
       ++local_stats.benefit_evaluations;
-      if (!scheme.fits(site, k)) continue;  // prune: b(i) < o_k
-      const double benefit = core::local_benefit(scheme, site, k);
-      if (benefit <= 0.0) continue;         // prune: non-positive benefit
+      if (!(free >= cand.size - slack)) continue;  // prune: b(i) < o_k
+      const double benefit =
+          cand.reads * nearest_cost[cand.demand_index] - cand.write_penalty;
+      if (benefit <= 0.0) continue;  // prune: non-positive benefit
       if (!found || benefit > best_benefit) {
         best_benefit = benefit;
-        best_object = k;
+        best_pos = write_pos;
         found = true;
       }
-      list[write_pos++] = k;
+      if (write_pos != at) list[write_pos] = cand;
+      ++write_pos;
     }
     list.resize(write_pos);
 
     if (found) {
-      scheme.add(site, best_object);
+      scheme.add(site, list[best_pos].object);
       ++local_stats.replicas_created;
-      list.erase(std::find(list.begin(), list.end(), best_object));
+      list.erase(list.begin() + static_cast<std::ptrdiff_t>(best_pos));
     }
     if (list.empty()) {
       active.erase(active.begin() + static_cast<std::ptrdiff_t>(slot));

@@ -9,6 +9,15 @@
 // longer fit or whose benefit has gone non-positive. Benefits only decrease
 // as replicas appear (nearest-replica distances shrink; update costs are
 // constant), so pruning is safe and the loop terminates.
+//
+// The loop walks the Problem's demand rows (core/problem.hpp), so it scales
+// in stored cells, not M·N. Only candidates whose benefit is positive when
+// the run starts are listed (a zero-read cell never is); the rest of the
+// paper's L(i) is carried as a per-site count that is charged to
+// benefit_evaluations at the site's first visit, exactly where the paper's
+// loop would evaluate and prune them. Full and partial rows of the same
+// instance therefore run the identical trajectory — same site visits, same
+// rng draws under kRandom, same placements, same SraStats.
 
 #include "algo/common.hpp"
 #include "algo/result.hpp"

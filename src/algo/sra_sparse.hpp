@@ -1,52 +1,23 @@
 #pragma once
-// Sparse-path SRA: the paper's greedy loop (Section 3) over a
-// core::SparseInstance, scaling in nonzero demand cells instead of M·N.
-//
-// Trajectory equivalence: solve_sra_sparse emulates solve_sra on the
-// materialized dense instance DECISION FOR DECISION — same site-visit
-// sequence (including the rng stream under kRandom site order), same replica
-// placements in the same order, same SraStats, and a bit-identical final
-// cost/savings. The key observation making that affordable: a candidate
-// (i, k) with r_k(i) = 0 can never have positive Eq. 5 benefit (its benefit
-// is -(TW_k - w_k(i))·C(i,SP_k) <= 0), so the dense algorithm evaluates it
-// exactly once — at site i's first visit — and prunes it. The sparse loop
-// therefore materializes only the "live" candidates (nonzero-read demand
-// cells) and carries the dead ones as a per-site COUNT, flushed into
-// benefit_evaluations at the first visit. Dead counts are derived without
-// touching M·N cells: a partition-point over the globally sorted object
-// sizes (the dense fits() predicate is monotone in o_k) minus the site's
-// fitting primaries minus its live candidates.
-
-#include <cstddef>
+// Former names of the partial-row SRA entry points. SRA walks demand rows
+// for every Problem (algo/sra.hpp), so a partial-row instance from
+// workload::build_sparse_instance goes through solve_sra itself; these
+// aliases keep older callers compiling.
 
 #include "algo/sra.hpp"
-#include "core/sparse_instance.hpp"
-#include "core/sparse_scheme.hpp"
-#include "util/rng.hpp"
+
+namespace drep::core {
+using SparseInstance = Problem;
+}  // namespace drep::core
 
 namespace drep::algo {
 
-/// Result of a sparse SRA run; mirrors AlgorithmResult with a sparse scheme.
-struct SparseSraResult {
-  core::SparseReplicationScheme scheme;
-  /// Eq. 4 NTC of the final scheme (bit-identical to the dense result's).
-  double cost = 0.0;
-  /// 100·(D_prime - D)/D_prime.
-  double savings_percent = 0.0;
-  std::size_t extra_replicas = 0;
-  double elapsed_seconds = 0.0;
-  /// Site visits (same meaning as AlgorithmResult::iterations for SRA).
-  std::size_t iterations = 0;
-};
+using SparseSraResult = AlgorithmResult;
 
-/// Runs SRA over a sparse instance. `rng` is only consulted for kRandom site
-/// order and consumes exactly the stream solve_sra would.
-[[nodiscard]] SparseSraResult solve_sra_sparse(
-    const core::SparseInstance& instance, const SraConfig& config,
-    util::Rng& rng, SraStats* stats = nullptr);
-
-/// Convenience overload with default (paper) configuration.
-[[nodiscard]] SparseSraResult solve_sra_sparse(
-    const core::SparseInstance& instance);
+[[nodiscard]] inline AlgorithmResult solve_sra_sparse(
+    const core::Problem& problem, const SraConfig& config, util::Rng& rng,
+    SraStats* stats = nullptr) {
+  return solve_sra(problem, config, rng, stats);
+}
 
 }  // namespace drep::algo

@@ -57,50 +57,43 @@ Violations merge(Violations a, Violations b) {
 Violations check_scheme(const core::ReplicationScheme& scheme) {
   Violations out;
   const core::Problem& p = scheme.problem();
-  const std::size_t m = p.sites();
-  const std::size_t n = p.objects();
-  const auto& matrix = scheme.matrix();
 
   std::size_t total_replicas = 0;
-  for (ObjectId k = 0; k < n; ++k) {
-    // Ground truth: column k of the matrix, with the primary bit forced.
+  for (ObjectId k = 0; k < p.objects(); ++k) {
+    // Ground truth: the replica list, which must be strictly ascending (the
+    // ordering contract that makes iteration history-independent), in
+    // range, and hold the immovable primary.
     const SiteId sp = p.primary(k);
-    if (matrix[static_cast<std::size_t>(sp) * n + k] == 0)
-      add(out, "scheme.matrix",
-          "primary bit X[" + std::to_string(sp) + "][" + std::to_string(k) +
-              "] is 0 (primary copies are immovable)");
-    std::vector<SiteId> exact;
-    for (SiteId i = 0; i < m; ++i) {
-      if (matrix[static_cast<std::size_t>(i) * n + k] != 0) exact.push_back(i);
-    }
-    total_replicas += exact.size();
-
-    // replicas(k) must hold the same site set, sorted ascending — the
-    // CSR-style ordering contract that makes iteration history-independent.
-    const std::vector<SiteId>& listed = scheme.replicas(k);
-    if (!std::is_sorted(listed.begin(), listed.end())) {
+    const auto& list = scheme.replicas(k);
+    if (!std::is_sorted(list.begin(), list.end()) ||
+        std::adjacent_find(list.begin(), list.end()) != list.end() ||
+        (!list.empty() && list.back() >= p.sites())) {
       add(out, "scheme.replica_list",
-          "replicas(" + std::to_string(k) + ") is not ascending by site id");
+          "replicas(" + std::to_string(k) +
+              ") is not strictly ascending in-range site ids");
       continue;
     }
-    if (listed != exact) {
+    if (!std::binary_search(list.begin(), list.end(), sp)) {
       add(out, "scheme.replica_list",
-          "replicas(" + std::to_string(k) + ") disagrees with matrix column (" +
-              std::to_string(listed.size()) + " listed vs " +
-              std::to_string(exact.size()) + " set bits)");
-      continue;  // nearest checks below would only cascade
+          "replicas(" + std::to_string(k) + ") is missing the primary " +
+              std::to_string(sp) + " (primary copies are immovable)");
+      continue;
     }
+    total_replicas += list.size();
 
-    // Top-2 nearest index: the lex (cost, site id) minimum and runner-up
-    // over the column's cost entries. Costs are *copied*, never summed, so
-    // equality is exact; on cost ties the LOWEST site id must have won (the
-    // history-independence bugfix — any other winner betrays an
-    // insertion-order-dependent update path).
-    for (SiteId i = 0; i < m; ++i) {
+    // Top-2 cache at every demand cell: the lex (cost, site id) minimum and
+    // runner-up over the list's cost entries. Costs are *copied*, never
+    // summed, so equality is exact; on cost ties the LOWEST site id must
+    // have won (any other winner betrays an insertion-order-dependent
+    // update path).
+    const auto sites = p.demand_sites(k);
+    for (std::size_t j = 0; j < sites.size(); ++j) {
+      const std::size_t z = p.demand_begin(k) + j;
+      const SiteId i = sites[j];
       double best_c = std::numeric_limits<double>::infinity();
       double sec_c = std::numeric_limits<double>::infinity();
       SiteId best_s = sp, sec_s = sp;
-      for (const SiteId rep : exact) {
+      for (const SiteId rep : list) {
         const double rc = p.cost(i, rep);
         if (core::closer_replica(rc, rep, best_c, best_s)) {
           sec_c = best_c;
@@ -114,28 +107,27 @@ Violations check_scheme(const core::ReplicationScheme& scheme) {
       }
       const std::string at =
           "(" + std::to_string(i) + "," + std::to_string(k) + ")";
-      if (scheme.nearest_cost(i, k) != best_c) {
+      if (scheme.nearest_cost_at(z) != best_c) {
         add(out, "scheme.nearest_cost",
-            "nearest_cost" + at + " = " + num(scheme.nearest_cost(i, k)) +
+            "nearest_cost" + at + " = " + num(scheme.nearest_cost_at(z)) +
                 ", exact min = " + num(best_c));
       }
-      if (scheme.nearest(i, k) != best_s) {
+      if (scheme.nearest_site_at(z) != best_s) {
         add(out, "scheme.nearest_site",
-            "nearest" + at + " = " + std::to_string(scheme.nearest(i, k)) +
+            "nearest" + at + " = " + std::to_string(scheme.nearest_site_at(z)) +
                 ", lex (cost, id) minimum is " + std::to_string(best_s));
       }
-      if (scheme.second_nearest_cost(i, k) != sec_c) {
+      if (scheme.second_cost_at(z) != sec_c) {
         add(out, "scheme.second_cost",
             "second_nearest_cost" + at + " = " +
-                num(scheme.second_nearest_cost(i, k)) + ", exact = " +
-                num(sec_c));
+                num(scheme.second_cost_at(z)) + ", exact = " + num(sec_c));
       }
       const SiteId want_sec =
           sec_c == std::numeric_limits<double>::infinity() ? sp : sec_s;
-      if (scheme.second_nearest(i, k) != want_sec) {
+      if (scheme.second_site_at(z) != want_sec) {
         add(out, "scheme.second_site",
             "second_nearest" + at + " = " +
-                std::to_string(scheme.second_nearest(i, k)) +
+                std::to_string(scheme.second_site_at(z)) +
                 ", lex runner-up is " + std::to_string(want_sec));
       }
     }
@@ -144,178 +136,27 @@ Violations check_scheme(const core::ReplicationScheme& scheme) {
   if (scheme.total_replicas() != total_replicas) {
     add(out, "scheme.replica_count",
         "total_replicas() = " + std::to_string(scheme.total_replicas()) +
-            ", matrix holds " + std::to_string(total_replicas));
-  }
-
-  // Used-storage ledger: recompute from the matrix; the incremental += / -=
-  // bookkeeping may drift by rounding, bounded by the scheme's explicit
-  // epsilon policy (ReplicationScheme::capacity_slack).
-  for (SiteId i = 0; i < m; ++i) {
-    double exact_used = 0.0;
-    for (ObjectId k = 0; k < n; ++k) {
-      if (matrix[static_cast<std::size_t>(i) * n + k] != 0)
-        exact_used += p.object_size(k);
-    }
-    const double ledger = scheme.used(i);
-    if (std::abs(ledger - exact_used) > scheme.capacity_slack(i)) {
-      add(out, "scheme.used_ledger",
-          "used(" + std::to_string(i) + ") = " + num(ledger) +
-              " drifted from matrix sum " + num(exact_used) +
-              " beyond slack " + num(scheme.capacity_slack(i)));
-    }
-  }
-  return out;
-}
-
-Violations check_sparse_scheme(const core::SparseReplicationScheme& scheme) {
-  Violations out;
-  const core::SparseInstance& inst = scheme.instance();
-  const auto demand_sites = inst.demand_sites();
-
-  std::size_t total_replicas = 0;
-  for (ObjectId k = 0; k < inst.objects(); ++k) {
-    const SiteId sp = inst.primary(k);
-    const auto& list = scheme.replicas(k);
-    if (!std::is_sorted(list.begin(), list.end()) ||
-        std::adjacent_find(list.begin(), list.end()) != list.end()) {
-      add(out, "sparse_scheme.replica_list",
-          "replicas(" + std::to_string(k) +
-              ") is not strictly ascending by site id");
-      continue;
-    }
-    if (!std::binary_search(list.begin(), list.end(), sp)) {
-      add(out, "sparse_scheme.replica_list",
-          "replicas(" + std::to_string(k) + ") is missing the primary " +
-              std::to_string(sp));
-      continue;
-    }
-    total_replicas += list.size();
-
-    // Demand-cell top-2 cache: recompute the lex (cost, id) top-2 from the
-    // replica list and demand exact equality (copied values, no arithmetic).
-    const std::size_t end = inst.demand_end(k);
-    for (std::size_t z = inst.demand_begin(k); z < end; ++z) {
-      const SiteId i = demand_sites[z];
-      double best_c = std::numeric_limits<double>::infinity();
-      double sec_c = std::numeric_limits<double>::infinity();
-      SiteId best_s = sp, sec_s = sp;
-      for (const SiteId rep : list) {
-        const double rc = inst.cost(i, rep);
-        if (core::closer_replica(rc, rep, best_c, best_s)) {
-          sec_c = best_c;
-          sec_s = best_s;
-          best_c = rc;
-          best_s = rep;
-        } else if (core::closer_replica(rc, rep, sec_c, sec_s)) {
-          sec_c = rc;
-          sec_s = rep;
-        }
-      }
-      const std::string at = "cell " + std::to_string(z) + " (site " +
-                             std::to_string(i) + ", object " +
-                             std::to_string(k) + ")";
-      if (scheme.nearest_cost_at(z) != best_c ||
-          scheme.nearest_site_at(z) != best_s) {
-        add(out, "sparse_scheme.nearest",
-            at + ": cached (" + num(scheme.nearest_cost_at(z)) + ", " +
-                std::to_string(scheme.nearest_site_at(z)) +
-                "), lex minimum (" + num(best_c) + ", " +
-                std::to_string(best_s) + ")");
-      }
-      const SiteId want_sec =
-          sec_c == std::numeric_limits<double>::infinity() ? sp : sec_s;
-      if (scheme.second_cost_at(z) != sec_c ||
-          scheme.second_site_at(z) != want_sec) {
-        add(out, "sparse_scheme.second",
-            at + ": cached (" + num(scheme.second_cost_at(z)) + ", " +
-                std::to_string(scheme.second_site_at(z)) +
-                "), lex runner-up (" + num(sec_c) + ", " +
-                std::to_string(want_sec) + ")");
-      }
-    }
-  }
-  if (scheme.total_replicas() != total_replicas) {
-    add(out, "sparse_scheme.replica_count",
-        "total_replicas() = " + std::to_string(scheme.total_replicas()) +
             ", lists hold " + std::to_string(total_replicas));
   }
 
-  // Used ledger vs a from-scratch sum over the replica lists (ascending
-  // object order — the same order the ledger accrued).
-  std::vector<double> exact_used(inst.sites(), 0.0);
-  for (ObjectId k = 0; k < inst.objects(); ++k) {
-    for (const SiteId rep : scheme.replicas(k))
-      exact_used[rep] += inst.object_size(k);
+  // Used-storage ledger: recompute from the lists (ascending object order,
+  // the order the ledger accrued); the incremental += / -= bookkeeping may
+  // drift by rounding, bounded by the scheme's explicit epsilon policy
+  // (ReplicationScheme::capacity_slack).
+  std::vector<double> exact_used(p.sites(), 0.0);
+  for (ObjectId k = 0; k < p.objects(); ++k) {
+    for (const SiteId rep : scheme.replicas(k)) {
+      if (rep < p.sites()) exact_used[rep] += p.object_size(k);
+    }
   }
-  for (SiteId i = 0; i < inst.sites(); ++i) {
-    if (std::abs(scheme.used(i) - exact_used[i]) > scheme.capacity_slack(i)) {
-      add(out, "sparse_scheme.used_ledger",
-          "used(" + std::to_string(i) + ") = " + num(scheme.used(i)) +
+  for (SiteId i = 0; i < p.sites(); ++i) {
+    const double ledger = scheme.used(i);
+    if (std::abs(ledger - exact_used[i]) > scheme.capacity_slack(i)) {
+      add(out, "scheme.used_ledger",
+          "used(" + std::to_string(i) + ") = " + num(ledger) +
               " drifted from list sum " + num(exact_used[i]) +
               " beyond slack " + num(scheme.capacity_slack(i)));
     }
-  }
-  return out;
-}
-
-Violations check_sparse_dense(const core::SparseReplicationScheme& sparse,
-                              const core::ReplicationScheme& dense) {
-  Violations out;
-  const core::SparseInstance& inst = sparse.instance();
-  const core::Problem& p = dense.problem();
-  if (inst.sites() != p.sites() || inst.objects() != p.objects()) {
-    add(out, "sparse_dense.shape",
-        "instance " + std::to_string(inst.sites()) + "x" +
-            std::to_string(inst.objects()) + " vs problem " +
-            std::to_string(p.sites()) + "x" + std::to_string(p.objects()));
-    return out;
-  }
-  const auto demand_sites = inst.demand_sites();
-  for (ObjectId k = 0; k < inst.objects(); ++k) {
-    if (sparse.replicas(k) != dense.replicas(k)) {
-      add(out, "sparse_dense.replica_list",
-          "replicas(" + std::to_string(k) + ") differ (" +
-              std::to_string(sparse.replicas(k).size()) + " sparse vs " +
-              std::to_string(dense.replicas(k).size()) + " dense)");
-      continue;
-    }
-    const std::size_t end = inst.demand_end(k);
-    for (std::size_t z = inst.demand_begin(k); z < end; ++z) {
-      const SiteId i = demand_sites[z];
-      const std::string at = "(" + std::to_string(i) + "," +
-                             std::to_string(k) + ")";
-      if (sparse.nearest_cost_at(z) != dense.nearest_cost(i, k) ||
-          sparse.nearest_site_at(z) != dense.nearest(i, k)) {
-        add(out, "sparse_dense.nearest",
-            at + ": sparse (" + num(sparse.nearest_cost_at(z)) + ", " +
-                std::to_string(sparse.nearest_site_at(z)) + ") vs dense (" +
-                num(dense.nearest_cost(i, k)) + ", " +
-                std::to_string(dense.nearest(i, k)) + ")");
-      }
-      if (sparse.second_cost_at(z) != dense.second_nearest_cost(i, k) ||
-          sparse.second_site_at(z) != dense.second_nearest(i, k)) {
-        add(out, "sparse_dense.second",
-            at + ": sparse (" + num(sparse.second_cost_at(z)) + ", " +
-                std::to_string(sparse.second_site_at(z)) + ") vs dense (" +
-                num(dense.second_nearest_cost(i, k)) + ", " +
-                std::to_string(dense.second_nearest(i, k)) + ")");
-      }
-    }
-  }
-  for (SiteId i = 0; i < inst.sites(); ++i) {
-    if (sparse.used(i) != dense.used(i)) {
-      add(out, "sparse_dense.used_ledger",
-          "used(" + std::to_string(i) + "): sparse " + num(sparse.used(i)) +
-              " vs dense " + num(dense.used(i)) +
-              " (identical histories must produce identical bits)");
-    }
-  }
-  const double sparse_cost = core::total_cost(sparse);
-  const double dense_cost = core::total_cost(dense);
-  if (sparse_cost != dense_cost) {
-    add(out, "sparse_dense.total_cost",
-        "sparse NTC " + num(sparse_cost) + " vs dense NTC " + num(dense_cost) +
-            " (the CSR kernels must be bit-identical)");
   }
   return out;
 }
@@ -386,8 +227,11 @@ Violations check_object_cost_cache(core::DeltaEvaluator& delta,
 Violations check_sra_terminal(const core::ReplicationScheme& scheme) {
   Violations out;
   const core::Problem& p = scheme.problem();
-  for (SiteId i = 0; i < p.sites(); ++i) {
-    for (ObjectId k = 0; k < p.objects(); ++k) {
+  // Only a demand cell can have positive Eq. 5 benefit: with r_k(i) = 0 the
+  // benefit is -(TW_k - w_k(i))·C(i,SP_k) <= 0, so the rows cover every
+  // (site, object) pair that matters.
+  for (ObjectId k = 0; k < p.objects(); ++k) {
+    for (const SiteId i : p.demand_sites(k)) {
       if (scheme.has_replica(i, k) || !scheme.fits(i, k)) continue;
       const double benefit = core::local_benefit(scheme, i, k);
       if (benefit > 0.0) {

@@ -27,7 +27,6 @@
 
 #include "core/cost_model.hpp"
 #include "core/replication.hpp"
-#include "core/sparse_scheme.hpp"
 
 namespace drep::audit {
 
@@ -61,40 +60,26 @@ void enforce(Violations violations, const std::string& where);
 
 // --- core structures ------------------------------------------------------
 
-/// ReplicationScheme internal consistency: the matrix is the ground truth,
-/// and the replica lists, nearest-replica index, nearest costs, used-storage
-/// ledger, and replica counters must all agree with it.
-///   * scheme.matrix        — primary bits set; replicas(k) == matrix column,
-///                            sorted ascending by site id
-///   * scheme.nearest       — (nearest(i,k), nearest_cost) is the exact lex
-///                            (cost, site id) minimum over the column (cost
-///                            entries are copied, never summed, so equality
-///                            is exact; on cost ties the LOWEST site id must
-///                            have won — the history-independence contract)
-///   * scheme.second        — (second_nearest, second_nearest_cost) is the
-///                            lex runner-up, or the (+inf, SP_k) sentinel
-///                            when |R_k| < 2
-///   * scheme.used_ledger   — |used(i) - Σ matrix| <= capacity_slack(i)
-///                            (the explicit epsilon policy for += / -= churn)
+/// ReplicationScheme internal consistency: the replica lists are the ground
+/// truth, and the top-2 cache, used-storage ledger, and replica counter
+/// must all agree with them. One pass over the Problem's demand rows, for
+/// full and partial rows alike.
+///   * scheme.replica_list  — replicas(k) strictly ascending, in range, and
+///                            holding the primary SP_k
+///   * scheme.nearest_*     — at every demand cell, (nearest, nearest cost)
+///                            is the exact lex (cost, site id) minimum over
+///                            R_k (cost entries are copied, never summed, so
+///                            equality is exact; on cost ties the LOWEST
+///                            site id must have won — the
+///                            history-independence contract)
+///   * scheme.second_*      — (second site, second cost) is the lex
+///                            runner-up, or the (+inf, SP_k) sentinel when
+///                            |R_k| < 2
+///   * scheme.used_ledger   — |used(i) - Σ_{k: i∈R_k} o_k| <=
+///                            capacity_slack(i) (the explicit epsilon policy
+///                            for += / -= churn)
 ///   * scheme.replica_count — total_replicas() == Σ_k |R_k|
 [[nodiscard]] Violations check_scheme(const core::ReplicationScheme& scheme);
-
-/// SparseReplicationScheme internal consistency: replica lists strictly
-/// ascending and containing the primary, the demand-cell top-2 cache equal
-/// to the exact lex (cost, id) top-2 over each list, the used ledger within
-/// the slack policy of a from-scratch list sum, and the replica counter
-/// exact.
-[[nodiscard]] Violations check_sparse_scheme(
-    const core::SparseReplicationScheme& scheme);
-
-/// Sparse==dense differential: a SparseReplicationScheme and a dense
-/// ReplicationScheme that received the SAME add/remove history on equivalent
-/// instances must agree bit-for-bit — replica lists, every demand-cell
-/// nearest/second entry, the used ledgers, and the Eq. 4 total computed by
-/// the CSR kernels vs the dense kernels.
-[[nodiscard]] Violations check_sparse_dense(
-    const core::SparseReplicationScheme& sparse,
-    const core::ReplicationScheme& dense);
 
 /// DeltaEvaluator cache consistency: the cached per-object costs V_k and
 /// their sum must be bit-for-bit identical to a from-scratch
@@ -116,7 +101,8 @@ void enforce(Violations violations, const std::string& where);
 /// the condition can never flip back — benefits are non-increasing and free
 /// capacity only shrinks while SRA runs. Terminal ground truth: no
 /// (site, object) pair without a replica may still fit with strictly
-/// positive Eq. 5 benefit.
+/// positive Eq. 5 benefit (only demand cells can, so the check walks the
+/// rows).
 [[nodiscard]] Violations check_sra_terminal(
     const core::ReplicationScheme& scheme);
 

@@ -593,8 +593,9 @@ int cmd_adapt(const Args& args) {
     }
   }
   algo::SolveRequest request{new_problem, solver_options_from(args)};
+  const ga::Chromosome current = scheme.matrix();
   request.adapt =
-      algo::AdaptContext{&scheme.matrix(), /*retained_population=*/{}, changed};
+      algo::AdaptContext{&current, /*retained_population=*/{}, changed};
   std::optional<algo::SolveResponse> response;
   {
     DREP_SPAN("cli/adapt");
@@ -603,7 +604,7 @@ int cmd_adapt(const Args& args) {
   const algo::AlgorithmResult& result = response->result;
   io::save_scheme(args.require("out"), result.scheme);
 
-  core::ReplicationScheme stale(new_problem, scheme.matrix());
+  core::ReplicationScheme stale(new_problem, current);
   const double stale_savings = core::savings_percent(new_problem, stale);
   std::cout << changed.size() << " objects changed; stale savings "
             << util::format_double(stale_savings, 2) << "% -> adapted "

@@ -21,13 +21,17 @@ double insertion_delta(const ReplicationScheme& scheme, SiteId i, ObjectId k) {
   const double o = p.object_size(k);
   // Local view: B·o flipped in sign.
   double delta = -o * local_benefit(scheme, i, k);
-  // Global correction: other sites whose reads would re-home to i.
+  // Global correction: other sites whose reads would re-home to i. Only the
+  // demand row can read; an absent cell's term is an exact zero.
   const auto i_row = p.costs().row(i);
-  for (SiteId j = 0; j < p.sites(); ++j) {
+  const auto sites = p.demand_sites(k);
+  const std::size_t begin = p.demand_begin(k);
+  const auto reads = p.demand_reads();
+  for (std::size_t c = 0; c < sites.size(); ++c) {
+    const SiteId j = sites[c];
     if (j == i) continue;
-    const double current = scheme.nearest_cost(j, k);
-    if (i_row[j] < current)
-      delta += p.reads(j, k) * o * (i_row[j] - current);
+    const double current = scheme.nearest_cost_at(begin + c);
+    if (i_row[j] < current) delta += reads[begin + c] * o * (i_row[j] - current);
   }
   return delta;
 }
@@ -40,13 +44,19 @@ double removal_delta(const ReplicationScheme& scheme, SiteId i, ObjectId k) {
   const double o = p.object_size(k);
   // The replica stops receiving updates...
   double delta = -(p.total_writes(k) - p.writes(i, k)) * o * p.cost(i, p.primary(k));
-  // ...but every site whose nearest replica is i re-homes to its second-best,
-  // which the scheme's top-2 cache already holds (finite whenever i is a
-  // non-primary replica, since SP_k is always present too). The cached value
-  // equals the min over R_k \ {i} exactly — min of doubles is order-exact.
-  for (SiteId j = 0; j < p.sites(); ++j) {
-    if (scheme.nearest(j, k) != i) continue;
-    delta += p.reads(j, k) * o * (scheme.second_nearest_cost(j, k) - p.cost(j, i));
+  // ...but every demand cell whose nearest replica is i re-homes to its
+  // second-best, which the scheme's top-2 cache already holds (finite
+  // whenever i is a non-primary replica, since SP_k is always present too).
+  // The cached value equals the min over R_k \ {i} exactly — min of doubles
+  // is order-exact.
+  const auto i_row = p.costs().row(i);  // C(i, j) == C(j, i)
+  const auto sites = p.demand_sites(k);
+  const std::size_t begin = p.demand_begin(k);
+  const auto reads = p.demand_reads();
+  for (std::size_t j = 0; j < sites.size(); ++j) {
+    const std::size_t z = begin + j;
+    if (scheme.nearest_site_at(z) != i) continue;
+    delta += reads[z] * o * (scheme.second_cost_at(z) - i_row[sites[j]]);
   }
   return delta;
 }

@@ -29,12 +29,13 @@ namespace drep::core {
 
 /// Exact ΔD of adding a replica of k at i (negative = improvement),
 /// including the read improvements of *other* sites whose nearest replica
-/// becomes i. O(M). Returns 0 when the replica already exists.
+/// becomes i. O(|row k|) over the demand row. Returns 0 when the replica
+/// already exists.
 [[nodiscard]] double insertion_delta(const ReplicationScheme& scheme, SiteId i,
                                      ObjectId k);
 
 /// Exact ΔD of removing the replica of k at i (positive = degradation).
-/// O(M·|R_k|). Throws std::invalid_argument when i is the primary; returns 0
+/// O(|row k|) via the top-2 cache. Throws std::invalid_argument when i is the primary; returns 0
 /// when there is no replica at i.
 [[nodiscard]] double removal_delta(const ReplicationScheme& scheme, SiteId i,
                                    ObjectId k);

@@ -10,18 +10,35 @@ namespace drep::core {
 
 namespace {
 /// Write-side NTC of object k under receiver-pays bookkeeping, divided into
-/// the common Σ_i w_k(i)·C(i,SP_k) base plus the per-replica surcharge
-/// Σ_{j∈R_k} (TW_k - w_k(j))·C(j,SP_k). See cost_model.hpp.
+/// the common Σ_i w_k(i)·C(i,SP_k) base over the demand row plus the
+/// per-replica surcharge Σ_{j∈R_k} (TW_k - w_k(j))·C(j,SP_k). See
+/// cost_model.hpp.
 double write_cost_of_object(const Problem& p, ObjectId k,
                             std::span<const SiteId> replicas) {
   const SiteId sp = p.primary(k);
+  const auto sp_row = p.costs().row(sp);  // C symmetric: C(SP_k, i) == C(i, SP_k)
+  const auto sites = p.demand_sites(k);
+  const auto writes = p.demand_writes().subspan(p.demand_begin(k), sites.size());
   const double total_writes = p.total_writes(k);
   double base = 0.0;
-  for (SiteId i = 0; i < p.sites(); ++i) base += p.writes(i, k) * p.cost(i, sp);
+  for (std::size_t j = 0; j < sites.size(); ++j)
+    base += writes[j] * sp_row[sites[j]];
   double surcharge = 0.0;
   for (SiteId rep : replicas)
     surcharge += (total_writes - p.writes(rep, k)) * p.cost(rep, sp);
   return p.object_size(k) * (base + surcharge);
+}
+
+/// Σ_i r_k(i)·C(i,SN_k(i)) over object k's demand row.
+double read_sum_of_object(const ReplicationScheme& scheme, ObjectId k) {
+  const Problem& p = scheme.problem();
+  const auto reads = p.demand_reads();
+  const double* nearest_cost = scheme.nearest_cost_data();
+  const std::size_t end = p.demand_end(k);
+  double read = 0.0;
+  for (std::size_t z = p.demand_begin(k); z < end; ++z)
+    read += reads[z] * nearest_cost[z];
+  return read;
 }
 }  // namespace
 
@@ -34,11 +51,7 @@ CostBreakdown cost_breakdown(const ReplicationScheme& scheme) {
   const Problem& p = scheme.problem();
   CostBreakdown parts;
   for (ObjectId k = 0; k < p.objects(); ++k) {
-    const double o = p.object_size(k);
-    double read = 0.0;
-    for (SiteId i = 0; i < p.sites(); ++i)
-      read += p.reads(i, k) * scheme.nearest_cost(i, k);
-    parts.read_cost += o * read;
+    parts.read_cost += p.object_size(k) * read_sum_of_object(scheme, k);
     parts.write_cost += write_cost_of_object(p, k, scheme.replicas(k));
   }
   return parts;
@@ -46,25 +59,28 @@ CostBreakdown cost_breakdown(const ReplicationScheme& scheme) {
 
 double object_cost(const ReplicationScheme& scheme, ObjectId k) {
   const Problem& p = scheme.problem();
-  const double o = p.object_size(k);
-  double read = 0.0;
-  for (SiteId i = 0; i < p.sites(); ++i)
-    read += p.reads(i, k) * scheme.nearest_cost(i, k);
-  return o * read + write_cost_of_object(p, k, scheme.replicas(k));
+  return p.object_size(k) * read_sum_of_object(scheme, k) +
+         write_cost_of_object(p, k, scheme.replicas(k));
 }
 
 double total_cost_writer_view(const ReplicationScheme& scheme) {
   const Problem& p = scheme.problem();
+  const auto reads = p.demand_reads();
+  const auto writes = p.demand_writes();
   double total = 0.0;
   for (ObjectId k = 0; k < p.objects(); ++k) {
     const double o = p.object_size(k);
     const SiteId sp = p.primary(k);
-    for (SiteId i = 0; i < p.sites(); ++i) {
+    const auto sites = p.demand_sites(k);
+    const std::size_t begin = p.demand_begin(k);
+    for (std::size_t j = 0; j < sites.size(); ++j) {
+      const std::size_t z = begin + j;
+      const SiteId i = sites[j];
       // Reads served by the nearest replica (Eq. 1).
-      total += p.reads(i, k) * o * scheme.nearest_cost(i, k);
+      total += reads[z] * o * scheme.nearest_cost_at(z);
       // Writes: ship to the primary, which broadcasts to every replicator
       // except the writer itself (Eq. 2).
-      const double w = p.writes(i, k);
+      const double w = writes[z];
       if (w == 0.0) continue;
       double per_write = p.cost(i, sp);
       for (SiteId rep : scheme.replicas(k)) {
@@ -84,11 +100,14 @@ double primary_only_cost(const Problem& problem) {
 }
 
 double object_primary_only_cost(const Problem& problem, ObjectId k) {
-  const SiteId sp = problem.primary(k);
+  const auto sp_row = problem.costs().row(problem.primary(k));  // symmetric C
+  const auto sites = problem.demand_sites(k);
+  const std::size_t begin = problem.demand_begin(k);
+  const auto reads = problem.demand_reads().subspan(begin, sites.size());
+  const auto writes = problem.demand_writes().subspan(begin, sites.size());
   double requests = 0.0;
-  for (SiteId i = 0; i < problem.sites(); ++i) {
-    requests += (problem.reads(i, k) + problem.writes(i, k)) * problem.cost(i, sp);
-  }
+  for (std::size_t j = 0; j < sites.size(); ++j)
+    requests += (reads[j] + writes[j]) * sp_row[sites[j]];
   return problem.object_size(k) * requests;
 }
 
@@ -109,8 +128,8 @@ double migration_cost(const ReplicationScheme& from,
   const Problem& p = from.problem();
   double total = 0.0;
   for (ObjectId k = 0; k < p.objects(); ++k) {
-    for (SiteId i = 0; i < p.sites(); ++i) {
-      if (!to.has_replica(i, k) || from.has_replica(i, k)) continue;
+    for (const SiteId i : to.replicas(k)) {
+      if (from.has_replica(i, k)) continue;
       // New replica at i: fetched from the nearest previous holder.
       total += p.object_size(k) * from.nearest_cost(i, k);
     }

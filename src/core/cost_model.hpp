@@ -25,7 +25,9 @@ struct CostBreakdown {
   [[nodiscard]] double total() const noexcept { return read_cost + write_cost; }
 };
 
-/// D for a scheme, using its nearest-replica index; O(M·N + Σ_k |R_k|).
+/// D for a scheme, using its nearest-replica cache; O(demand cells +
+/// Σ_k |R_k|). Absent cells of partial rows contribute the exact +0.0 a
+/// stored zero cell would, so both row shapes give the same bits.
 [[nodiscard]] double total_cost(const ReplicationScheme& scheme);
 [[nodiscard]] CostBreakdown cost_breakdown(const ReplicationScheme& scheme);
 

@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/index.hpp"
+
 namespace drep::core {
 
 namespace {
@@ -12,27 +14,28 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 ReplicationScheme::ReplicationScheme(const Problem& problem)
     : problem_(&problem) {
-  const std::size_t m = problem.sites();
   const std::size_t n = problem.objects();
-  matrix_.assign(m * n, 0);
+  const std::size_t cells = problem.demand_cells();
   replicas_.assign(n, {});
-  nearest_site_.assign(m * n, 0);
-  nearest_cost_.assign(m * n, kInf);
-  second_site_.assign(m * n, 0);
-  second_cost_.assign(m * n, kInf);
-  used_.assign(m, 0.0);
-  for (ObjectId k = 0; k < n; ++k) object_mass_ += problem.object_size(k);
+  nearest_site_.assign(cells, 0);
+  nearest_cost_.assign(cells, kInf);
+  second_site_.assign(cells, 0);
+  second_cost_.assign(cells, kInf);
+  used_.assign(problem.sites(), 0.0);
   for (ObjectId k = 0; k < n; ++k) {
     const SiteId sp = problem.primary(k);
-    matrix_[cell(sp, k)] = 1;
     replicas_[k].push_back(sp);
     used_[sp] += problem.object_size(k);
     ++total_replicas_;
-    for (SiteId i = 0; i < m; ++i) {
-      const std::size_t ic = cell(i, k);
-      nearest_site_[ic] = sp;
-      nearest_cost_[ic] = problem.cost(i, sp);
-      second_site_[ic] = sp;  // |R_k| == 1: no fallback, sentinel (sp, +inf)
+    // C is symmetric (CostMatrix::set writes both halves), so walking the
+    // row reads C(SP_k, i) == C(i, SP_k) in site order, cache-friendly.
+    const auto sp_row = problem.costs().row(sp);
+    const auto sites = problem.demand_sites(k);
+    const std::size_t begin = problem.demand_begin(k);
+    for (std::size_t j = 0; j < sites.size(); ++j) {
+      nearest_site_[begin + j] = sp;
+      nearest_cost_[begin + j] = sp_row[sites[j]];
+      second_site_[begin + j] = sp;  // |R_k| == 1: sentinel (sp, +inf)
     }
   }
 }
@@ -40,13 +43,69 @@ ReplicationScheme::ReplicationScheme(const Problem& problem)
 ReplicationScheme::ReplicationScheme(const Problem& problem,
                                      std::span<const std::uint8_t> matrix)
     : ReplicationScheme(problem) {
-  if (matrix.size() != problem.sites() * problem.objects())
+  const std::size_t n = problem.objects();
+  if (matrix.size() != problem.sites() * n)
     throw std::invalid_argument("ReplicationScheme: matrix size mismatch");
   for (SiteId i = 0; i < problem.sites(); ++i) {
-    for (ObjectId k = 0; k < problem.objects(); ++k) {
-      if (matrix[cell(i, k)] != 0) add(i, k);
+    for (ObjectId k = 0; k < n; ++k) {
+      if (matrix[util::dense_cell(i, n, k)] != 0) add(i, k);
     }
   }
+}
+
+bool ReplicationScheme::has_replica(SiteId i, ObjectId k) const {
+  const auto& list = replicas_.at(k);
+  return std::binary_search(list.begin(), list.end(), i);
+}
+
+std::vector<std::uint8_t> ReplicationScheme::matrix() const {
+  const std::size_t n = problem_->objects();
+  std::vector<std::uint8_t> out(problem_->sites() * n, 0);
+  for (ObjectId k = 0; k < n; ++k) {
+    for (const SiteId i : replicas_[k]) out[util::dense_cell(i, n, k)] = 1;
+  }
+  return out;
+}
+
+ReplicationScheme::Top2 ReplicationScheme::top2(SiteId j, ObjectId k) const {
+  // Ascending site-id iteration + strict closer_replica comparisons give the
+  // same entries any add/remove history would: a pure function of R_k.
+  const SiteId sp = problem_->primary(k);
+  Top2 top{sp, kInf, sp, kInf};
+  for (const SiteId rep : replicas_[k]) {
+    const double rc = problem_->cost(j, rep);
+    if (closer_replica(rc, rep, top.best_cost, top.best_site)) {
+      top.second_cost = top.best_cost;
+      top.second_site = top.best_site;
+      top.best_cost = rc;
+      top.best_site = rep;
+    } else if (closer_replica(rc, rep, top.second_cost, top.second_site)) {
+      top.second_cost = rc;
+      top.second_site = rep;
+    }
+  }
+  if (top.second_cost == kInf) top.second_site = sp;
+  return top;
+}
+
+SiteId ReplicationScheme::nearest(SiteId i, ObjectId k) const {
+  const std::size_t z = problem_->demand_index(i, k);
+  return z == Problem::kAbsent ? top2(i, k).best_site : nearest_site_[z];
+}
+
+double ReplicationScheme::nearest_cost(SiteId i, ObjectId k) const {
+  const std::size_t z = problem_->demand_index(i, k);
+  return z == Problem::kAbsent ? top2(i, k).best_cost : nearest_cost_[z];
+}
+
+SiteId ReplicationScheme::second_nearest(SiteId i, ObjectId k) const {
+  const std::size_t z = problem_->demand_index(i, k);
+  return z == Problem::kAbsent ? top2(i, k).second_site : second_site_[z];
+}
+
+double ReplicationScheme::second_nearest_cost(SiteId i, ObjectId k) const {
+  const std::size_t z = problem_->demand_index(i, k);
+  return z == Problem::kAbsent ? top2(i, k).second_cost : second_cost_[z];
 }
 
 bool ReplicationScheme::is_valid() const {
@@ -57,26 +116,29 @@ bool ReplicationScheme::is_valid() const {
 }
 
 void ReplicationScheme::add(SiteId i, ObjectId k) {
-  const std::size_t c = cell(i, k);
-  if (matrix_[c] != 0) return;
-  matrix_[c] = 1;
-  auto& list = replicas_[k];
-  list.insert(std::upper_bound(list.begin(), list.end(), i), i);
+  if (i >= problem_->sites())
+    throw std::out_of_range("ReplicationScheme::add: site out of range");
+  auto& list = replicas_.at(k);
+  const auto pos = std::lower_bound(list.begin(), list.end(), i);
+  if (pos != list.end() && *pos == i) return;
+  list.insert(pos, i);
   used_[i] += problem_->object_size(k);
   ++total_replicas_;
-  const std::size_t m = problem_->sites();
-  for (SiteId j = 0; j < m; ++j) {
-    const double via_new = problem_->cost(j, i);
-    const std::size_t jc = cell(j, k);
-    if (closer_replica(via_new, i, nearest_cost_[jc], nearest_site_[jc])) {
+  const auto i_row = problem_->costs().row(i);  // C(i, j) == C(j, i)
+  const auto sites = problem_->demand_sites(k);
+  const std::size_t begin = problem_->demand_begin(k);
+  for (std::size_t j = 0; j < sites.size(); ++j) {
+    const std::size_t z = begin + j;
+    const double via_new = i_row[sites[j]];
+    if (closer_replica(via_new, i, nearest_cost_[z], nearest_site_[z])) {
       // New replica beats the old nearest: old nearest demotes to second.
-      second_cost_[jc] = nearest_cost_[jc];
-      second_site_[jc] = nearest_site_[jc];
-      nearest_cost_[jc] = via_new;
-      nearest_site_[jc] = i;
-    } else if (closer_replica(via_new, i, second_cost_[jc], second_site_[jc])) {
-      second_cost_[jc] = via_new;
-      second_site_[jc] = i;
+      second_cost_[z] = nearest_cost_[z];
+      second_site_[z] = nearest_site_[z];
+      nearest_cost_[z] = via_new;
+      nearest_site_[z] = i;
+    } else if (closer_replica(via_new, i, second_cost_[z], second_site_[z])) {
+      second_cost_[z] = via_new;
+      second_site_[z] = i;
     }
   }
 }
@@ -85,49 +147,23 @@ void ReplicationScheme::remove(SiteId i, ObjectId k) {
   if (i == problem_->primary(k))
     throw std::invalid_argument(
         "ReplicationScheme::remove: primary copies cannot be deallocated");
-  const std::size_t c = cell(i, k);
-  if (matrix_[c] == 0) return;
-  matrix_[c] = 0;
-  auto& list = replicas_[k];
-  list.erase(std::lower_bound(list.begin(), list.end(), i));
+  auto& list = replicas_.at(k);
+  const auto pos = std::lower_bound(list.begin(), list.end(), i);
+  if (pos == list.end() || *pos != i) return;
+  list.erase(pos);
   used_[i] -= problem_->object_size(k);
   --total_replicas_;
 
-  const std::size_t m = problem_->sites();
-  const SiteId sp = problem_->primary(k);
-  for (SiteId j = 0; j < m; ++j) {
-    const std::size_t jc = cell(j, k);
-    if (nearest_site_[jc] != i && second_site_[jc] != i) continue;
-    if (list.size() == 1) {
-      // Only the primary remains.
-      nearest_site_[jc] = sp;
-      nearest_cost_[jc] = problem_->cost(j, sp);
-      second_site_[jc] = sp;
-      second_cost_[jc] = kInf;
-      continue;
-    }
-    // Re-derive the lex (cost, id) top-2 from the surviving list. Ascending
-    // site-id iteration + strict closer_replica comparisons reproduce the
-    // same entries any history would: the cache stays a pure function of the
-    // replica set.
-    double best_c = kInf, sec_c = kInf;
-    SiteId best_s = sp, sec_s = sp;
-    for (SiteId rep : list) {
-      const double rc = problem_->cost(j, rep);
-      if (closer_replica(rc, rep, best_c, best_s)) {
-        sec_c = best_c;
-        sec_s = best_s;
-        best_c = rc;
-        best_s = rep;
-      } else if (closer_replica(rc, rep, sec_c, sec_s)) {
-        sec_c = rc;
-        sec_s = rep;
-      }
-    }
-    nearest_cost_[jc] = best_c;
-    nearest_site_[jc] = best_s;
-    second_cost_[jc] = sec_c;
-    second_site_[jc] = sec_c == kInf ? sp : sec_s;
+  const auto sites = problem_->demand_sites(k);
+  const std::size_t begin = problem_->demand_begin(k);
+  for (std::size_t j = 0; j < sites.size(); ++j) {
+    const std::size_t z = begin + j;
+    if (nearest_site_[z] != i && second_site_[z] != i) continue;
+    const Top2 top = top2(sites[j], k);
+    nearest_site_[z] = top.best_site;
+    nearest_cost_[z] = top.best_cost;
+    second_site_[z] = top.second_site;
+    second_cost_[z] = top.second_cost;
   }
 }
 

@@ -1,26 +1,27 @@
 #pragma once
-// Replication scheme: the boolean M×N matrix X plus the derived state the
-// algorithms need in their inner loops — per-object replica sets R_k kept
-// sorted by site id (CSR-style: ascending, duplicate-free, so iteration
-// order is deterministic and history-independent), the top-2-nearest replica
-// index per (site, object) (paper Section 2.1 extended with the
-// second-nearest, so remove() repairs locally instead of rebuilding a whole
-// column), and per-site used storage. All derived state is maintained
-// incrementally.
+// Replication scheme: the replica sets R_k of the boolean M×N matrix X plus
+// the derived state the algorithms need in their inner loops — per-object
+// replica lists kept sorted by site id (ascending, duplicate-free, so
+// iteration order is deterministic and history-independent), the
+// top-2-nearest replica cache per demand cell of the Problem (paper Section
+// 2.1 extended with the second-nearest, so remove() repairs locally instead
+// of rebuilding a whole row), and per-site used storage. All derived state
+// is maintained incrementally, and none of it is sized M·N: the cache
+// follows the Problem's demand rows, which are M·N only when every row is
+// full (core/problem.hpp).
 //
 // Determinism contract: every nearest/second-nearest decision orders
 // replicas by the lexicographic (cost, site id) key — on equal cost the
-// LOWEST site id wins. The cached index is therefore a pure function of the
-// replica *set*: the same matrix reached through any add/remove history
-// carries identical nearest_site_/second entries (the PR-4 SRA tie-break
-// convention, now enforced structurally).
+// LOWEST site id wins. The cached entries are therefore a pure function of
+// the replica *set*: the same replica sets reached through any add/remove
+// history carry identical cache entries (the SRA tie-break convention,
+// enforced structurally).
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/problem.hpp"
-#include "util/index.hpp"
 
 namespace drep::core {
 
@@ -30,9 +31,9 @@ struct AvailabilityConstraint;  // core/availability.hpp
 /// holds a reference to the problem; it must not outlive it.
 ///
 /// Invariants (enforced by every mutator):
-///   * X[SP_k][k] == 1 for every object (primary copies are immovable);
-///   * replica lists (sorted ascending), the top-2 nearest-replica index,
-///     and used-capacity accounting always agree with X;
+///   * SP_k ∈ R_k for every object (primary copies are immovable);
+///   * replica lists (sorted ascending), the demand-cell top-2 cache, and
+///     used-capacity accounting always agree with each other;
 ///   * nearest/second are the lex-smallest (cost, site id) replicators.
 /// Capacity is *checked* via fits()/is_valid() but not enforced on add(), so
 /// that the GA repair operators can inspect transiently invalid states.
@@ -56,38 +57,48 @@ class ReplicationScheme {
 
   [[nodiscard]] const Problem& problem() const noexcept { return *problem_; }
 
-  /// X_ik: true when site i holds a replica of object k.
-  [[nodiscard]] bool has_replica(SiteId i, ObjectId k) const {
-    return matrix_[cell(i, k)] != 0;
-  }
+  /// X_ik: true when site i holds a replica of object k. O(log |R_k|).
+  [[nodiscard]] bool has_replica(SiteId i, ObjectId k) const;
   /// Replicators of object k (always contains SP_k), sorted ascending by
   /// site id.
   [[nodiscard]] const std::vector<SiteId>& replicas(ObjectId k) const {
     return replicas_.at(k);
   }
-  /// Row-major M×N copy of X (0/1 cells).
-  [[nodiscard]] const std::vector<std::uint8_t>& matrix() const noexcept {
-    return matrix_;
-  }
+  /// X as a row-major M×N 0/1 matrix (a GA chromosome), built from the
+  /// replica lists on each call.
+  [[nodiscard]] std::vector<std::uint8_t> matrix() const;
 
   /// SN_k(i): the replicator of k closest to site i (possibly i itself).
-  /// Cost ties resolve to the lowest site id.
-  [[nodiscard]] SiteId nearest(SiteId i, ObjectId k) const {
-    return nearest_site_[cell(i, k)];
-  }
+  /// Cost ties resolve to the lowest site id. A cached read on a demand
+  /// cell; computed from R_k when the cell is absent from a partial row.
+  [[nodiscard]] SiteId nearest(SiteId i, ObjectId k) const;
   /// C(i, SN_k(i)); zero when i is itself a replicator.
-  [[nodiscard]] double nearest_cost(SiteId i, ObjectId k) const {
-    return nearest_cost_[cell(i, k)];
-  }
+  [[nodiscard]] double nearest_cost(SiteId i, ObjectId k) const;
   /// The second-closest replicator of k from site i (lex (cost, id) order
   /// after SN_k(i)) — what site i re-homes to if SN_k(i) disappears. When
   /// |R_k| < 2 there is no fallback: second_nearest_cost is +infinity and
   /// second_nearest returns SP_k as a sentinel.
-  [[nodiscard]] SiteId second_nearest(SiteId i, ObjectId k) const {
-    return second_site_[cell(i, k)];
+  [[nodiscard]] SiteId second_nearest(SiteId i, ObjectId k) const;
+  [[nodiscard]] double second_nearest_cost(SiteId i, ObjectId k) const;
+
+  /// The top-2 cache at demand cell z (an index into the Problem's demand
+  /// arrays), with the semantics of nearest()/second_nearest().
+  [[nodiscard]] SiteId nearest_site_at(std::size_t z) const {
+    return nearest_site_.at(z);
   }
-  [[nodiscard]] double second_nearest_cost(SiteId i, ObjectId k) const {
-    return second_cost_[cell(i, k)];
+  [[nodiscard]] double nearest_cost_at(std::size_t z) const {
+    return nearest_cost_.at(z);
+  }
+  [[nodiscard]] SiteId second_site_at(std::size_t z) const {
+    return second_site_.at(z);
+  }
+  [[nodiscard]] double second_cost_at(std::size_t z) const {
+    return second_cost_.at(z);
+  }
+  /// Unchecked view of the whole nearest-cost cache (demand-cell indexed)
+  /// for hot scans that already hold in-range indices.
+  [[nodiscard]] const double* nearest_cost_data() const noexcept {
+    return nearest_cost_.data();
   }
 
   /// Data units of storage consumed at site i by this scheme.
@@ -101,7 +112,8 @@ class ReplicationScheme {
   /// the ledger ever represents (a site can hold at most every object), so
   /// it bounds the drift of any add/remove history.
   [[nodiscard]] double capacity_slack(SiteId i) const {
-    return kCapacityRelEps * (1.0 + problem_->capacity(i) + object_mass_);
+    return kCapacityRelEps *
+           (1.0 + problem_->capacity(i) + problem_->total_object_size());
   }
   /// True when object k currently fits in site i's remaining capacity,
   /// within capacity_slack(i) — a shortfall smaller than the slack is
@@ -117,14 +129,15 @@ class ReplicationScheme {
   /// problem.
   [[nodiscard]] bool is_valid(const AvailabilityConstraint& constraint) const;
 
-  /// Adds a replica of k at i and updates the top-2 nearest index in O(M).
-  /// No-op when the replica already exists. Does not check capacity.
+  /// Adds a replica of k at i and updates the top-2 cache of object k's
+  /// demand row in O(|row|). No-op when the replica already exists. Does
+  /// not check capacity.
   void add(SiteId i, ObjectId k);
-  /// Removes the replica of k at i. Rows whose cached top-2 does not involve
-  /// i are untouched (O(1)); affected rows re-derive nearest/second from the
-  /// remaining replicas — O(M + A·|R_k|) with A the number of affected rows,
-  /// instead of the former O(M·|R_k|) full-column rebuild.
-  /// Throws std::invalid_argument when i is SP_k; no-op when absent.
+  /// Removes the replica of k at i. Cells whose cached top-2 does not
+  /// involve i are untouched (O(1)); affected cells re-derive nearest/second
+  /// from the remaining replicas — O(|row| + A·|R_k|) with A the number of
+  /// affected cells. Throws std::invalid_argument when i is SP_k; no-op when
+  /// absent.
   void remove(SiteId i, ObjectId k);
 
   /// Total replica count Σ_k |R_k| (primaries included).
@@ -136,26 +149,31 @@ class ReplicationScheme {
   }
 
  private:
-  [[nodiscard]] std::size_t cell(SiteId i, ObjectId k) const {
-    return util::dense_cell(i, problem_->objects(), k);
-  }
+  /// The lex (cost, id) top-2 replicators of k seen from site j; second is
+  /// the (+inf, SP_k) sentinel when |R_k| < 2.
+  struct Top2 {
+    SiteId best_site;
+    double best_cost;
+    SiteId second_site;
+    double second_cost;
+  };
+  [[nodiscard]] Top2 top2(SiteId j, ObjectId k) const;
 
   const Problem* problem_;
-  std::vector<std::uint8_t> matrix_;      // row-major [site][object]
   std::vector<std::vector<SiteId>> replicas_;  // per object, ascending
-  std::vector<SiteId> nearest_site_;      // row-major [site][object]
-  std::vector<double> nearest_cost_;      // row-major [site][object]
-  std::vector<SiteId> second_site_;       // row-major [site][object]
-  std::vector<double> second_cost_;       // row-major [site][object]
+  // Top-2 cache, one entry per demand cell of the problem.
+  std::vector<SiteId> nearest_site_;
+  std::vector<double> nearest_cost_;
+  std::vector<SiteId> second_site_;
+  std::vector<double> second_cost_;
   std::vector<double> used_;
-  double object_mass_ = 0.0;  // Σ_k o_k, fixed at construction
   std::size_t total_replicas_ = 0;
 };
 
 /// The deterministic replica ordering: true when replica a at cost `cost_a`
 /// beats replica b at `cost_b` — strictly cheaper, or equal cost with the
-/// lower site id. Shared by the scheme, the sparse scheme, and the audit
-/// validators so every layer breaks ties identically.
+/// lower site id. Shared by the scheme and the audit validators so every
+/// layer breaks ties identically.
 [[nodiscard]] constexpr bool closer_replica(double cost_a, SiteId a,
                                             double cost_b, SiteId b) noexcept {
   return cost_a < cost_b || (cost_a == cost_b && a < b);

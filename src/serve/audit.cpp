@@ -33,36 +33,28 @@ void expect_eq(Violations& violations, const std::string& invariant,
 
 Violations check_snapshot_coherence(const SchemeSnapshot& snapshot) {
   Violations violations;
-  const std::size_t cells =
-      snapshot.layout() == SchemeSnapshot::Layout::kDense
-          ? snapshot.sites() * snapshot.objects()
-          : snapshot.demand_cells();
-  // Shape: every routing array covers exactly the layout's cell set. The
-  // accessors are bounds-checked, so probing the last cell verifies length.
-  if (cells > 0) {
+  const std::size_t cells = snapshot.demand_cells();
+  // Shape: every routing array covers exactly the demand cells. The
+  // accessors are bounds-checked, so probing the last entry verifies length.
+  if (snapshot.objects() > 0) {
+    const auto last_object =
+        static_cast<core::ObjectId>(snapshot.objects() - 1);
     try {
-      if (snapshot.layout() == SchemeSnapshot::Layout::kDense) {
-        (void)snapshot.nearest(
-            static_cast<core::SiteId>(snapshot.sites() - 1),
-            static_cast<core::ObjectId>(snapshot.objects() - 1));
-        (void)snapshot.primary_cost(
-            static_cast<core::SiteId>(snapshot.sites() - 1),
-            static_cast<core::ObjectId>(snapshot.objects() - 1));
-      } else {
-        (void)snapshot.nearest_at(cells - 1);
+      if (cells > 0) {
+        (void)snapshot.nearest_cost_at(cells - 1);
         (void)snapshot.primary_cost_at(cells - 1);
-        expect_eq(violations, "snapshot.shape", "demand_end(last object)",
-                  cells,
-                  snapshot.demand_end(
-                      static_cast<core::ObjectId>(snapshot.objects() - 1)));
+        (void)snapshot.demand_site(cells - 1);
       }
-      (void)snapshot.primary(
-          static_cast<core::ObjectId>(snapshot.objects() - 1));
-      (void)snapshot.write_surcharge(
-          static_cast<core::ObjectId>(snapshot.objects() - 1));
+      expect_eq(violations, "snapshot.shape", "demand_end(last object)",
+                cells, snapshot.demand_end(last_object));
+      if (snapshot.full_rows())
+        expect_eq(violations, "snapshot.shape", "full-row cell count",
+                  snapshot.sites() * snapshot.objects(), cells);
+      (void)snapshot.primary(last_object);
+      (void)snapshot.write_surcharge(last_object);
     } catch (const std::out_of_range&) {
       add(violations, "snapshot.shape",
-          "routing arrays shorter than the layout's cell count");
+          "routing arrays shorter than the demand cell count");
     }
   }
   const std::uint64_t recomputed = snapshot.compute_checksum();
@@ -79,95 +71,46 @@ Violations check_snapshot_coherence(const SchemeSnapshot& snapshot) {
 Violations check_snapshot_coherence(const SchemeSnapshot& snapshot,
                                     const core::ReplicationScheme& scheme) {
   Violations violations = check_snapshot_coherence(snapshot);
-  if (snapshot.layout() != SchemeSnapshot::Layout::kDense) {
-    add(violations, "snapshot.layout",
-        "dense scheme cross-check against a non-dense snapshot");
-    return violations;
-  }
   const core::Problem& problem = scheme.problem();
   expect_eq(violations, "snapshot.shape", "sites", problem.sites(),
             snapshot.sites());
   expect_eq(violations, "snapshot.shape", "objects", problem.objects(),
             snapshot.objects());
+  expect_eq(violations, "snapshot.shape", "demand cells",
+            problem.demand_cells(), snapshot.demand_cells());
   if (snapshot.sites() != problem.sites() ||
-      snapshot.objects() != problem.objects())
+      snapshot.objects() != problem.objects() ||
+      snapshot.demand_cells() != problem.demand_cells())
     return violations;
   expect_eq(violations, "snapshot.replicas", "total_replicas",
             scheme.total_replicas(), snapshot.total_replicas());
   for (core::ObjectId k = 0; k < problem.objects(); ++k) {
-    expect_eq(violations, "snapshot.primary", "primary of object " +
-                  std::to_string(k),
-              problem.primary(k), snapshot.primary(k));
-    double surcharge = 0.0;
-    for (const core::SiteId r : scheme.replicas(k))
-      surcharge += problem.cost(problem.primary(k), r);
-    expect_eq(violations, "snapshot.write_surcharge",
-              "W of object " + std::to_string(k), surcharge,
-              snapshot.write_surcharge(k));
-  }
-  for (core::SiteId i = 0; i < problem.sites(); ++i) {
-    for (core::ObjectId k = 0; k < problem.objects(); ++k) {
-      expect_eq(violations, "snapshot.nearest", "nearest " + at_cell(i, k),
-                scheme.nearest(i, k), snapshot.nearest(i, k));
-      expect_eq(violations, "snapshot.nearest", "nearest cost " +
-                    at_cell(i, k),
-                scheme.nearest_cost(i, k), snapshot.nearest_cost(i, k));
-      expect_eq(violations, "snapshot.primary_cost",
-                "primary cost " + at_cell(i, k),
-                problem.cost(i, problem.primary(k)),
-                snapshot.primary_cost(i, k));
-    }
-  }
-  return violations;
-}
-
-Violations check_snapshot_coherence(
-    const SchemeSnapshot& snapshot,
-    const core::SparseReplicationScheme& scheme) {
-  Violations violations = check_snapshot_coherence(snapshot);
-  if (snapshot.layout() != SchemeSnapshot::Layout::kSparse) {
-    add(violations, "snapshot.layout",
-        "sparse scheme cross-check against a non-sparse snapshot");
-    return violations;
-  }
-  const core::SparseInstance& instance = scheme.instance();
-  expect_eq(violations, "snapshot.shape", "sites", instance.sites(),
-            snapshot.sites());
-  expect_eq(violations, "snapshot.shape", "objects", instance.objects(),
-            snapshot.objects());
-  expect_eq(violations, "snapshot.shape", "demand cells",
-            instance.demand_cells(), snapshot.demand_cells());
-  if (snapshot.objects() != instance.objects() ||
-      snapshot.demand_cells() != instance.demand_cells())
-    return violations;
-  expect_eq(violations, "snapshot.replicas", "total_replicas",
-            scheme.total_replicas(), snapshot.total_replicas());
-  for (core::ObjectId k = 0; k < instance.objects(); ++k) {
+    const core::SiteId sp = problem.primary(k);
     expect_eq(violations, "snapshot.primary",
-              "primary of object " + std::to_string(k), instance.primary(k),
+              "primary of object " + std::to_string(k), sp,
               snapshot.primary(k));
     double surcharge = 0.0;
     for (const core::SiteId r : scheme.replicas(k))
-      surcharge += instance.cost(instance.primary(k), r);
+      surcharge += problem.cost(sp, r);
     expect_eq(violations, "snapshot.write_surcharge",
               "W of object " + std::to_string(k), surcharge,
               snapshot.write_surcharge(k));
     expect_eq(violations, "snapshot.shape",
               "demand_begin of object " + std::to_string(k),
-              instance.demand_begin(k), snapshot.demand_begin(k));
-    for (std::size_t z = instance.demand_begin(k); z < instance.demand_end(k);
-         ++z) {
-      const std::string where = "cell " + std::to_string(z) + " of object " +
-                                std::to_string(k);
-      expect_eq(violations, "snapshot.shape", "site of " + where,
-                instance.demand_sites()[z], snapshot.demand_site(z));
-      expect_eq(violations, "snapshot.nearest", "nearest of " + where,
+              problem.demand_begin(k), snapshot.demand_begin(k));
+    const auto sites = problem.demand_sites(k);
+    for (std::size_t j = 0; j < sites.size(); ++j) {
+      const std::size_t z = problem.demand_begin(k) + j;
+      const core::SiteId i = sites[j];
+      expect_eq(violations, "snapshot.shape", "site of " + at_cell(i, k), i,
+                snapshot.demand_site(z));
+      expect_eq(violations, "snapshot.nearest", "nearest " + at_cell(i, k),
                 scheme.nearest_site_at(z), snapshot.nearest_at(z));
-      expect_eq(violations, "snapshot.nearest", "nearest cost of " + where,
-                scheme.nearest_cost_at(z), snapshot.nearest_cost_at(z));
+      expect_eq(violations, "snapshot.nearest",
+                "nearest cost " + at_cell(i, k), scheme.nearest_cost_at(z),
+                snapshot.nearest_cost_at(z));
       expect_eq(violations, "snapshot.primary_cost",
-                "primary cost of " + where,
-                instance.cost(instance.demand_sites()[z], instance.primary(k)),
+                "primary cost " + at_cell(i, k), problem.cost(i, sp),
                 snapshot.primary_cost_at(z));
     }
   }

@@ -7,33 +7,29 @@
 // aggregate its findings exactly like every other validator.
 //
 // Two strengths:
-//   * check_snapshot_coherence(snapshot) — internal integrity: shapes agree
-//     with the stamped layout and the recomputed FNV checksum equals the
-//     stamped one. Cheap enough for readers to spot-check pinned snapshots
+//   * check_snapshot_coherence(snapshot) — internal integrity: the routing
+//     arrays cover the demand cells and the recomputed FNV checksum equals
+//     the stamped one. Cheap enough for readers to spot-check pinned snapshots
 //     (the reader-vs-swap stress suite does), and the line of defense
 //     against a torn or corrupted publish.
 //   * check_snapshot_coherence(snapshot, scheme) — fidelity: every frozen
 //     routing entry equals the scheme it claims to be frozen from, bit for
-//     bit (nearest tables under the lex (cost, id) contract, primaries,
-//     write surcharges re-accumulated in ascending replica order).
+//     bit, demand cell by demand cell (nearest entries under the lex
+//     (cost, id) contract, primaries, write surcharges re-accumulated in
+//     ascending replica order).
 
 #include "audit/invariants.hpp"
 #include "serve/snapshot.hpp"
 
 namespace drep::audit {
 
-/// Internal integrity: layout/shape consistency + checksum recompute.
+/// Internal integrity: shape consistency + checksum recompute.
 [[nodiscard]] Violations check_snapshot_coherence(
     const serve::SchemeSnapshot& snapshot);
 
-/// Fidelity to a dense scheme (implies the internal check).
+/// Fidelity to the scheme it was frozen from (implies the internal check).
 [[nodiscard]] Violations check_snapshot_coherence(
     const serve::SchemeSnapshot& snapshot,
     const core::ReplicationScheme& scheme);
-
-/// Fidelity to a sparse scheme (implies the internal check).
-[[nodiscard]] Violations check_snapshot_coherence(
-    const serve::SchemeSnapshot& snapshot,
-    const core::SparseReplicationScheme& scheme);
 
 }  // namespace drep::audit

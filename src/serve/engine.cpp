@@ -171,7 +171,7 @@ ServeReport serve_trace(const core::Problem& problem,
           log_site[j] = outcome.served_by;
           log_cost[j] = outcome.cost;
           const std::size_t cell =
-              static_cast<std::size_t>(request.site) * objects + request.object;
+              static_cast<std::size_t>(request.object) * sites + request.site;
           (request.is_write ? writes : reads)[cell] += 1.0;
         }
         reader.unpin();
@@ -204,9 +204,11 @@ ServeReport serve_trace(const core::Problem& problem,
           local_writes[w][c] = 0.0;
         }
       }
-      for (core::SiteId i = 0; i < sites; ++i) {
-        for (core::ObjectId k = 0; k < objects; ++k) {
-          const std::size_t cell = static_cast<std::size_t>(i) * objects + k;
+      // Object-major, the Problem's row order; each object's cells are
+      // still set in ascending site order, so its totals accrue as before.
+      for (core::ObjectId k = 0; k < objects; ++k) {
+        for (core::SiteId i = 0; i < sites; ++i) {
+          const std::size_t cell = static_cast<std::size_t>(k) * sites + i;
           retune_problem.set_reads(i, k, observed_reads[cell]);
           retune_problem.set_writes(i, k, observed_writes[cell]);
         }
@@ -302,7 +304,7 @@ ServeReport serve_timed(const core::Problem& problem,
             snapshot->serve(request.site, request.object, request.is_write);
         cost += outcome.cost;
         const std::size_t cell =
-            static_cast<std::size_t>(request.site) * objects + request.object;
+            static_cast<std::size_t>(request.object) * sites + request.site;
         (request.is_write ? counts.writes : counts.reads)[cell].fetch_add(
             1, std::memory_order_relaxed);
       }
@@ -336,10 +338,9 @@ ServeReport serve_timed(const core::Problem& problem,
         if (now >= deadline) break;
         std::this_thread::sleep_until(std::min(now + interval, deadline));
         if (Clock::now() >= deadline) break;
-        for (core::SiteId i = 0; i < sites; ++i) {
-          for (core::ObjectId k = 0; k < objects; ++k) {
-            const std::size_t cell =
-                static_cast<std::size_t>(i) * objects + k;
+        for (core::ObjectId k = 0; k < objects; ++k) {
+          for (core::SiteId i = 0; i < sites; ++i) {
+            const std::size_t cell = static_cast<std::size_t>(k) * sites + i;
             double reads = 0.0;
             double writes = 0.0;
             for (std::size_t w = 0; w < workers; ++w) {

@@ -19,23 +19,26 @@
 //                       W_k = Σ_{r ∈ R_k} C(SP_k, r) is the frozen
 //                       propagation surcharge of object k's replica set.
 //
-// Layouts: kDense freezes the full M×N nearest table (from a dense
-// ReplicationScheme); kSparse freezes only the instance's CSR demand cells
-// (from a SparseReplicationScheme), addressed by demand-cell index — the
-// cells any workload over that instance can ever hit.
+// Layout: one routing entry per demand cell of the Problem, in its CSR
+// order (core/problem.hpp), with a copy of the row offsets. On a full-row
+// instance that is every (site, object) cell, the site of cell z is
+// z mod M, and serve(i, k) indexes cell k·M + i in O(1) (the serving hot
+// path); on a partial-row instance it is the cells any workload over that
+// instance can hit, with their sites copied too, addressed by demand-cell
+// index through serve_cell().
 //
 // Every snapshot carries its generation (the publish version) and an FNV-1a
 // checksum over all frozen arrays, so audit::check_snapshot_coherence can
 // certify both internal integrity (no torn/corrupted table) and fidelity to
 // the scheme it was frozen from.
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/replication.hpp"
-#include "core/sparse_scheme.hpp"
 
 namespace drep::serve {
 
@@ -53,19 +56,12 @@ struct Outcome {
 
 class SchemeSnapshot {
  public:
-  enum class Layout : std::uint8_t { kDense = 0, kSparse = 1 };
-
-  /// Freezes a dense scheme into the full M×N routing table, stamped with
-  /// `generation`. The snapshot is self-contained (costs are copied out of
+  /// Freezes a scheme's routing table, stamped with `generation`. The
+  /// snapshot is self-contained (costs and row addressing are copied out of
   /// the problem), so it outlives scheme and problem alike.
   [[nodiscard]] static SchemeSnapshot freeze(
       const core::ReplicationScheme& scheme, std::uint64_t generation);
-  /// Freezes a sparse scheme's demand-cell routing table (CSR-aligned with
-  /// the instance's demand arrays).
-  [[nodiscard]] static SchemeSnapshot freeze(
-      const core::SparseReplicationScheme& scheme, std::uint64_t generation);
 
-  [[nodiscard]] Layout layout() const noexcept { return layout_; }
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
   }
@@ -80,30 +76,33 @@ class SchemeSnapshot {
   /// on every intact snapshot.
   [[nodiscard]] std::uint64_t compute_checksum() const noexcept;
 
-  // --- dense hot path (layout() == kDense; unchecked indices) -------------
+  // --- routing by (site, object) ------------------------------------------
+
+  /// True when every row is full: the table covers every (site, object)
+  /// cell, at index k·M + i.
+  [[nodiscard]] bool full_rows() const noexcept { return full_rows_; }
 
   /// Serves one request. Pure function of (snapshot, request): the engine's
-  /// cross-worker determinism rests on exactly this.
+  /// cross-worker determinism rests on exactly this. The hot path: requires
+  /// full_rows() and in-range ids (unchecked); a partial-row snapshot is
+  /// served by demand cell through serve_cell().
   [[nodiscard]] Outcome serve(core::SiteId site, core::ObjectId object,
                               bool is_write) const noexcept {
-    const std::size_t cell =
-        static_cast<std::size_t>(site) * objects_ + object;
-    if (is_write)
-      return {primary_[object],
-              primary_cost_[cell] + write_surcharge_[object]};
-    return {nearest_site_[cell], nearest_cost_[cell]};
+    assert(full_rows_);
+    return serve_cell(static_cast<std::size_t>(object) * sites_ + site,
+                      object, is_write);
   }
+  /// Checked lookups by (site, object): O(1) on full rows, a binary search
+  /// of the row otherwise; std::out_of_range for a cell never frozen.
   [[nodiscard]] core::SiteId nearest(core::SiteId i, core::ObjectId k) const {
-    return nearest_site_.at(static_cast<std::size_t>(i) * objects_ + k);
+    return nearest_site_.at(cell(i, k));
   }
   [[nodiscard]] double nearest_cost(core::SiteId i, core::ObjectId k) const {
-    return nearest_cost_.at(static_cast<std::size_t>(i) * objects_ + k);
+    return nearest_cost_.at(cell(i, k));
   }
   [[nodiscard]] double primary_cost(core::SiteId i, core::ObjectId k) const {
-    return primary_cost_.at(static_cast<std::size_t>(i) * objects_ + k);
+    return primary_cost_.at(cell(i, k));
   }
-
-  // --- shared ------------------------------------------------------------
 
   [[nodiscard]] core::SiteId primary(core::ObjectId k) const {
     return primary_.at(k);
@@ -113,10 +112,10 @@ class SchemeSnapshot {
     return write_surcharge_.at(k);
   }
 
-  // --- sparse path (layout() == kSparse) ----------------------------------
+  // --- routing by demand cell ----------------------------------------------
 
   [[nodiscard]] std::size_t demand_cells() const noexcept {
-    return demand_sites_.size();
+    return nearest_site_.size();
   }
   [[nodiscard]] std::size_t demand_begin(core::ObjectId k) const {
     return demand_offsets_.at(k);
@@ -124,9 +123,7 @@ class SchemeSnapshot {
   [[nodiscard]] std::size_t demand_end(core::ObjectId k) const {
     return demand_offsets_.at(static_cast<std::size_t>(k) + 1);
   }
-  [[nodiscard]] core::SiteId demand_site(std::size_t z) const {
-    return demand_sites_.at(z);
-  }
+  [[nodiscard]] core::SiteId demand_site(std::size_t z) const;
   /// Serves a request issued from demand cell z of object k (unchecked).
   [[nodiscard]] Outcome serve_cell(std::size_t z, core::ObjectId object,
                                    bool is_write) const noexcept {
@@ -153,22 +150,26 @@ class SchemeSnapshot {
  private:
   SchemeSnapshot() = default;
 
-  Layout layout_ = Layout::kDense;
+  /// Demand-cell index of (site, object) for the checked lookups.
+  [[nodiscard]] std::size_t cell(core::SiteId site,
+                                 core::ObjectId object) const;
+
   std::uint64_t generation_ = 0;
   std::size_t sites_ = 0;
   std::size_t objects_ = 0;
   std::size_t total_replicas_ = 0;
   std::uint64_t checksum_ = 0;
+  bool full_rows_ = false;  // every row lists all sites: cell = k·M + i
 
-  // kDense: M×N row-major cells. kSparse: one entry per CSR demand cell.
+  // One entry per demand cell, in the problem's CSR order.
   std::vector<core::SiteId> nearest_site_;
   std::vector<double> nearest_cost_;
   std::vector<double> primary_cost_;  // C(cell site, SP_k)
   std::vector<core::SiteId> primary_;        // per object
   std::vector<double> write_surcharge_;      // per object
-  // kSparse only: copy of the instance's CSR addressing.
+  // Copy of the problem's row addressing; the sites only for partial rows.
   std::vector<std::size_t> demand_offsets_;  // N+1
-  std::vector<core::SiteId> demand_sites_;   // nnz
+  std::vector<core::SiteId> demand_sites_;   // per demand cell, or empty
 };
 
 }  // namespace drep::serve

@@ -163,7 +163,7 @@ std::vector<double> StreamGen::capacities() const {
   return caps;
 }
 
-core::SparseInstance build_sparse_instance(const StreamConfig& config) {
+core::Problem build_sparse_instance(const StreamConfig& config) {
   const StreamGen gen(config);
   std::vector<double> sizes(config.objects, 0.0);
   std::vector<core::SiteId> primaries(config.objects, 0);
@@ -172,20 +172,15 @@ core::SparseInstance build_sparse_instance(const StreamConfig& config) {
     sizes[k] = spec.size;
     primaries[k] = spec.primary;
   }
-  core::SparseInstance instance(gen.costs(), std::move(sizes),
-                                std::move(primaries), gen.capacities());
-  for (core::ObjectId k = 0; k < config.objects; ++k) {
-    const ObjectSpec spec = gen.object(k);
-    instance.push_object_demands(k, spec.demands);
-  }
+  core::Problem instance(
+      gen.costs(), std::move(sizes), std::move(primaries), gen.capacities(),
+      [&gen](core::ObjectId k) { return gen.object(k).demands; });
   instance.validate();
   return instance;
 }
 
 core::Problem materialize_problem(const StreamConfig& config) {
-  core::Problem problem = build_sparse_instance(config).materialize();
-  problem.validate();
-  return problem;
+  return build_sparse_instance(config).materialize();
 }
 
 }  // namespace drep::workload

@@ -1,13 +1,12 @@
 #pragma once
 // Streaming sparse-workload generator — instances far beyond what
-// workload::generate can materialize (its dense request matrices are M·N
-// doubles each).
+// workload::generate can materialize (its full demand rows hold M·N cells).
 //
 // Section 6.1's workload gives EVERY site a nonzero read count for every
-// object, which is exactly the dense regime the sparse refactor escapes.
-// The streaming generator instead draws, per object, a bounded set of
-// reader/writer sites (the realistic access-locality regime the adaptive
-// experiments of Section 7 motivate), so an instance's footprint is
+// object, so every row is full. The streaming generator instead draws, per
+// object, a bounded set of reader/writer sites (the realistic
+// access-locality regime the adaptive experiments of Section 7 motivate)
+// and stores them as partial rows, so an instance's footprint is
 // Θ(M² + N + nnz).
 //
 // Determinism and purity: object k's spec is drawn from rng.fork(k)-derived
@@ -17,16 +16,15 @@
 // random points in the unit square (Euclidean per-unit costs, metric by
 // construction, O(M²) — a shortest-path closure at M=1000 would cost O(M³)).
 //
-// Dense equivalence: build_sparse_instance(config) and
-// materialize_problem(config) describe bit-identical instances
-// (materialize_problem == build_sparse_instance(config).materialize(); the
-// differential suites rely on it).
+// Row-shape equivalence: build_sparse_instance(config) stores each object's
+// demanding sites as a partial row; materialize_problem(config) is the same
+// instance with every row full (build_sparse_instance(config).materialize()).
+// The differential suites run one kernel on both and demand identical bits.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/problem.hpp"
-#include "core/sparse_instance.hpp"
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 
@@ -103,13 +101,13 @@ class StreamGen {
   double base_capacity_ = 0.0;
 };
 
-/// Builds the CSR instance by streaming every object once. The result
-/// satisfies SparseInstance::validate().
-[[nodiscard]] core::SparseInstance build_sparse_instance(
-    const StreamConfig& config);
+/// Builds the partial-row instance by streaming every object once: memory
+/// Θ(M² + N + nnz). The result passes Problem::validate() (checked here,
+/// O(M³) for the metric test).
+[[nodiscard]] core::Problem build_sparse_instance(const StreamConfig& config);
 
-/// Dense materialization of the same instance (differential-test scale
-/// only). Bit-identical to build_sparse_instance(config).materialize().
+/// The same instance with every row full (M·N cells; differential-test
+/// scale only). Equal to build_sparse_instance(config).materialize().
 [[nodiscard]] core::Problem materialize_problem(const StreamConfig& config);
 
 }  // namespace drep::workload

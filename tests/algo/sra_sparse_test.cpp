@@ -1,16 +1,16 @@
-// Sparse SRA conformance: solve_sra_sparse must reproduce the dense
-// solve_sra trajectory bit-for-bit on the materialized instance — final
-// cost/savings/replica count, the per-run statistics (site visits and
-// benefit evaluations, including the dead-candidate emulation), and the
-// full scheme state.
+// SRA row-shape conformance: one kernel, two row shapes. solve_sra on the
+// partial rows of build_sparse_instance and on the full rows of the same
+// instance must agree bit-for-bit — final cost/savings/replica lists, the
+// per-run statistics (site visits and benefit evaluations, including the
+// dead-candidate count), the rng stream consumed, and the scheme state.
 
-#include "algo/sra_sparse.hpp"
+#include "algo/sra.hpp"
 
 #include <gtest/gtest.h>
 
-#include "algo/sra.hpp"
 #include "audit/invariants.hpp"
-#include "core/sparse_scheme.hpp"
+#include "core/cost_model.hpp"
+#include "testing/row_shapes.hpp"
 #include "util/rng.hpp"
 #include "workload/stream_gen.hpp"
 
@@ -29,31 +29,34 @@ TEST_P(SparseSraDifferential, MatchesDenseSraBitForBit) {
   config.sites = 11;
   config.objects = 60;
   config.seed = GetParam().seed;
-  const core::SparseInstance inst = workload::build_sparse_instance(config);
-  const core::Problem dense_problem = inst.materialize();
+  const core::Problem inst = workload::build_sparse_instance(config);
+  const core::Problem full_problem = workload::materialize_problem(config);
 
   SraConfig sra_config;
   sra_config.site_order = GetParam().order;
 
-  util::Rng sparse_rng(GetParam().seed * 3 + 1);
-  util::Rng dense_rng = sparse_rng;
-  SraStats sparse_stats;
-  SraStats dense_stats;
-  const SparseSraResult sparse =
-      solve_sra_sparse(inst, sra_config, sparse_rng, &sparse_stats);
-  const AlgorithmResult dense =
-      solve_sra(dense_problem, sra_config, dense_rng, &dense_stats);
+  util::Rng partial_rng(GetParam().seed * 3 + 1);
+  util::Rng full_rng = partial_rng;
+  SraStats partial_stats;
+  SraStats full_stats;
+  const AlgorithmResult partial =
+      solve_sra(inst, sra_config, partial_rng, &partial_stats);
+  const AlgorithmResult full =
+      solve_sra(full_problem, sra_config, full_rng, &full_stats);
 
-  EXPECT_EQ(sparse.cost, dense.cost);
-  EXPECT_EQ(sparse.savings_percent, dense.savings_percent);
-  EXPECT_EQ(sparse.extra_replicas, dense.extra_replicas);
-  EXPECT_EQ(sparse_stats.site_visits, dense_stats.site_visits);
-  EXPECT_EQ(sparse_stats.benefit_evaluations, dense_stats.benefit_evaluations);
-  EXPECT_EQ(sparse_stats.replicas_created, dense_stats.replicas_created);
-  EXPECT_TRUE(audit::check_sparse_scheme(sparse.scheme).empty());
-  EXPECT_TRUE(audit::check_sparse_dense(sparse.scheme, dense.scheme).empty());
+  EXPECT_EQ(partial.cost, full.cost);
+  EXPECT_EQ(partial.savings_percent, full.savings_percent);
+  EXPECT_EQ(partial.extra_replicas, full.extra_replicas);
+  EXPECT_EQ(partial.iterations, full.iterations);
+  EXPECT_EQ(partial_stats.site_visits, full_stats.site_visits);
+  EXPECT_EQ(partial_stats.benefit_evaluations, full_stats.benefit_evaluations);
+  EXPECT_EQ(partial_stats.replicas_created, full_stats.replicas_created);
+  EXPECT_TRUE(audit::check_scheme(partial.scheme).empty());
+  EXPECT_TRUE(audit::check_sra_terminal(partial.scheme).empty());
+  EXPECT_TRUE(audit::check_sra_terminal(full.scheme).empty());
+  EXPECT_TRUE(testing::compare_row_shapes(partial.scheme, full.scheme).empty());
   // The two rngs must also have consumed identical stream positions.
-  EXPECT_EQ(sparse_rng.next(), dense_rng.next());
+  EXPECT_EQ(partial_rng.next(), full_rng.next());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -70,11 +73,11 @@ TEST(SparseSra, DeterministicAcrossRuns) {
   config.sites = 10;
   config.objects = 50;
   config.seed = 71;
-  const core::SparseInstance inst = workload::build_sparse_instance(config);
+  const core::Problem inst = workload::build_sparse_instance(config);
   util::Rng rng_a(5);
   util::Rng rng_b(5);
-  const SparseSraResult a = solve_sra_sparse(inst, SraConfig{}, rng_a);
-  const SparseSraResult b = solve_sra_sparse(inst, SraConfig{}, rng_b);
+  const AlgorithmResult a = solve_sra(inst, SraConfig{}, rng_a);
+  const AlgorithmResult b = solve_sra(inst, SraConfig{}, rng_b);
   EXPECT_EQ(a.cost, b.cost);
   EXPECT_EQ(a.extra_replicas, b.extra_replicas);
   for (core::ObjectId k = 0; k < inst.objects(); ++k)
@@ -86,8 +89,8 @@ TEST(SparseSra, ImprovesOnPrimaryOnlyWhenBeneficial) {
   config.sites = 12;
   config.objects = 80;
   config.seed = 73;
-  const core::SparseInstance inst = workload::build_sparse_instance(config);
-  const SparseSraResult result = solve_sra_sparse(inst);
+  const core::Problem inst = workload::build_sparse_instance(config);
+  const AlgorithmResult result = solve_sra(inst);
   EXPECT_LE(result.cost, core::primary_only_cost(inst));
   EXPECT_GE(result.savings_percent, 0.0);
   EXPECT_GT(result.iterations, 0u);

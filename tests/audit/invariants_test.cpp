@@ -9,7 +9,6 @@
 #include "core/availability.hpp"
 #include "core/benefit.hpp"
 #include "core/cost_model.hpp"
-#include "core/sparse_scheme.hpp"
 #include "testing/builders.hpp"
 #include "util/rng.hpp"
 #include "workload/stream_gen.hpp"
@@ -62,12 +61,14 @@ TEST(AuditCheckScheme, CleanAfterRandomChurn) {
 }
 
 TEST(AuditCheckSparseScheme, CleanAfterMirroredChurn) {
+  // check_scheme walks demand rows, so it audits a scheme over the partial
+  // rows of a streamed instance exactly as it does a full-row one.
   workload::StreamConfig config;
   config.sites = 8;
   config.objects = 20;
   config.seed = 55;
-  const core::SparseInstance inst = workload::build_sparse_instance(config);
-  core::SparseReplicationScheme scheme(inst);
+  const core::Problem inst = workload::build_sparse_instance(config);
+  core::ReplicationScheme scheme(inst);
   util::Rng rng(3);
   for (int step = 0; step < 300; ++step) {
     const auto i = static_cast<core::SiteId>(rng.index(inst.sites()));
@@ -79,54 +80,7 @@ TEST(AuditCheckSparseScheme, CleanAfterMirroredChurn) {
       scheme.add(i, k);
     }
   }
-  EXPECT_TRUE(audit::check_sparse_scheme(scheme).empty());
-}
-
-TEST(AuditCheckSparseDense, CleanOnMirroredSchemesCatchesDivergence) {
-  workload::StreamConfig config;
-  config.sites = 8;
-  config.objects = 20;
-  config.seed = 56;
-  const core::SparseInstance inst = workload::build_sparse_instance(config);
-  const core::Problem problem = inst.materialize();
-  core::SparseReplicationScheme sparse(inst);
-  core::ReplicationScheme dense(problem);
-  util::Rng rng(4);
-  core::SiteId extra_i = 0;
-  core::ObjectId extra_k = 0;
-  for (int step = 0; step < 200; ++step) {
-    const auto i = static_cast<core::SiteId>(rng.index(inst.sites()));
-    const auto k = static_cast<core::ObjectId>(rng.index(inst.objects()));
-    if (inst.primary(k) == i) continue;
-    sparse.add(i, k);
-    dense.add(i, k);
-    extra_i = i;
-    extra_k = k;
-  }
-  EXPECT_TRUE(audit::check_sparse_dense(sparse, dense).empty());
-
-  // Diverge the histories: the dense scheme loses one replica the sparse
-  // scheme keeps. The differential must flag the replica list, the affected
-  // nearest entries, the used ledger, and the cost totals.
-  dense.remove(extra_i, extra_k);
-  const audit::Violations violations = audit::check_sparse_dense(sparse, dense);
-  ASSERT_FALSE(violations.empty());
-  EXPECT_EQ(violations.front().invariant, "sparse_dense.replica_list");
-}
-
-TEST(AuditCheckSparseDense, FlagsInstanceShapeMismatch) {
-  workload::StreamConfig config;
-  config.sites = 6;
-  config.objects = 10;
-  config.seed = 57;
-  const core::SparseInstance inst = workload::build_sparse_instance(config);
-  const core::SparseReplicationScheme sparse(inst);
-  // A dense scheme over a differently-shaped problem cannot be compared.
-  const core::Problem other = testing::small_random_problem(57);
-  const core::ReplicationScheme dense(other);
-  const audit::Violations violations = audit::check_sparse_dense(sparse, dense);
-  ASSERT_FALSE(violations.empty());
-  EXPECT_EQ(violations.front().invariant, "sparse_dense.shape");
+  EXPECT_TRUE(audit::check_scheme(scheme).empty());
 }
 
 TEST(AuditCheckDeltaEvaluator, CleanAfterFlipChurn) {

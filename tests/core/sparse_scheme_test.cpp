@@ -1,7 +1,8 @@
-// SparseReplicationScheme: demand-cell top-2 cache semantics, the dense
-// bit-equivalence contract, and history-independence of the sparse caches.
+// ReplicationScheme over partial demand rows: top-2 cache semantics at the
+// stored cells, the row-shape equivalence contract (partial rows vs the
+// full rows of the same instance), and history-independence of the caches.
 
-#include "core/sparse_scheme.hpp"
+#include "core/replication.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,8 @@
 
 #include "audit/invariants.hpp"
 #include "core/cost_model.hpp"
-#include "core/replication.hpp"
+#include "testing/builders.hpp"
+#include "testing/row_shapes.hpp"
 #include "util/rng.hpp"
 #include "workload/stream_gen.hpp"
 
@@ -20,26 +22,23 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-SparseInstance tiny_instance() {
+Problem tiny_instance() {
   net::CostMatrix costs(4);
   for (net::SiteId i = 0; i < 4; ++i) {
     for (net::SiteId j = static_cast<net::SiteId>(i + 1); j < 4; ++j) {
       costs.set(i, j, static_cast<double>(j - i));
     }
   }
-  SparseInstance inst(std::move(costs), {2.0, 3.0}, {0, 3},
-                      {100.0, 100.0, 100.0, 100.0});
-  const std::vector<DemandEntry> row0{{1, 5.0, 1.0}, {3, 2.0, 0.0}};
-  const std::vector<DemandEntry> row1{{0, 3.0, 0.0}, {2, 1.0, 1.0}};
-  inst.push_object_demands(0, row0);
-  inst.push_object_demands(1, row1);
+  Problem inst = testing::partial_row_problem(
+      std::move(costs), {2.0, 3.0}, {0, 3}, {100.0, 100.0, 100.0, 100.0},
+      {{{1, 5.0, 1.0}, {3, 2.0, 0.0}}, {{0, 3.0, 0.0}, {2, 1.0, 1.0}}});
   inst.validate();
   return inst;
 }
 
 TEST(SparseReplicationScheme, PrimaryOnlyInitialState) {
-  const SparseInstance inst = tiny_instance();
-  const SparseReplicationScheme scheme(inst);
+  const Problem inst = tiny_instance();
+  const ReplicationScheme scheme(inst);
   EXPECT_TRUE(scheme.has_replica(0, 0));
   EXPECT_TRUE(scheme.has_replica(3, 1));
   EXPECT_FALSE(scheme.has_replica(1, 0));
@@ -53,12 +52,16 @@ TEST(SparseReplicationScheme, PrimaryOnlyInitialState) {
   EXPECT_EQ(scheme.nearest_cost_at(0), 1.0);
   EXPECT_EQ(scheme.second_site_at(0), 0u);
   EXPECT_EQ(scheme.second_cost_at(0), kInf);
+  // (site 2, object 0) is absent from the row: answered from R_k.
+  EXPECT_EQ(scheme.nearest(2, 0), 0u);
+  EXPECT_EQ(scheme.nearest_cost(2, 0), 2.0);
+  EXPECT_EQ(scheme.second_nearest_cost(2, 0), kInf);
   EXPECT_TRUE(scheme.is_valid());
 }
 
 TEST(SparseReplicationScheme, AddAndRemoveMaintainTop2) {
-  const SparseInstance inst = tiny_instance();
-  SparseReplicationScheme scheme(inst);
+  const Problem inst = tiny_instance();
+  ReplicationScheme scheme(inst);
   scheme.add(2, 0);
   // Cell (1, 0): replicas {0, 2} are equidistant at cost 1 — lex tie-break
   // keeps the primary (site 0) nearest and site 2 second.
@@ -82,8 +85,8 @@ TEST(SparseReplicationScheme, AddAndRemoveMaintainTop2) {
 }
 
 TEST(SparseReplicationScheme, AddIsIdempotentAndRemoveAbsentIsANoOp) {
-  const SparseInstance inst = tiny_instance();
-  SparseReplicationScheme scheme(inst);
+  const Problem inst = tiny_instance();
+  ReplicationScheme scheme(inst);
   scheme.add(1, 0);
   scheme.add(1, 0);
   EXPECT_EQ(scheme.replicas(0).size(), 2u);
@@ -93,29 +96,29 @@ TEST(SparseReplicationScheme, AddIsIdempotentAndRemoveAbsentIsANoOp) {
 }
 
 TEST(SparseReplicationScheme, RemovePrimaryThrows) {
-  const SparseInstance inst = tiny_instance();
-  SparseReplicationScheme scheme(inst);
+  const Problem inst = tiny_instance();
+  ReplicationScheme scheme(inst);
   EXPECT_THROW(scheme.remove(0, 0), std::invalid_argument);
   EXPECT_THROW(scheme.remove(3, 1), std::invalid_argument);
 }
 
 TEST(SparseReplicationScheme, CapacityMirrorsDensePolicy) {
-  const SparseInstance inst = tiny_instance();
-  const Problem dense_problem = inst.materialize();
-  const SparseReplicationScheme sparse(inst);
-  const ReplicationScheme dense(dense_problem);
+  const Problem inst = tiny_instance();
+  const Problem full_problem = inst.materialize();
+  const ReplicationScheme partial(inst);
+  const ReplicationScheme full(full_problem);
   for (SiteId i = 0; i < inst.sites(); ++i) {
-    EXPECT_EQ(sparse.capacity_slack(i), dense.capacity_slack(i));
-    EXPECT_EQ(sparse.free_capacity(i), dense.free_capacity(i));
+    EXPECT_EQ(partial.capacity_slack(i), full.capacity_slack(i));
+    EXPECT_EQ(partial.free_capacity(i), full.free_capacity(i));
     for (ObjectId k = 0; k < inst.objects(); ++k) {
-      EXPECT_EQ(sparse.fits(i, k), dense.fits(i, k));
+      EXPECT_EQ(partial.fits(i, k), full.fits(i, k));
     }
   }
 }
 
-// The central differential: mirrored add/remove churn on a sparse scheme and
-// the dense scheme of the materialized instance stays bit-identical —
-// per-cell top-2, used ledgers, and the Eq. 4 total via the CSR kernels.
+// The central differential: mirrored add/remove churn on schemes over the
+// partial rows and over the full rows of one instance stays bit-identical —
+// per-cell top-2, used ledgers, and the Eq. 4 breakdown.
 class SparseDenseChurn : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SparseDenseChurn, MirroredChurnStaysBitIdentical) {
@@ -123,32 +126,30 @@ TEST_P(SparseDenseChurn, MirroredChurnStaysBitIdentical) {
   config.sites = 9;
   config.objects = 25;
   config.seed = GetParam();
-  const SparseInstance inst = workload::build_sparse_instance(config);
-  const Problem dense_problem = inst.materialize();
+  const Problem inst = workload::build_sparse_instance(config);
+  const Problem full_problem = inst.materialize();
 
-  SparseReplicationScheme sparse(inst);
-  ReplicationScheme dense(dense_problem);
+  ReplicationScheme partial(inst);
+  ReplicationScheme full(full_problem);
   util::Rng rng(GetParam() * 17 + 5);
   for (int step = 0; step < 400; ++step) {
     const auto i = static_cast<SiteId>(rng.index(inst.sites()));
     const auto k = static_cast<ObjectId>(rng.index(inst.objects()));
     if (inst.primary(k) == i) continue;
-    if (sparse.has_replica(i, k)) {
-      sparse.remove(i, k);
-      dense.remove(i, k);
+    if (partial.has_replica(i, k)) {
+      partial.remove(i, k);
+      full.remove(i, k);
     } else {
-      sparse.add(i, k);
-      dense.add(i, k);
+      partial.add(i, k);
+      full.add(i, k);
     }
-    ASSERT_EQ(sparse.has_replica(i, k), dense.has_replica(i, k));
+    ASSERT_EQ(partial.has_replica(i, k), full.has_replica(i, k));
   }
-  EXPECT_TRUE(audit::check_sparse_scheme(sparse).empty());
-  EXPECT_TRUE(audit::check_sparse_dense(sparse, dense).empty());
-  EXPECT_EQ(total_cost(sparse), total_cost(dense));
-  const CostBreakdown sp = cost_breakdown(sparse);
-  const CostBreakdown dn = cost_breakdown(dense);
-  EXPECT_EQ(sp.read_cost, dn.read_cost);
-  EXPECT_EQ(sp.write_cost, dn.write_cost);
+  EXPECT_TRUE(audit::check_scheme(partial).empty());
+  EXPECT_TRUE(audit::check_scheme(full).empty());
+  EXPECT_TRUE(testing::compare_row_shapes(partial, full).empty());
+  EXPECT_EQ(total_cost(partial), total_cost(full));
+  EXPECT_EQ(total_cost_writer_view(partial), total_cost_writer_view(full));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseDenseChurn,
@@ -159,20 +160,22 @@ TEST(SparseCostKernels, PrimaryOnlyAndSavingsMatchDense) {
   config.sites = 8;
   config.objects = 30;
   config.seed = 97;
-  const SparseInstance inst = workload::build_sparse_instance(config);
-  const Problem dense_problem = inst.materialize();
-  EXPECT_EQ(primary_only_cost(inst), primary_only_cost(dense_problem));
+  const Problem inst = workload::build_sparse_instance(config);
+  const Problem full_problem = inst.materialize();
+  EXPECT_EQ(primary_only_cost(inst), primary_only_cost(full_problem));
 
-  SparseReplicationScheme sparse(inst);
-  ReplicationScheme dense(dense_problem);
-  EXPECT_EQ(total_cost(sparse), total_cost(dense));
-  const double cost = total_cost(sparse);
-  EXPECT_EQ(savings_fraction(inst, cost), savings_fraction(dense_problem, cost));
+  const ReplicationScheme partial(inst);
+  const ReplicationScheme full(full_problem);
+  EXPECT_EQ(total_cost(partial), total_cost(full));
+  const double cost = total_cost(partial);
+  EXPECT_EQ(savings_fraction(inst, cost), savings_fraction(full_problem, cost));
+  for (ObjectId k = 0; k < inst.objects(); ++k)
+    EXPECT_EQ(object_cost(partial, k), object_cost(full, k));
 }
 
-// History independence for the sparse caches: identical replica sets reached
-// through different orders (with decoy churn) agree bit-for-bit on every
-// demand-cell top-2 entry, the used ledger, and the total cost.
+// History independence for the demand-cell caches: identical replica sets
+// reached through different orders (with decoy churn) agree bit-for-bit on
+// every cached top-2 entry, the used ledger, and the total cost.
 class SparseHistoryIndependence
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -181,7 +184,7 @@ TEST_P(SparseHistoryIndependence, CachesDependOnlyOnTheReplicaSet) {
   config.sites = 7;
   config.objects = 20;
   config.seed = GetParam() ^ 0xABCD;
-  const SparseInstance inst = workload::build_sparse_instance(config);
+  const Problem inst = workload::build_sparse_instance(config);
 
   util::Rng rng(GetParam() * 29 + 11);
   std::vector<std::pair<SiteId, ObjectId>> target;
@@ -191,10 +194,10 @@ TEST_P(SparseHistoryIndependence, CachesDependOnlyOnTheReplicaSet) {
     }
   }
 
-  SparseReplicationScheme a(inst);
+  ReplicationScheme a(inst);
   for (const auto& [i, k] : target) a.add(i, k);
 
-  SparseReplicationScheme b(inst);
+  ReplicationScheme b(inst);
   std::vector<std::pair<SiteId, ObjectId>> shuffled(target);
   for (std::size_t t = shuffled.size(); t > 1; --t)
     std::swap(shuffled[t - 1], shuffled[rng.index(t)]);

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sparse_instance.hpp"
-#include "core/sparse_scheme.hpp"
+#include <stdexcept>
+
 #include "serve/audit.hpp"
 #include "testing/builders.hpp"
 #include "util/rng.hpp"
@@ -17,19 +17,16 @@ namespace {
 using serve::Outcome;
 using serve::SchemeSnapshot;
 
-core::SparseInstance tiny_sparse_instance() {
+core::Problem tiny_sparse_instance() {
   net::CostMatrix costs(4);
   for (net::SiteId i = 0; i < 4; ++i) {
     for (net::SiteId j = static_cast<net::SiteId>(i + 1); j < 4; ++j) {
       costs.set(i, j, static_cast<double>(j - i));
     }
   }
-  core::SparseInstance instance(std::move(costs), {2.0, 3.0}, {0, 3},
-                                {100.0, 100.0, 100.0, 100.0});
-  const std::vector<core::DemandEntry> row0{{1, 5.0, 1.0}, {3, 2.0, 0.0}};
-  const std::vector<core::DemandEntry> row1{{0, 3.0, 0.0}, {2, 1.0, 1.0}};
-  instance.push_object_demands(0, row0);
-  instance.push_object_demands(1, row1);
+  core::Problem instance = testing::partial_row_problem(
+      std::move(costs), {2.0, 3.0}, {0, 3}, {100.0, 100.0, 100.0, 100.0},
+      {{{1, 5.0, 1.0}, {3, 2.0, 0.0}}, {{0, 3.0, 0.0}, {2, 1.0, 1.0}}});
   instance.validate();
   return instance;
 }
@@ -41,7 +38,7 @@ TEST(SchemeSnapshot, ServeMatchesHandComputedCosts) {
   scheme.add(2, 0);
   const SchemeSnapshot snapshot = SchemeSnapshot::freeze(scheme, 7);
 
-  EXPECT_EQ(snapshot.layout(), SchemeSnapshot::Layout::kDense);
+  EXPECT_EQ(snapshot.demand_cells(), 3u);
   EXPECT_EQ(snapshot.generation(), 7u);
   EXPECT_EQ(snapshot.sites(), 3u);
   EXPECT_EQ(snapshot.objects(), 1u);
@@ -98,36 +95,48 @@ TEST(SchemeSnapshot, ChecksumIsDeterministicAndGenerationSensitive) {
 }
 
 TEST(SchemeSnapshot, SparseFreezeAgreesWithDenseOnMaterializedInstance) {
-  const core::SparseInstance instance = tiny_sparse_instance();
-  const core::Problem dense_problem = instance.materialize();
+  const core::Problem instance = tiny_sparse_instance();
+  const core::Problem full_problem = instance.materialize();
 
-  core::SparseReplicationScheme sparse(instance);
-  core::ReplicationScheme dense(dense_problem);
-  sparse.add(2, 0);
-  dense.add(2, 0);
-  sparse.add(1, 1);
-  dense.add(1, 1);
+  core::ReplicationScheme partial(instance);
+  core::ReplicationScheme full(full_problem);
+  partial.add(2, 0);
+  full.add(2, 0);
+  partial.add(1, 1);
+  full.add(1, 1);
 
-  const SchemeSnapshot sparse_snap = SchemeSnapshot::freeze(sparse, 9);
-  const SchemeSnapshot dense_snap = SchemeSnapshot::freeze(dense, 9);
-  EXPECT_EQ(sparse_snap.layout(), SchemeSnapshot::Layout::kSparse);
-  EXPECT_EQ(sparse_snap.total_replicas(), dense_snap.total_replicas());
+  const SchemeSnapshot partial_snap = SchemeSnapshot::freeze(partial, 9);
+  const SchemeSnapshot full_snap = SchemeSnapshot::freeze(full, 9);
+  EXPECT_EQ(partial_snap.demand_cells(), instance.demand_cells());
+  EXPECT_EQ(full_snap.demand_cells(), full_problem.sites() * 2);
+  EXPECT_FALSE(partial_snap.full_rows());
+  EXPECT_TRUE(full_snap.full_rows());
+  EXPECT_EQ(partial_snap.total_replicas(), full_snap.total_replicas());
 
   for (core::ObjectId k = 0; k < instance.objects(); ++k) {
-    EXPECT_EQ(sparse_snap.primary(k), dense_snap.primary(k));
-    EXPECT_EQ(sparse_snap.write_surcharge(k), dense_snap.write_surcharge(k));
-    for (std::size_t z = sparse_snap.demand_begin(k);
-         z < sparse_snap.demand_end(k); ++z) {
-      const core::SiteId site = sparse_snap.demand_site(z);
+    EXPECT_EQ(partial_snap.primary(k), full_snap.primary(k));
+    EXPECT_EQ(partial_snap.write_surcharge(k), full_snap.write_surcharge(k));
+    for (std::size_t z = partial_snap.demand_begin(k);
+         z < partial_snap.demand_end(k); ++z) {
+      const core::SiteId site = partial_snap.demand_site(z);
       for (const bool is_write : {false, true}) {
-        const Outcome via_sparse = sparse_snap.serve_cell(z, k, is_write);
-        const Outcome via_dense = dense_snap.serve(site, k, is_write);
-        EXPECT_EQ(via_sparse.served_by, via_dense.served_by);
-        EXPECT_EQ(via_sparse.cost, via_dense.cost);
+        const Outcome via_cell = partial_snap.serve_cell(z, k, is_write);
+        const Outcome via_full = full_snap.serve(site, k, is_write);
+        EXPECT_EQ(via_cell.served_by, via_full.served_by);
+        EXPECT_EQ(via_cell.cost, via_full.cost);
       }
+      // The checked (site, object) lookups find the same cell.
+      EXPECT_EQ(partial_snap.nearest(site, k), full_snap.nearest(site, k));
+      EXPECT_EQ(partial_snap.nearest_cost(site, k),
+                full_snap.nearest_cost(site, k));
+      EXPECT_EQ(partial_snap.primary_cost(site, k),
+                full_snap.primary_cost(site, k));
     }
   }
-  EXPECT_TRUE(audit::check_snapshot_coherence(sparse_snap, sparse).empty());
+  // A cell the partial rows omit was never frozen.
+  EXPECT_THROW((void)partial_snap.nearest(2, 0), std::out_of_range);
+  EXPECT_TRUE(audit::check_snapshot_coherence(partial_snap, partial).empty());
+  EXPECT_TRUE(audit::check_snapshot_coherence(full_snap, full).empty());
 }
 
 TEST(SnapshotCoherence, DebugCorruptTripsTheChecksum) {
@@ -165,18 +174,6 @@ TEST(SnapshotCoherence, CrossCheckCatchesSchemeDrift) {
                      violation.invariant == "snapshot.write_surcharge" ||
                      violation.invariant == "snapshot.replicas";
   EXPECT_TRUE(drift_flagged);
-}
-
-TEST(SnapshotCoherence, LayoutMismatchIsItsOwnViolation) {
-  const core::SparseInstance instance = tiny_sparse_instance();
-  const core::SparseReplicationScheme sparse(instance);
-  const core::Problem dense_problem = instance.materialize();
-  core::ReplicationScheme dense(dense_problem);
-  const SchemeSnapshot dense_snap = SchemeSnapshot::freeze(dense, 0);
-  const audit::Violations violations =
-      audit::check_snapshot_coherence(dense_snap, sparse);
-  ASSERT_FALSE(violations.empty());
-  EXPECT_EQ(violations.front().invariant, "snapshot.layout");
 }
 
 }  // namespace

@@ -39,6 +39,17 @@ inline core::Problem line_problem(std::size_t m, std::size_t n,
                        std::vector<double>(m, capacity));
 }
 
+/// An instance with the given demand rows: rows[k] is object k's, ascending
+/// by site id. A row listing every site is full, any other is partial.
+inline core::Problem partial_row_problem(
+    net::CostMatrix costs, std::vector<double> sizes,
+    std::vector<core::SiteId> primaries, std::vector<double> capacities,
+    const std::vector<std::vector<core::DemandEntry>>& rows) {
+  return core::Problem(std::move(costs), std::move(sizes),
+                       std::move(primaries), std::move(capacities),
+                       [&rows](core::ObjectId k) { return rows.at(k); });
+}
+
 /// A paper-style random instance at reduced scale.
 inline core::Problem small_random_problem(std::uint64_t seed,
                                           std::size_t sites = 12,

@@ -1,6 +1,6 @@
 // Streaming workload generator: determinism, per-object purity, demand-row
-// structure, the capacity headroom policy, and the sparse/dense equivalence
-// contract.
+// structure, the capacity headroom policy, and the partial-row/full-row
+// equivalence contract.
 
 #include "workload/stream_gen.hpp"
 
@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/sparse_scheme.hpp"
+#include "core/cost_model.hpp"
 
 namespace drep::workload {
 namespace {
@@ -114,8 +114,8 @@ TEST(StreamGen, CapacitiesArePinnedMassPlusUniformHeadroom) {
 }
 
 TEST(StreamGen, BuildSparseInstanceIsDeterministic) {
-  const core::SparseInstance a = build_sparse_instance(small_config(17));
-  const core::SparseInstance b = build_sparse_instance(small_config(17));
+  const core::Problem a = build_sparse_instance(small_config(17));
+  const core::Problem b = build_sparse_instance(small_config(17));
   ASSERT_EQ(a.demand_cells(), b.demand_cells());
   for (core::ObjectId k = 0; k < a.objects(); ++k) {
     EXPECT_EQ(a.object_size(k), b.object_size(k));
@@ -125,15 +125,17 @@ TEST(StreamGen, BuildSparseInstanceIsDeterministic) {
   }
   EXPECT_EQ(core::primary_only_cost(a), core::primary_only_cost(b));
 
-  const core::SparseInstance c = build_sparse_instance(small_config(18));
+  const core::Problem c = build_sparse_instance(small_config(18));
   EXPECT_NE(core::primary_only_cost(a), core::primary_only_cost(c));
 }
 
 TEST(StreamGen, MaterializeProblemMatchesSparseInstance) {
   const StreamConfig config = small_config(19);
-  const core::SparseInstance inst = build_sparse_instance(config);
+  const core::Problem inst = build_sparse_instance(config);
   const core::Problem direct = materialize_problem(config);
   const core::Problem via_instance = inst.materialize();
+  EXPECT_EQ(direct.demand_cells(), direct.sites() * direct.objects());
+  EXPECT_LT(inst.demand_cells(), direct.demand_cells());
   ASSERT_EQ(direct.sites(), via_instance.sites());
   ASSERT_EQ(direct.objects(), via_instance.objects());
   for (core::SiteId i = 0; i < direct.sites(); ++i) {

@@ -49,7 +49,7 @@
 
 #include "algo/gra.hpp"
 #include "algo/solver.hpp"
-#include "algo/sra_sparse.hpp"
+#include "algo/sra.hpp"
 #include "audit/invariants.hpp"
 #include "core/benefit.hpp"
 #include "core/cost_model.hpp"
@@ -66,6 +66,7 @@
 #include "sim/epochs.hpp"
 #include "sim/monitor_protocol.hpp"
 #include "testing/oracle_harness.hpp"
+#include "testing/row_shapes.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/pattern_change.hpp"
@@ -204,16 +205,16 @@ audit::Violations run_case(const FuzzCase& c) {
     note(out, "churn", audit::check_scheme(churn));
     note(out, "churn", audit::check_delta_evaluator(delta));
 
-    // --- sparse path: streamed instance, SRA trajectory, mirrored churn --
-    // The sparse representation must be bit-identical to the dense one: same
-    // instance when materialized, same SRA decisions/stats/cost, and the
-    // same top-2/used state through an identical add/remove history.
+    // --- partial rows: streamed instance, SRA trajectory, churn, freeze --
+    // One kernel, two row shapes: the partial rows of the streamed instance
+    // and its full-row copy must give the same SRA decisions/stats/cost,
+    // the same top-2/used state through an identical add/remove history,
+    // and the same routing answers once frozen.
     workload::StreamConfig stream_cfg;
     stream_cfg.sites = c.sites;
     stream_cfg.objects = c.objects;
     stream_cfg.seed = c.seed ^ 0x5eed5eedULL;
-    const core::SparseInstance sparse_inst =
-        workload::build_sparse_instance(stream_cfg);
+    const core::Problem sparse_inst = workload::build_sparse_instance(stream_cfg);
     const core::Problem dense_problem = sparse_inst.materialize();
 
     util::Rng sparse_sra_rng = rng.fork(13);
@@ -225,16 +226,16 @@ audit::Violations run_case(const FuzzCase& c) {
     algo::SraStats dense_stats, sparse_stats;
     const algo::AlgorithmResult dense_sra =
         algo::solve_sra(dense_problem, sparse_cfg, dense_sra_rng, &dense_stats);
-    const algo::SparseSraResult sparse_sra = algo::solve_sra_sparse(
+    const algo::AlgorithmResult sparse_sra = algo::solve_sra(
         sparse_inst, sparse_cfg, sparse_sra_rng, &sparse_stats);
-    note(out, "sparse/sra", audit::check_sparse_scheme(sparse_sra.scheme));
+    note(out, "sparse/sra", audit::check_scheme(sparse_sra.scheme));
     note(out, "sparse/sra",
-         audit::check_sparse_dense(sparse_sra.scheme, dense_sra.scheme));
+         testing::compare_row_shapes(sparse_sra.scheme, dense_sra.scheme));
     if (sparse_sra.cost != dense_sra.cost ||
         sparse_sra.savings_percent != dense_sra.savings_percent ||
         sparse_sra.extra_replicas != dense_sra.extra_replicas) {
       out.push_back({"sparse/sra: result.equivalence",
-                     "sparse SRA result differs from dense (cost " +
+                     "partial-row SRA result differs from full rows (cost " +
                          std::to_string(sparse_sra.cost) + " vs " +
                          std::to_string(dense_sra.cost) + ")"});
     }
@@ -242,10 +243,10 @@ audit::Violations run_case(const FuzzCase& c) {
         sparse_stats.replicas_created != dense_stats.replicas_created ||
         sparse_stats.benefit_evaluations != dense_stats.benefit_evaluations) {
       out.push_back({"sparse/sra: stats.equivalence",
-                     "sparse SRA stats differ from dense"});
+                     "partial-row SRA stats differ from full rows"});
     }
 
-    core::SparseReplicationScheme sparse_churn(sparse_inst);
+    core::ReplicationScheme sparse_churn(sparse_inst);
     core::ReplicationScheme dense_churn(dense_problem);
     util::Rng sparse_churn_rng = rng.fork(14);
     for (int step = 0; step < 200; ++step) {
@@ -261,9 +262,34 @@ audit::Violations run_case(const FuzzCase& c) {
         sparse_churn.add(i, k);
       }
     }
-    note(out, "sparse/churn", audit::check_sparse_scheme(sparse_churn));
+    note(out, "sparse/churn", audit::check_scheme(sparse_churn));
     note(out, "sparse/churn",
-         audit::check_sparse_dense(sparse_churn, dense_churn));
+         testing::compare_row_shapes(sparse_churn, dense_churn));
+
+    // Freeze both churned schemes: every demand cell of the partial-row
+    // snapshot must route exactly as the full-row snapshot does.
+    const serve::SchemeSnapshot sparse_snap =
+        serve::SchemeSnapshot::freeze(sparse_churn, 1);
+    const serve::SchemeSnapshot dense_snap =
+        serve::SchemeSnapshot::freeze(dense_churn, 1);
+    note(out, "sparse/freeze",
+         audit::check_snapshot_coherence(sparse_snap, sparse_churn));
+    for (core::ObjectId k = 0; k < c.objects; ++k) {
+      for (std::size_t z = sparse_snap.demand_begin(k);
+           z < sparse_snap.demand_end(k); ++z) {
+        const core::SiteId i = sparse_snap.demand_site(z);
+        for (const bool is_write : {false, true}) {
+          const serve::Outcome a = sparse_snap.serve_cell(z, k, is_write);
+          const serve::Outcome b = dense_snap.serve(i, k, is_write);
+          if (a.served_by != b.served_by || a.cost != b.cost) {
+            out.push_back({"sparse/freeze: routing.equivalence",
+                           "cell (" + std::to_string(i) + "," +
+                               std::to_string(k) +
+                               ") routes differently on partial rows"});
+          }
+        }
+      }
+    }
 
     // --- epochs (drift + adaptation, all three policies) ----------------
     sim::EpochConfig epoch_cfg;
