@@ -1,7 +1,6 @@
 #include "dist/dagra.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
@@ -13,6 +12,8 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/envelope.hpp"
+#include "sim/fetch_leg.hpp"
+#include "sim/monitor.hpp"
 #include "sim/reliable_channel.hpp"
 #include "util/timer.hpp"
 #include "workload/trace.hpp"
@@ -23,14 +24,6 @@ namespace {
 
 using sim::Envelope;
 using sim::MessageKind;
-
-/// Relative deviation in percent; a zero baseline with non-zero observation
-/// is an unbounded change (the central monitor's rule).
-double deviation_percent(double baseline, double observed) {
-  if (baseline == observed) return 0.0;
-  if (baseline == 0.0) return std::numeric_limits<double>::infinity();
-  return 100.0 * std::abs(observed - baseline) / baseline;
-}
 
 /// Site `site`'s local view: the baseline problem with that site's own row
 /// replaced by the observed one — everything a site can see by itself.
@@ -57,48 +50,14 @@ core::Problem local_view(const core::Problem& baseline,
   return view;
 }
 
-/// The central monitor's changed-object rule, applied to a local view:
-/// objects whose total read or write counts deviate beyond the threshold.
-std::vector<core::ObjectId> detect_changed(const core::Problem& baseline,
-                                           const core::Problem& view,
-                                           double threshold_percent) {
-  std::vector<core::ObjectId> changed;
-  for (core::ObjectId k = 0; k < baseline.objects(); ++k) {
-    const double read_dev =
-        deviation_percent(baseline.total_reads(k), view.total_reads(k));
-    const double write_dev =
-        deviation_percent(baseline.total_writes(k), view.total_writes(k));
-    if (read_dev >= threshold_percent || write_dev >= threshold_percent)
-      changed.push_back(k);
-  }
-  return changed;
-}
-
 // --- wire payloads --------------------------------------------------------
 
+/// A retuned column; its retuner is the envelope's sender. A column ack
+/// carries nothing but the update's seq.
 struct ColumnUpdate {
   core::ObjectId object = 0;
   /// The retuned M-bit replica column of `object` (bit i = site i hosts).
   std::vector<std::uint8_t> column;
-  core::SiteId retuner = 0;
-};
-struct ColumnAck {};
-struct FetchRequest {
-  core::ObjectId object = 0;
-};
-struct FetchResponse {
-  core::ObjectId object = 0;
-};
-
-/// One exchange of a site's channel: the current update of one outgoing
-/// lane, or a replica fetch executing a received update.
-struct Exchange {
-  enum class Kind : std::uint8_t { kUpdate, kFetch };
-  Kind kind = Kind::kUpdate;
-  core::SiteId peer = 0;         // update: lane destination; fetch: holder
-  core::ObjectId object = 0;     // fetch
-  core::SiteId retuner = 0;      // fetch: whose update it executes
-  std::uint64_t update_seq = 0;  // fetch: that update's seq
 };
 
 struct SharedState {
@@ -112,7 +71,9 @@ struct SharedState {
 
 /// One site of the decentralized adaptive round: drift receiver for every
 /// site, plus the retuner role at sites whose EWMA trigger fired.
-class DriftNode final : public sim::Node, private sim::ChannelClient {
+class DriftNode final : public sim::Node,
+                        private sim::ChannelClient,
+                        private sim::FetchClient {
  public:
   DriftNode(core::SiteId self, const core::Problem& observed,
             const core::ReplicationScheme& before, const DadaptOptions& options,
@@ -123,7 +84,9 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
         options_(options),
         network_(network),
         shared_(shared),
-        channel_(network, self, options.retry, shared.retry_stats, *this) {
+        channel_(network, self, options.retry, shared.retry_stats, *this),
+        fetch_(network, self, observed, options.retry, shared.retry_stats,
+               *this) {
     const std::size_t objects = observed.objects();
     bits_.resize(objects);
     for (core::ObjectId k = 0; k < objects; ++k)
@@ -148,9 +111,10 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
 
   void handle(const sim::Message& message) override {
     const Envelope& envelope = sim::open(message);
+    if (fetch_.handle(message, envelope)) return;
     switch (envelope.kind) {
       case MessageKind::kDriftColumnUpdate:
-        on_update(message.from, envelope);
+        on_update(envelope);
         return;
       case MessageKind::kDriftColumnAck:
         if (channel_.accept(envelope)) {
@@ -160,26 +124,6 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
           ++shared_.retry_stats.duplicates;
         }
         return;
-      case MessageKind::kDriftFetchRequest: {
-        const auto& fetch = sim::unseal<FetchRequest>(envelope);
-        if (channel_.accept(envelope)) record(envelope);
-        // Serve every request (duplicates included — the requester dedups);
-        // the response carries the object's size in data units.
-        network_.send(self_, message.from,
-                      observed_.object_size(fetch.object),
-                      sim::seal(MessageKind::kDriftFetchResponse, self_,
-                                envelope.seq, FetchResponse{fetch.object}));
-        return;
-      }
-      case MessageKind::kDriftFetchResponse: {
-        if (!channel_.accept(envelope)) {
-          ++shared_.retry_stats.duplicates;
-          return;
-        }
-        record(envelope);
-        on_fetched(envelope.seq);
-        return;
-      }
       default:
         throw std::logic_error("DriftNode: unexpected message kind " +
                                std::string(sim::kind_name(envelope.kind)));
@@ -189,9 +133,7 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
   void on_crash() override {
     // Volatile in-flight fetches are lost; committed replica bits and the
     // retuner's lanes survive.
-    channel_.close_if([](const Exchange& exchange) {
-      return exchange.kind == Exchange::Kind::kFetch;
-    });
+    fetch_.on_crash();
   }
 
   void on_recover() override {
@@ -213,6 +155,12 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
     /// The exchange carrying queue[next] (faults armed only).
     sim::ExchangeKey key = 0;
   };
+  /// A received replica gain waiting for its object.
+  struct Gain {
+    core::ObjectId object = 0;
+    core::SiteId retuner = 0;
+    std::uint64_t update_seq = 0;
+  };
 
   // --- retuner role -------------------------------------------------------
 
@@ -230,10 +178,6 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
                                        options_.retained_population, changed_};
     request.context.locality = self_;
     request.context.clock = [this] { return network_.queue().now(); };
-    request.context.send = [this](core::SiteId to, double size_units,
-                                  std::any payload) {
-      network_.send(self_, to, size_units, std::move(payload));
-    };
     const algo::SolveResponse response =
         algo::solver_registry().at("agra").solve(request);
     const ga::Chromosome& genes = response.result.scheme.matrix();
@@ -248,7 +192,6 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
       for (const core::ObjectId k : changed_) {
         ColumnUpdate update;
         update.object = k;
-        update.retuner = self_;
         update.column.resize(sites);
         for (core::SiteId i = 0; i < sites; ++i)
           update.column[i] = genes[i * objects + k];
@@ -261,7 +204,7 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
       if (lane.queue.empty()) continue;
       if (channel_.armed()) {
         ++shared_.updates_sent;
-        lane.key = channel_.open({Exchange::Kind::kUpdate, dest});
+        lane.key = channel_.open(dest);
       } else {
         // Perfect network: delivery is guaranteed and in-order per lane —
         // blast the whole queue, no acks, no timers.
@@ -295,47 +238,32 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
     ++lane.next;
     if (lane.next < lane.queue.size()) {
       ++shared_.updates_sent;
-      lane.key = channel_.open({Exchange::Kind::kUpdate, dest});
+      lane.key = channel_.open(dest);
     }
   }
 
   // --- channel hooks ------------------------------------------------------
 
-  std::size_t transmit(sim::ExchangeKey key, std::size_t attempt) override {
-    const Exchange& exchange = channel_[key];
-    if (exchange.kind == Exchange::Kind::kUpdate) {
-      transmit_update(exchange.peer, outbox_[exchange.peer]);
-    } else {
-      const core::SiteId holder = channel_.fetch_target(
-          exchange.peer, observed_.primary(exchange.object), attempt);
-      network_.send(self_, holder, 0.0,
-                    sim::seal(MessageKind::kDriftFetchRequest, self_, key,
-                              FetchRequest{exchange.object}));
-    }
+  std::size_t transmit(sim::ExchangeKey key,
+                       std::size_t /*attempt*/) override {
+    const core::SiteId dest = channel_[key];
+    transmit_update(dest, outbox_[dest]);
     return 1;
   }
 
   void give_up(sim::ExchangeKey key) override {
-    const Exchange exchange = channel_[key];
-    if (exchange.kind == Exchange::Kind::kUpdate) {
-      advance_lane(exchange.peer);  // skip the lost update; seq gaps are legal
-      return;
-    }
-    // The replica cannot be hosted without its data. Ack the directive
-    // anyway (processed, not applied) so the lane advances.
-    ++shared_.directives_failed;
-    ack(exchange.retuner, exchange.update_seq);
-    channel_.close(key);
+    advance_lane(channel_[key]);  // skip the lost update; seq gaps are legal
   }
 
   // --- receiver role ------------------------------------------------------
 
-  void on_update(core::SiteId from, const Envelope& envelope) {
+  void on_update(const Envelope& envelope) {
     const auto& update = sim::unseal<ColumnUpdate>(envelope);
+    const core::SiteId retuner = envelope.sender;
     if (!channel_.accept(envelope)) {
       // Duplicate: our ack was lost — re-ack so the lane advances.
       ++shared_.retry_stats.duplicates;
-      ack(from, envelope.seq);
+      ack(retuner, envelope.seq);
       return;
     }
     record(envelope);
@@ -343,16 +271,16 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
     // Concurrent-retuner conflicts resolve to the lowest site id no matter
     // the arrival order: a higher-id update never displaces a lower one,
     // and a lower-id update overrides a higher one already applied.
-    if (winner_[k] != kNoRetuner && winner_[k] < update.retuner) {
+    if (winner_[k] != kNoRetuner && winner_[k] < retuner) {
       ++shared_.updates_ignored;
-      ack(from, envelope.seq);
+      ack(retuner, envelope.seq);
       return;
     }
-    winner_[k] = update.retuner;
+    winner_[k] = retuner;
     const std::uint8_t desired = update.column[self_];
     if (desired == bits_[k]) {
       ++shared_.updates_applied;
-      ack(from, envelope.seq);
+      ack(retuner, envelope.seq);
       return;
     }
     if (desired == 0) {
@@ -362,44 +290,37 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
         gained_[k] = 0;
       }
       ++shared_.updates_applied;
-      ack(from, envelope.seq);
+      ack(retuner, envelope.seq);
       return;
     }
     // Gain: fetch the object from the nearest *current* holder before the
     // replica (and the ack) commits.
-    start_fetch(k, update.retuner, envelope.seq,
-                before_.nearest(self_, k));
+    gains_.push_back({k, retuner, envelope.seq});
+    fetch_.fetch(k, before_.nearest(self_, k), gains_.size() - 1);
   }
 
-  void start_fetch(core::ObjectId k, core::SiteId retuner,
-                   std::uint64_t update_seq, core::SiteId holder) {
-    (void)channel_.open(
-        {Exchange::Kind::kFetch, holder, k, retuner, update_seq});
-  }
-
-  void on_fetched(sim::ExchangeKey key) {
-    const Exchange* pending = channel_.find(key);
-    if (pending == nullptr) return;  // late response after give-up/crash
-    const Exchange fetch = *pending;
-    channel_.close(key);
-    if (winner_[fetch.object] != fetch.retuner) {
+  void fetched(std::uint64_t tag, bool arrived) override {
+    const Gain gain = gains_[tag];
+    if (!arrived) {
+      // The replica cannot be hosted without its data. Ack the directive
+      // anyway (processed, not applied) so the lane advances.
+      ++shared_.directives_failed;
+    } else if (winner_[gain.object] != gain.retuner) {
       // A lower-id retuner overrode this object while the fetch was in
       // flight; its directive stands, but the loser still gets its ack.
       ++shared_.updates_ignored;
-      ack(fetch.retuner, fetch.update_seq);
-      return;
+    } else {
+      bits_[gain.object] = 1;
+      gained_[gain.object] = 1;
+      ++shared_.updates_applied;
     }
-    bits_[fetch.object] = 1;
-    gained_[fetch.object] = 1;
-    ++shared_.updates_applied;
-    ack(fetch.retuner, fetch.update_seq);
+    ack(gain.retuner, gain.update_seq);
   }
 
   void ack(core::SiteId retuner, std::uint64_t update_seq) {
     if (!channel_.armed()) return;  // perfect network: no ack traffic
     network_.send(self_, retuner, 0.0,
-                  sim::seal(MessageKind::kDriftColumnAck, self_, update_seq,
-                            ColumnAck{}));
+                  sim::seal(MessageKind::kDriftColumnAck, self_, update_seq));
   }
 
   void record(const Envelope& envelope) {
@@ -414,7 +335,9 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
   const DadaptOptions& options_;
   sim::DesNetwork& network_;
   SharedState& shared_;
-  sim::ReliableChannel<Exchange> channel_;
+  /// One exchange per outgoing lane: the cargo is the lane's destination.
+  sim::ReliableChannel<core::SiteId> channel_;
+  sim::FetchLeg fetch_;
 
   std::vector<std::uint8_t> bits_;     // own replica row (N)
   std::vector<core::SiteId> winner_;   // per object: applied retuner id
@@ -422,6 +345,7 @@ class DriftNode final : public sim::Node, private sim::ChannelClient {
   std::optional<core::Problem> local_problem_{};
   std::vector<core::ObjectId> changed_;
   std::map<core::SiteId, Lane> outbox_;
+  std::vector<Gain> gains_;  // indexed by fetch tag
   std::uint64_t next_seq_ = 1;
 };
 
@@ -481,7 +405,7 @@ DadaptResult run_decentralized_adapt(const core::Problem& baseline,
     for (core::ObjectId k = 0; k < objects && !drifted; ++k) {
       const double expected =
           window * (baseline.reads(i, k) + baseline.writes(i, k)) / row_total;
-      drifted = deviation_percent(expected, predictors[i].rate(k)) >=
+      drifted = sim::deviation_percent(expected, predictors[i].rate(k)) >=
                 options.drift_threshold_percent;
     }
     if (drifted) drifted_sites.push_back(i);
@@ -502,12 +426,21 @@ DadaptResult run_decentralized_adapt(const core::Problem& baseline,
     network.attach(i, *nodes[i]);
   }
 
+  // Each retuner applies the central monitor's changed-object rule to its
+  // local view.
+  std::vector<double> baseline_reads(objects);
+  std::vector<double> baseline_writes(objects);
+  for (core::ObjectId k = 0; k < objects; ++k) {
+    baseline_reads[k] = baseline.total_reads(k);
+    baseline_writes[k] = baseline.total_writes(k);
+  }
   std::vector<std::uint8_t> changed_union(objects, 0);
   std::size_t retunes_run = 0;
   for (const core::SiteId site : drifted_sites) {
     core::Problem view = local_view(baseline, observed, site);
     std::vector<core::ObjectId> changed =
-        detect_changed(baseline, view, options.change_threshold_percent);
+        sim::changed_objects(baseline_reads, baseline_writes, view,
+                             options.change_threshold_percent);
     if (changed.empty()) continue;
     for (const core::ObjectId k : changed) changed_union[k] = 1;
     ++retunes_run;

@@ -10,7 +10,7 @@
 // "agra" solver over its local view of the problem (baseline rows for every
 // other site, its own observed row for itself), driven per-DES-node through
 // the redesigned ExecutionContext (locality = the site, clock = the DES
-// clock, transport = DesNetwork).
+// clock).
 //
 // The retuned columns of the changed objects then disseminate as
 // kDriftColumnUpdate envelopes to every site; each receiver applies only
@@ -18,9 +18,9 @@
 // holder before acking; drops and no-ops ack immediately), and conflicts
 // between concurrent retuners resolve deterministically to the lowest
 // retuner site id regardless of arrival order. With a FaultPlan, each
-// lane's current update and each replica fetch is a sim::ReliableChannel
-// exchange (DESIGN.md Section 8, "ReliableChannel"), admitted exactly once
-// in any arrival order.
+// lane's current update is a sim::ReliableChannel exchange, admitted exactly
+// once in any arrival order, and each replica fetch runs on the node's
+// sim::FetchLeg (DESIGN.md Section 8, "ReliableChannel" and "Fetch leg").
 //
 // run_decentralized_adapt assembles the final scheme from the per-site
 // *actual* bits and repairs any capacity overflow by evicting accepted
@@ -96,10 +96,10 @@ struct DadaptResult {
   sim::TrafficStats traffic{};
   sim::RetryStats retry_stats{};
   double round_time = 0.0;
-  /// Per-site accepted-envelope logs (index = site id); each one feeds
-  /// audit::check_envelope_log. Kept per site because distinct receivers
-  /// legitimately accept the same (sender, kind, seq): a fetch retried at
-  /// the primary reaches two holders.
+  /// Per-site accepted-envelope logs (index = site id): the column updates
+  /// and acks each site's channel admitted through accept(); each one feeds
+  /// audit::check_envelope_log. Fetches are not logged: the fetch leg
+  /// removes duplicates by exchange key, not through accept().
   std::vector<std::vector<audit::EnvelopeRecord>> envelope_logs{};
 };
 

@@ -22,14 +22,11 @@ using sim::Envelope;
 using sim::MessageKind;
 
 /// The kGaElites wire payload: one island's fittest individuals for one
-/// migration epoch. The epoch doubles as the envelope seq.
+/// migration epoch, which is the envelope seq. A kGaElitesAck carries
+/// nothing but the acked epoch's seq.
 struct ElitesPayload {
-  std::size_t epoch = 0;
   std::vector<GraEngine::EvalIndividual> elites;
 };
-
-/// Empty kGaElitesAck payload; the envelope's seq names the acked epoch.
-struct ElitesAck {};
 
 /// The cargo of an island's open elites exchange.
 struct Outgoing {
@@ -103,14 +100,14 @@ class IslandNode final : public sim::Node, private sim::ChannelClient {
         if (network_.faults_armed()) {
           network_.send(self_, message.from, 0.0,
                         sim::seal(MessageKind::kGaElitesAck, self_,
-                                  envelope.seq, ElitesAck{}));
+                                  envelope.seq));
         }
         if (!channel_.accept(envelope)) {
           ++shared_.retry_stats.duplicates;
           return;
         }
         record(envelope);
-        on_elites(payload);
+        on_elites(envelope.seq, payload);
         return;
       }
       case MessageKind::kGaElitesAck: {
@@ -168,7 +165,7 @@ class IslandNode final : public sim::Node, private sim::ChannelClient {
         self_, successor,
         static_cast<double>(outgoing.elites.size()) * elite_size_units_,
         sim::seal(MessageKind::kGaElites, self_, outgoing.epoch,
-                  ElitesPayload{outgoing.epoch, outgoing.elites}));
+                  ElitesPayload{outgoing.elites}));
     return 1;
   }
 
@@ -205,13 +202,13 @@ class IslandNode final : public sim::Node, private sim::ChannelClient {
     proceed();
   }
 
-  void on_elites(const ElitesPayload& payload) {
-    if (waiting_for_ && *waiting_for_ == payload.epoch) {
+  void on_elites(std::size_t epoch, const ElitesPayload& payload) {
+    if (waiting_for_ && *waiting_for_ == epoch) {
       apply(payload.elites);
       proceed();
-    } else if (payload.epoch > epoch_) {
+    } else if (epoch > epoch_) {
       // The predecessor is ahead; hold until our epoch catches up.
-      buffer_[payload.epoch] = payload.elites;
+      buffer_[epoch] = payload.elites;
     } else {
       // Late arrival (retransmission or rejoin resend) for an epoch we
       // proceeded past: the elites are still valid individuals — re-admit.

@@ -8,6 +8,7 @@
 #include "core/replication.hpp"
 #include "obs/metrics.hpp"
 #include "sim/envelope.hpp"
+#include "sim/fetch_leg.hpp"
 #include "sim/reliable_channel.hpp"
 
 namespace drep::sim {
@@ -16,41 +17,24 @@ namespace {
 
 using core::ObjectId;
 
-// Protocol payloads, carried inside the shared sim::Envelope (the
-// envelope's seq mirrors the exchange's id / token round, so every
-// retransmission is idempotent under dedup).
-struct TokenGrant {
-  std::uint64_t round;
-};
+// Protocol payloads, carried inside the shared sim::Envelope. A grant and
+// its token return carry the token round as the envelope seq, an announce
+// and its acks the announce exchange's key, so every retransmission is
+// idempotent; the announcing replicator is the envelope's sender. Grants,
+// acks and rejoins carry nothing else.
 struct TokenReturn {
-  std::uint64_t round;
   bool list_empty;
-};
-struct FetchRequest {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct FetchResponse {
-  ObjectId object;
-  std::uint64_t id;
 };
 struct ReplicaAnnounce {
   ObjectId object;
-  SiteId replicator;
-  std::uint64_t id;
 };
-struct AnnounceAck {
-  std::uint64_t id;
-};
-struct Rejoin {};
-struct RejoinAck {};
 
 /// One exchange of the protocol, as the node's channel keeps it. A grant
 /// is always for the leader's current round.
 struct Exchange {
-  enum class Kind : std::uint8_t { kFetch, kAnnounce, kRejoin, kGrant };
-  Kind kind = Kind::kFetch;
-  ObjectId object = 0;  // fetch, announce
+  enum class Kind : std::uint8_t { kAnnounce, kRejoin, kGrant };
+  Kind kind = Kind::kAnnounce;
+  ObjectId object = 0;  // announce
 };
 
 class SraNode;
@@ -75,7 +59,7 @@ constexpr std::uint64_t kNoRound = 0;  // rounds start at 1
 /// can diverge the scheme.
 constexpr std::size_t kGrantExtraRetries = 4;
 
-class SraNode final : public Node, private ChannelClient {
+class SraNode final : public Node, private ChannelClient, private FetchClient {
  public:
   SraNode(SiteId self, const core::Problem& problem, DesNetwork& network,
           SiteId leader_site, const RetryPolicy& retry, RunState& state)
@@ -85,6 +69,7 @@ class SraNode final : public Node, private ChannelClient {
         leader_site_(leader_site),
         state_(&state),
         channel_(network, self, retry, state.retry, *this),
+        fetch_(network, self, problem, retry, state.retry, *this),
         nearest_cost_(problem.objects()),
         nearest_site_(problem.objects()) {
     // Locally known statics: SP_k and the initial SN record (= SP_k).
@@ -123,38 +108,27 @@ class SraNode final : public Node, private ChannelClient {
 
   void handle(const Message& message) override {
     const Envelope& envelope = open(message);
+    if (fetch_.handle(message, envelope)) return;
     switch (envelope.kind) {
       case MessageKind::kSraTokenGrant:
-        on_grant(unseal<TokenGrant>(envelope));
+        on_grant(envelope.seq);
         break;
       case MessageKind::kSraTokenReturn:
-        on_token_return(message.from, unseal<TokenReturn>(envelope));
+        on_token_return(message.from, envelope.seq,
+                        unseal<TokenReturn>(envelope));
         break;
-      case MessageKind::kSraFetchRequest: {
-        const auto& fetch = unseal<FetchRequest>(envelope);
-        network_->send(self_, message.from, problem_->object_size(fetch.object),
-                       seal(MessageKind::kSraFetchResponse, self_, fetch.id,
-                            FetchResponse{fetch.object, fetch.id}));
+      case MessageKind::kSraReplicaAnnounce:
+        on_announce(envelope.sender, unseal<ReplicaAnnounce>(envelope));
+        network_->send(self_, envelope.sender, 0.0,
+                       seal(MessageKind::kSraAnnounceAck, self_, envelope.seq));
         break;
-      }
-      case MessageKind::kSraFetchResponse:
-        on_object_arrived(unseal<FetchResponse>(envelope));
-        break;
-      case MessageKind::kSraReplicaAnnounce: {
-        const auto& announce = unseal<ReplicaAnnounce>(envelope);
-        on_announce(announce);
-        network_->send(self_, announce.replicator, 0.0,
-                       seal(MessageKind::kSraAnnounceAck, self_, announce.id,
-                            AnnounceAck{announce.id}));
-        break;
-      }
       case MessageKind::kSraAnnounceAck:
-        on_announce_ack(message.from, unseal<AnnounceAck>(envelope));
+        on_announce_ack(message.from, envelope.seq);
         break;
       case MessageKind::kSraRejoin:
         readmit(message.from);
         network_->send(self_, message.from, 0.0,
-                       seal(MessageKind::kSraRejoinAck, self_, 0, RejoinAck{}));
+                       seal(MessageKind::kSraRejoinAck, self_, 0));
         break;
       case MessageKind::kSraRejoinAck:
         close_rejoins();
@@ -169,9 +143,8 @@ class SraNode final : public Node, private ChannelClient {
   /// already-committed local replicas survive, like data on disk.
   void on_crash() override {
     serving_ = false;
-    channel_.close(fetch_key_);
+    fetch_.on_crash();
     channel_.close(announce_key_);
-    fetch_key_ = 0;
     announce_key_ = 0;
   }
 
@@ -185,20 +158,9 @@ class SraNode final : public Node, private ChannelClient {
  private:
   // --- channel hooks -------------------------------------------------------
 
-  std::size_t transmit(ExchangeKey key, std::size_t attempt) override {
+  std::size_t transmit(ExchangeKey key, std::size_t /*attempt*/) override {
     const Exchange& exchange = channel_[key];
     switch (exchange.kind) {
-      case Exchange::Kind::kFetch: {
-        // The nearest known replicator first; the primary (always a
-        // replicator) later, in case the nearest crashed.
-        const SiteId target = channel_.fetch_target(
-            nearest_site_[exchange.object], problem_->primary(exchange.object),
-            attempt);
-        network_->send(self_, target, 0.0,
-                       seal(MessageKind::kSraFetchRequest, self_, key,
-                            FetchRequest{exchange.object, key}));
-        return 1;
-      }
       case Exchange::Kind::kAnnounce: {
         // Every site that has not acked yet (all others on attempt 0).
         std::size_t sent = 0;
@@ -207,18 +169,18 @@ class SraNode final : public Node, private ChannelClient {
           ++sent;
           network_->send(self_, j, 0.0,
                          seal(MessageKind::kSraReplicaAnnounce, self_, key,
-                              ReplicaAnnounce{exchange.object, self_, key}));
+                              ReplicaAnnounce{exchange.object}));
         }
         return sent;
       }
       case Exchange::Kind::kRejoin:
         network_->send(self_, leader_site_, 0.0,
-                       seal(MessageKind::kSraRejoin, self_, 0, Rejoin{}));
+                       seal(MessageKind::kSraRejoin, self_, 0));
         return 1;
       case Exchange::Kind::kGrant:
-        network_->send(self_, active_[granted_slot_], 0.0,
-                       seal(MessageKind::kSraTokenGrant, self_, current_round_,
-                            TokenGrant{current_round_}));
+        network_->send(
+            self_, active_[granted_slot_], 0.0,
+            seal(MessageKind::kSraTokenGrant, self_, current_round_));
         return 1;
     }
     return 0;
@@ -226,18 +188,6 @@ class SraNode final : public Node, private ChannelClient {
 
   void give_up(ExchangeKey key) override {
     switch (channel_[key].kind) {
-      case Exchange::Kind::kFetch: {
-        // Every reachable holder stopped answering: the object is
-        // unobtainable right now — prune it and move on.
-        const ObjectId object = channel_[key].object;
-        channel_.close(key);
-        fetch_key_ = 0;
-        const auto it =
-            std::find(candidates_.begin(), candidates_.end(), object);
-        if (it != candidates_.end()) candidates_.erase(it);
-        finish_visit();
-        return;
-      }
       case Exchange::Kind::kAnnounce:
         // The remaining sites are unreachable; they will carry a stale SN
         // record until (if ever) they learn otherwise. Give the token back.
@@ -271,22 +221,22 @@ class SraNode final : public Node, private ChannelClient {
 
   // --- site role -----------------------------------------------------------
 
-  void on_grant(const TokenGrant& grant) {
-    if (serving_ && serving_round_ == grant.round) {
+  void on_grant(std::uint64_t round) {
+    if (serving_ && serving_round_ == round) {
       ++state_->retry.duplicates;  // still working on this visit
       return;
     }
-    if (grant.round == last_served_round_) {
+    if (round == last_served_round_) {
       // The leader missed our return; resend the cached reply.
       ++state_->retry.duplicates;
       ++state_->retry.retries;
       network_->send(self_, leader_site_, 0.0,
                      seal(MessageKind::kSraTokenReturn, self_,
                           last_served_round_,
-                          TokenReturn{last_served_round_, last_return_empty_}));
+                          TokenReturn{last_return_empty_}));
       return;
     }
-    begin_visit(grant.round);
+    begin_visit(round);
   }
 
   void begin_visit(std::uint64_t round) {
@@ -320,19 +270,24 @@ class SraNode final : public Node, private ChannelClient {
       finish_visit();
       return;
     }
-    // The replication is committed only when the object actually arrives;
-    // until then the candidate stays in L(self) so an aborted fetch leaves
-    // consistent state.
-    fetch_key_ = channel_.open({Exchange::Kind::kFetch, best_object});
+    // The replication is committed only when the object actually arrives
+    // from the nearest known replicator (or, in case it crashed, the
+    // primary); until then the candidate stays in L(self) so an aborted
+    // fetch leaves consistent state.
+    fetch_.fetch(best_object, nearest_site_[best_object], best_object);
   }
 
-  void on_object_arrived(const FetchResponse& resp) {
-    // Only the current fetch is open: anything else is a late duplicate.
-    if (!channel_.settle(resp.id)) return;
-    fetch_key_ = 0;
-    const ObjectId object = resp.object;
-    candidates_.erase(
-        std::find(candidates_.begin(), candidates_.end(), object));
+  void fetched(std::uint64_t tag, bool arrived) override {
+    const auto object = static_cast<ObjectId>(tag);
+    const auto it = std::find(candidates_.begin(), candidates_.end(), object);
+    if (!arrived) {
+      // Every reachable holder stopped answering: the object is
+      // unobtainable right now — prune it and move on.
+      if (it != candidates_.end()) candidates_.erase(it);
+      finish_visit();
+      return;
+    }
+    candidates_.erase(it);
     remaining_ -= problem_->object_size(object);
     nearest_cost_[object] = 0.0;
     nearest_site_[object] = self_;
@@ -352,8 +307,8 @@ class SraNode final : public Node, private ChannelClient {
     announce_key_ = channel_.open({Exchange::Kind::kAnnounce, object});
   }
 
-  void on_announce_ack(SiteId from, const AnnounceAck& ack) {
-    if (ack.id != announce_key_ || announce_acked_[from]) {
+  void on_announce_ack(SiteId from, std::uint64_t id) {
+    if (id != announce_key_ || announce_acked_[from]) {
       ++state_->retry.duplicates;
       return;
     }
@@ -366,19 +321,17 @@ class SraNode final : public Node, private ChannelClient {
     }
   }
 
-  void on_announce(const ReplicaAnnounce& announce) {
-    const double via = problem_->cost(self_, announce.replicator);
+  void on_announce(SiteId replicator, const ReplicaAnnounce& announce) {
+    const double via = problem_->cost(self_, replicator);
     // Lex (cost, site id) update — the same tie-break the centralized
     // ReplicationScheme uses, so the local SN record tracks scheme.nearest()
     // exactly, not just its cost.
-    if (core::closer_replica(via, announce.replicator,
-                             nearest_cost_[announce.object],
+    if (core::closer_replica(via, replicator, nearest_cost_[announce.object],
                              nearest_site_[announce.object])) {
       nearest_cost_[announce.object] = via;
-      nearest_site_[announce.object] = announce.replicator;
+      nearest_site_[announce.object] = replicator;
     }
-    if (self_ == leader_site_)
-      record_replication(announce.object, announce.replicator);
+    if (self_ == leader_site_) record_replication(announce.object, replicator);
   }
 
   void finish_visit() {
@@ -387,7 +340,7 @@ class SraNode final : public Node, private ChannelClient {
     last_return_empty_ = candidates_.empty();
     network_->send(self_, leader_site_, 0.0,
                    seal(MessageKind::kSraTokenReturn, self_, last_served_round_,
-                        TokenReturn{last_served_round_, last_return_empty_}));
+                        TokenReturn{last_return_empty_}));
   }
 
   // --- leader role ---------------------------------------------------------
@@ -415,8 +368,9 @@ class SraNode final : public Node, private ChannelClient {
     }
   }
 
-  void on_token_return(SiteId from, const TokenReturn& ret) {
-    if (!outstanding_ || ret.round != current_round_) {
+  void on_token_return(SiteId from, std::uint64_t round,
+                       const TokenReturn& ret) {
+    if (!outstanding_ || round != current_round_) {
       ++state_->retry.duplicates;
       // A late return from a skipped site proves it alive: re-admit it.
       readmit(from);
@@ -454,6 +408,7 @@ class SraNode final : public Node, private ChannelClient {
   SiteId leader_site_;
   RunState* state_;
   ReliableChannel<Exchange> channel_;
+  FetchLeg fetch_;
 
   // Site-local state.
   std::vector<double> nearest_cost_;
@@ -467,7 +422,6 @@ class SraNode final : public Node, private ChannelClient {
   std::uint64_t serving_round_ = kNoRound;
   std::uint64_t last_served_round_ = kNoRound;
   bool last_return_empty_ = false;
-  ExchangeKey fetch_key_ = 0;     // 0 = no fetch outstanding
   ExchangeKey announce_key_ = 0;  // 0 = no announce outstanding
   std::vector<bool> announce_acked_;
 

@@ -9,10 +9,11 @@
 // traffic, and completion time are measured rather than asserted.
 //
 // With a FaultPlan armed the protocol survives an imperfect network. Every
-// exchange (token grant, object fetch, replica announce, rejoin) runs
-// through the node's sim::ReliableChannel (DESIGN.md Section 8,
-// "ReliableChannel"), so pure message loss only costs retransmissions —
-// the resulting scheme still equals centralized SRA. On top of it:
+// exchange (token grant, replica announce, rejoin) runs through the node's
+// sim::ReliableChannel and every object fetch through its sim::FetchLeg
+// (DESIGN.md Section 8, "ReliableChannel" and "Fetch leg"), so pure message
+// loss only costs retransmissions — the resulting scheme still equals
+// centralized SRA. On top of it:
 //   * the leader re-issues an unanswered token grant and, after exhausting
 //     its (padded) retries, skips the site (presumed crashed); a skipped
 //     site rejoins the active list when it recovers (explicit Rejoin

@@ -8,8 +8,6 @@ bool known_kind(std::uint16_t kind) noexcept {
   switch (static_cast<MessageKind>(kind)) {
     case MessageKind::kSraTokenGrant:
     case MessageKind::kSraTokenReturn:
-    case MessageKind::kSraFetchRequest:
-    case MessageKind::kSraFetchResponse:
     case MessageKind::kSraReplicaAnnounce:
     case MessageKind::kSraAnnounceAck:
     case MessageKind::kSraRejoin:
@@ -18,15 +16,13 @@ bool known_kind(std::uint16_t kind) noexcept {
     case MessageKind::kRetuneStatsAck:
     case MessageKind::kRetuneAddReplica:
     case MessageKind::kRetuneDropReplica:
-    case MessageKind::kRetuneFetchRequest:
-    case MessageKind::kRetuneFetchResponse:
     case MessageKind::kRetuneAck:
     case MessageKind::kGaElites:
     case MessageKind::kGaElitesAck:
     case MessageKind::kDriftColumnUpdate:
     case MessageKind::kDriftColumnAck:
-    case MessageKind::kDriftFetchRequest:
-    case MessageKind::kDriftFetchResponse:
+    case MessageKind::kFetchRequest:
+    case MessageKind::kFetchResponse:
       return true;
   }
   return false;
@@ -36,8 +32,6 @@ std::string_view kind_name(MessageKind kind) noexcept {
   switch (kind) {
     case MessageKind::kSraTokenGrant: return "sra.token_grant";
     case MessageKind::kSraTokenReturn: return "sra.token_return";
-    case MessageKind::kSraFetchRequest: return "sra.fetch_request";
-    case MessageKind::kSraFetchResponse: return "sra.fetch_response";
     case MessageKind::kSraReplicaAnnounce: return "sra.replica_announce";
     case MessageKind::kSraAnnounceAck: return "sra.announce_ack";
     case MessageKind::kSraRejoin: return "sra.rejoin";
@@ -46,15 +40,13 @@ std::string_view kind_name(MessageKind kind) noexcept {
     case MessageKind::kRetuneStatsAck: return "retune.stats_ack";
     case MessageKind::kRetuneAddReplica: return "retune.add_replica";
     case MessageKind::kRetuneDropReplica: return "retune.drop_replica";
-    case MessageKind::kRetuneFetchRequest: return "retune.fetch_request";
-    case MessageKind::kRetuneFetchResponse: return "retune.fetch_response";
     case MessageKind::kRetuneAck: return "retune.ack";
     case MessageKind::kGaElites: return "ga.elites";
     case MessageKind::kGaElitesAck: return "ga.elites_ack";
     case MessageKind::kDriftColumnUpdate: return "drift.column_update";
     case MessageKind::kDriftColumnAck: return "drift.column_ack";
-    case MessageKind::kDriftFetchRequest: return "drift.fetch_request";
-    case MessageKind::kDriftFetchResponse: return "drift.fetch_response";
+    case MessageKind::kFetchRequest: return "fetch.request";
+    case MessageKind::kFetchResponse: return "fetch.response";
   }
   return "unknown";
 }

@@ -2,16 +2,20 @@
 // The versioned protocol message envelope shared by every DES protocol
 // (DESIGN.md Section 15).
 //
-// distributed_sra.*, monitor_protocol.*, and the decentralized GA/adapt
-// protocols in src/dist/ historically each defined ad-hoc payload structs
-// and any_cast chains; every payload now travels inside one Envelope:
+// distributed_sra.*, monitor_protocol.*, fetch_leg.* and the decentralized
+// GA/adapt protocols in src/dist/ send every message inside one Envelope:
 //
 //   version   wire-format version; receivers reject anything unknown
 //   kind      global message-type tag (one enum across all protocols)
 //   seq       per-sender sequence id for dedup/idempotence (0 = unsequenced);
 //             receivers dedup through ReliableChannel::accept
 //   sender    originating site
-//   payload   the protocol-specific struct, still a std::any
+//   payload   the protocol-specific struct, a std::any; empty when the
+//             message carries nothing but its header
+//
+// Ids travel once: a message's id is its seq and its origin is its sender,
+// so no payload repeats either, and an ack, grant or rejoin that carries
+// only an id seals no payload at all.
 //
 // open() is the single entry point on the receive side: it validates the
 // version and the kind, so the DES fault machinery (drops, duplicates from
@@ -33,13 +37,12 @@ inline constexpr std::uint16_t kEnvelopeVersion = 1;
 
 /// Global message-type tags. Values are part of the (simulated) wire format:
 /// append, never renumber. Ranges are blocked per protocol so a dispatch
-/// table stays readable.
+/// table stays readable. Retired, never reused: 3, 4, 36, 37, 98, 99 (the
+/// per-protocol fetch pairs).
 enum class MessageKind : std::uint16_t {
   // Distributed SRA (sim/distributed_sra.cpp).
   kSraTokenGrant = 1,
   kSraTokenReturn = 2,
-  kSraFetchRequest = 3,
-  kSraFetchResponse = 4,
   kSraReplicaAnnounce = 5,
   kSraAnnounceAck = 6,
   kSraRejoin = 7,
@@ -49,8 +52,6 @@ enum class MessageKind : std::uint16_t {
   kRetuneStatsAck = 33,
   kRetuneAddReplica = 34,
   kRetuneDropReplica = 35,
-  kRetuneFetchRequest = 36,
-  kRetuneFetchResponse = 37,
   kRetuneAck = 38,
   // Decentralized island GA (dist/dgra.cpp).
   kGaElites = 64,
@@ -58,8 +59,10 @@ enum class MessageKind : std::uint16_t {
   // Decentralized adaptive retune (dist/dagra.cpp).
   kDriftColumnUpdate = 96,
   kDriftColumnAck = 97,
-  kDriftFetchRequest = 98,
-  kDriftFetchResponse = 99,
+  // Object migration (sim/fetch_leg.cpp), shared by every protocol above
+  // that moves replicas.
+  kFetchRequest = 128,
+  kFetchResponse = 129,
 };
 
 /// True for every tag listed above.
@@ -85,6 +88,13 @@ template <typename Payload>
 [[nodiscard]] Envelope seal(MessageKind kind, SiteId sender, std::uint64_t seq,
                             Payload payload) {
   return Envelope{kEnvelopeVersion, kind, seq, sender, std::move(payload)};
+}
+
+/// Wraps a message that carries nothing but its header (an id-only ack,
+/// grant or rejoin); unseal() of it always throws.
+[[nodiscard]] inline Envelope seal(MessageKind kind, SiteId sender,
+                                   std::uint64_t seq) {
+  return Envelope{kEnvelopeVersion, kind, seq, sender, {}};
 }
 
 /// The uniform receive-side gate: any_casts the message payload to an

@@ -1,6 +1,7 @@
 #include "sim/monitor.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "algo/solver.hpp"
@@ -29,15 +30,29 @@ algo::SolveResponse run_gra(const core::Problem& problem,
   options.rng = &rng;
   return algo::solver_registry().at("gra").solve({problem, options});
 }
+}  // namespace
 
-/// Relative deviation in percent, treating a zero baseline with non-zero
-/// observation as an unbounded change.
 double deviation_percent(double baseline, double observed) {
   if (baseline == observed) return 0.0;
   if (baseline == 0.0) return std::numeric_limits<double>::infinity();
   return 100.0 * std::abs(observed - baseline) / baseline;
 }
-}  // namespace
+
+std::vector<core::ObjectId> changed_objects(
+    std::span<const double> baseline_reads,
+    std::span<const double> baseline_writes, const core::Problem& observed,
+    double threshold_percent) {
+  std::vector<core::ObjectId> changed;
+  for (core::ObjectId k = 0; k < observed.objects(); ++k) {
+    const double read_dev =
+        deviation_percent(baseline_reads[k], observed.total_reads(k));
+    const double write_dev =
+        deviation_percent(baseline_writes[k], observed.total_writes(k));
+    if (read_dev >= threshold_percent || write_dev >= threshold_percent)
+      changed.push_back(k);
+  }
+  return changed;
+}
 
 Monitor::Monitor(const core::Problem& baseline, const MonitorConfig& config,
                  util::Rng& rng)
@@ -53,18 +68,8 @@ std::vector<core::ObjectId> Monitor::detect_changes(
     const core::Problem& observed) const {
   if (observed.objects() != baseline_reads_.size())
     throw std::invalid_argument("Monitor: object count changed");
-  std::vector<core::ObjectId> changed;
-  for (core::ObjectId k = 0; k < observed.objects(); ++k) {
-    const double read_dev =
-        deviation_percent(baseline_reads_[k], observed.total_reads(k));
-    const double write_dev =
-        deviation_percent(baseline_writes_[k], observed.total_writes(k));
-    if (read_dev >= config_.change_threshold_percent ||
-        write_dev >= config_.change_threshold_percent) {
-      changed.push_back(k);
-    }
-  }
-  return changed;
+  return changed_objects(baseline_reads_, baseline_writes_, observed,
+                         config_.change_threshold_percent);
 }
 
 std::vector<core::ObjectId> Monitor::adapt(const core::Problem& observed,

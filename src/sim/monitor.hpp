@@ -9,12 +9,25 @@
 // immediately re-tunes the network. The monitor retains the last GRA
 // population because AGRA's transcription evolves it further.
 
+#include <span>
 #include <vector>
 
 #include "algo/agra.hpp"
 #include "algo/gra.hpp"
 
 namespace drep::sim {
+
+/// Relative deviation of `observed` from `baseline` in percent; a zero
+/// baseline with a non-zero observation is an unbounded change.
+[[nodiscard]] double deviation_percent(double baseline, double observed);
+
+/// The changed-object rule (paper Section 5: "changes above a threshold
+/// value"): objects whose read or write total in `observed` deviates from
+/// the per-object baseline totals by at least `threshold_percent`.
+[[nodiscard]] std::vector<core::ObjectId> changed_objects(
+    std::span<const double> baseline_reads,
+    std::span<const double> baseline_writes, const core::Problem& observed,
+    double threshold_percent);
 
 struct MonitorConfig {
   /// An object is "changed" when its read or write total deviates from the

@@ -1,6 +1,5 @@
 #include "sim/monitor_protocol.hpp"
 
-#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -9,6 +8,7 @@
 #include "core/cost_model.hpp"
 #include "obs/metrics.hpp"
 #include "sim/envelope.hpp"
+#include "sim/fetch_leg.hpp"
 #include "sim/reliable_channel.hpp"
 
 namespace drep::sim {
@@ -17,93 +17,55 @@ namespace {
 
 using core::ObjectId;
 
-// Protocol payloads, carried inside the shared sim::Envelope. Ids make
-// retransmissions idempotent: a directive, its migration fetch, and its ack
-// all carry the directive's id — the monitor channel's exchange key,
-// mirrored as the envelope seq.
-struct StatsReport {};  // pattern rows; zero-size control traffic
-struct StatsAck {};
+// Protocol payloads, carried inside the shared sim::Envelope. A directive's
+// id is the monitor channel's exchange key, carried as the envelope seq of
+// the directive and of its ack, so retransmissions are idempotent. Stats
+// reports and acks carry nothing else.
 struct AddReplica {
   ObjectId object;
   SiteId fetch_from;
-  std::uint64_t id;
 };
 struct DropReplica {
   ObjectId object;
-  std::uint64_t id;
-};
-struct FetchRequest {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct FetchResponse {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct Ack {
-  std::uint64_t id;
 };
 
-/// Any site, the monitor's included, serves a fetch from its replica.
-void serve_fetch(DesNetwork& network, const core::Problem& problem,
-                 SiteId self, const Message& message,
-                 const Envelope& envelope) {
-  const auto& fetch = unseal<FetchRequest>(envelope);
-  network.send(self, message.from, problem.object_size(fetch.object),
-               seal(MessageKind::kRetuneFetchResponse, self, fetch.id,
-                    FetchResponse{fetch.object, fetch.id}));
-}
-
-/// One exchange of the round, as an endpoint's channel keeps it.
-struct Exchange {
-  enum class Kind : std::uint8_t { kReport, kFetch, kDirective, kSelfFetch };
-  Kind kind = Kind::kReport;
-  ObjectId object = 0;
-  SiteId target = 0;            // directive: the site it goes to
-  SiteId holder = 0;            // fetches and add directives: fetch from here
-  std::uint64_t directive = 0;  // site fetch: the directive it executes
-  bool drop = false;            // directive: DropReplica instead of AddReplica
-};
+/// The one exchange a site endpoint's channel keeps: its stats report.
+struct Report {};
 
 /// Site endpoint: ships its stats report (retried until acked when faults
 /// are armed), answers fetches, executes directives idempotently, and acks
 /// them back to the monitor site.
-class SiteEndpoint final : public Node, private ChannelClient {
+class SiteEndpoint final : public Node,
+                           private ChannelClient,
+                           private FetchClient {
  public:
   SiteEndpoint(SiteId self, SiteId monitor_site, const core::Problem& problem,
                DesNetwork& network, const RetryPolicy& retry,
                RetryStats& stats)
       : self_(self),
         monitor_site_(monitor_site),
-        problem_(&problem),
         network_(&network),
-        channel_(network, self, retry, stats, *this) {}
+        channel_(network, self, retry, stats, *this),
+        fetch_(network, self, problem, retry, stats, *this) {}
 
-  void start_report() { (void)channel_.open({Exchange::Kind::kReport}); }
+  void start_report() { (void)channel_.open({}); }
 
   void handle(const Message& message) override {
     const Envelope& envelope = open(message);
+    if (fetch_.handle(message, envelope)) return;
     switch (envelope.kind) {
       case MessageKind::kRetuneAddReplica:
-        on_add(unseal<AddReplica>(envelope));
+        on_add(envelope.seq, unseal<AddReplica>(envelope));
         break;
       case MessageKind::kRetuneDropReplica:
-        on_drop(unseal<DropReplica>(envelope));
-        break;
-      case MessageKind::kRetuneFetchRequest:
-        serve_fetch(*network_, *problem_, self_, message, envelope);
-        break;
-      case MessageKind::kRetuneFetchResponse:
-        on_fetched(unseal<FetchResponse>(envelope));
+        on_drop(envelope.seq);
         break;
       case MessageKind::kRetuneStatsAck:
         stats_acked_ = true;
-        channel_.close_if([](const Exchange& exchange) {
-          return exchange.kind == Exchange::Kind::kReport;
-        });
+        channel_.close_if([](const Report&) { return true; });
         break;
       default:
-        break;  // StatsReport / Ack terminate at the monitor endpoint.
+        break;  // stats reports and acks terminate at the monitor endpoint
     }
   }
 
@@ -111,71 +73,46 @@ class SiteEndpoint final : public Node, private ChannelClient {
     // In-flight migration state is volatile; completed directives (the
     // replica is on disk) survive.
     migrating_.clear();
-    channel_.close_if([](const Exchange& exchange) {
-      return exchange.kind == Exchange::Kind::kFetch;
-    });
+    fetch_.on_crash();
   }
 
   void on_recover() override {
     // A late report in its own exchange; the monitor dedups.
-    if (!stats_acked_) (void)channel_.open({Exchange::Kind::kReport});
+    if (!stats_acked_) (void)channel_.open({});
   }
 
  private:
-  std::size_t transmit(ExchangeKey key, std::size_t attempt) override {
-    const Exchange& exchange = channel_[key];
-    if (exchange.kind == Exchange::Kind::kReport) {
-      network_->send(self_, monitor_site_, 0.0,
-                     seal(MessageKind::kRetuneStatsReport, self_, 0,
-                          StatsReport{}));
-      return 1;
-    }
-    // A migration fetch carries its directive's id, so a response to any
-    // incarnation of that directive completes it.
-    const SiteId target = channel_.fetch_target(
-        exchange.holder, problem_->primary(exchange.object), attempt);
-    network_->send(self_, target, 0.0,
-                   seal(MessageKind::kRetuneFetchRequest, self_,
-                        exchange.directive,
-                        FetchRequest{exchange.object, exchange.directive}));
+  std::size_t transmit(ExchangeKey /*key*/, std::size_t /*attempt*/) override {
+    network_->send(self_, monitor_site_, 0.0,
+                   seal(MessageKind::kRetuneStatsReport, self_, 0));
     return 1;
   }
 
-  void give_up(ExchangeKey key) override {
-    // A report's give-up leaves the rest to the monitor's deadline; an
-    // abandoned migration restarts when the monitor retries its directive.
-    if (channel_[key].kind == Exchange::Kind::kFetch)
-      migrating_.erase(channel_[key].directive);
-    channel_.close(key);
-  }
+  /// A report's give-up leaves the rest to the monitor's deadline.
+  void give_up(ExchangeKey key) override { channel_.close(key); }
 
-  void on_add(const AddReplica& add) {
-    if (completed_.count(add.id) != 0) {
+  void on_add(std::uint64_t id, const AddReplica& add) {
+    if (completed_.count(id) != 0) {
       ++channel_.stats().duplicates;  // already migrated; the ack was lost
       network_->send(self_, monitor_site_, 0.0,
-                     seal(MessageKind::kRetuneAck, self_, add.id, Ack{add.id}));
+                     seal(MessageKind::kRetuneAck, self_, id));
       return;
     }
     // The rollout can direct several additions at one site back-to-back, so
-    // migrations run concurrently, keyed by directive id.
-    const auto [it, inserted] = migrating_.try_emplace(add.id, 0);
-    if (!inserted) {
+    // migrations run concurrently, tagged with their directive's id.
+    if (!migrating_.insert(id).second) {
       ++channel_.stats().duplicates;  // this migration is still in flight
       return;
     }
-    it->second = channel_.open(
-        {Exchange::Kind::kFetch, add.object, 0, add.fetch_from, add.id});
+    fetch_.fetch(add.object, add.fetch_from, id);
   }
 
-  void on_fetched(const FetchResponse& resp) {
-    const auto it = migrating_.find(resp.id);
-    if (it == migrating_.end()) {
-      ++channel_.stats().duplicates;
-      return;
-    }
-    channel_.close(it->second);
-    migrating_.erase(it);
-    const bool first_completion = completed_.insert(resp.id).second;
+  void fetched(std::uint64_t id, bool arrived) override {
+    migrating_.erase(id);
+    // An abandoned migration restarts when the monitor retries its
+    // directive.
+    if (!arrived) return;
+    const bool first_completion = completed_.insert(id).second;
     // Audit (compiled out unless DREP_AUDIT=ON): a directive that completes
     // twice means on_add re-admitted an already-completed id — the
     // idempotence guard above it failed.
@@ -183,40 +120,48 @@ class SiteEndpoint final : public Node, private ChannelClient {
         if (!first_completion) {
           ::drep::audit::enforce(
               {{"retune.directive_idempotence",
-                "directive " + std::to_string(resp.id) +
+                "directive " + std::to_string(id) +
                     " completed a second time at site " +
                     std::to_string(self_)}},
-              "monitor/on_fetched");
+              "monitor/fetched");
         });
     (void)first_completion;
     network_->send(self_, monitor_site_, 0.0,
-                   seal(MessageKind::kRetuneAck, self_, resp.id,
-                        Ack{resp.id}));
+                   seal(MessageKind::kRetuneAck, self_, id));
   }
 
-  void on_drop(const DropReplica& drop) {
+  void on_drop(std::uint64_t id) {
     // Local deallocation is instantaneous and idempotent; always ack.
-    if (!completed_.insert(drop.id).second) ++channel_.stats().duplicates;
+    if (!completed_.insert(id).second) ++channel_.stats().duplicates;
     network_->send(self_, monitor_site_, 0.0,
-                   seal(MessageKind::kRetuneAck, self_, drop.id,
-                        Ack{drop.id}));
+                   seal(MessageKind::kRetuneAck, self_, id));
   }
 
   SiteId self_;
   SiteId monitor_site_;
-  const core::Problem* problem_;
   DesNetwork* network_;
-  ReliableChannel<Exchange> channel_;
+  ReliableChannel<Report> channel_;
+  FetchLeg fetch_;
   bool stats_acked_ = false;
-  /// Directive id -> the exchange fetching its object.
-  std::map<std::uint64_t, ExchangeKey> migrating_;
+  /// Ids of the directives whose fetch is in flight.
+  std::set<std::uint64_t> migrating_;
   std::set<std::uint64_t> completed_;
+};
+
+/// One directive of the rollout, as the monitor's channel keeps it.
+struct Directive {
+  ObjectId object = 0;
+  SiteId target = 0;  // the site it goes to
+  SiteId holder = 0;  // AddReplica: fetch from here
+  bool drop = false;  // DropReplica instead of AddReplica
 };
 
 /// The monitor-site endpoint: collects stats reports (with a give-up
 /// deadline under faults), then disseminates the scheme delta and shepherds
 /// every directive to an ack or a counted failure.
-class MonitorEndpoint final : public Node, private ChannelClient {
+class MonitorEndpoint final : public Node,
+                              private ChannelClient,
+                              private FetchClient {
  public:
   using Trigger = std::function<void()>;
 
@@ -224,10 +169,10 @@ class MonitorEndpoint final : public Node, private ChannelClient {
                   DesNetwork& network, const RetryPolicy& retry,
                   RetuneReport& report, Trigger trigger)
       : self_(self),
-        problem_(&problem),
         network_(&network),
         report_(&report),
         channel_(network, self, retry, report.retry_stats, *this),
+        fetch_(network, self, problem, retry, report.retry_stats, *this),
         reported_(problem.sites(), false),
         awaiting_reports_(problem.sites() - 1),
         trigger_(std::move(trigger)) {
@@ -236,22 +181,16 @@ class MonitorEndpoint final : public Node, private ChannelClient {
 
   void handle(const Message& message) override {
     const Envelope& envelope = open(message);
+    if (fetch_.handle(message, envelope)) return;
     switch (envelope.kind) {
       case MessageKind::kRetuneStatsReport:
         on_report(message.from);
         break;
-      case MessageKind::kRetuneFetchRequest:
-        if (message.from != self_)
-          serve_fetch(*network_, *problem_, self_, message, envelope);
-        break;
-      case MessageKind::kRetuneFetchResponse:
-        (void)channel_.settle(unseal<FetchResponse>(envelope).id);
-        break;
       case MessageKind::kRetuneAck:
-        (void)channel_.settle(unseal<Ack>(envelope).id);
+        (void)channel_.settle(envelope.seq);
         break;
       default:
-        break;  // directives and StatsAck terminate at the site endpoints
+        break;  // directives and stats acks terminate at the site endpoints
     }
   }
 
@@ -270,30 +209,23 @@ class MonitorEndpoint final : public Node, private ChannelClient {
   /// site), a drop is a directive — the monitor drops its own locally.
   void roll_out(SiteId target, ObjectId object, SiteId holder, bool drop) {
     if (target != self_) {
-      (void)channel_.open(
-          {Exchange::Kind::kDirective, object, target, holder, 0, drop});
+      (void)channel_.open({object, target, holder, drop});
     } else if (!drop) {
-      (void)channel_.open({Exchange::Kind::kSelfFetch, object, 0, holder});
+      fetch_.fetch(object, holder, 0);
     }
   }
 
  private:
-  std::size_t transmit(ExchangeKey key, std::size_t attempt) override {
-    const Exchange& exchange = channel_[key];
-    if (exchange.kind == Exchange::Kind::kSelfFetch) {
-      const SiteId target = channel_.fetch_target(
-          exchange.holder, problem_->primary(exchange.object), attempt);
-      network_->send(self_, target, 0.0,
-                     seal(MessageKind::kRetuneFetchRequest, self_, key,
-                          FetchRequest{exchange.object, key}));
-    } else if (exchange.drop) {
-      network_->send(self_, exchange.target, 0.0,
+  std::size_t transmit(ExchangeKey key, std::size_t /*attempt*/) override {
+    const Directive& directive = channel_[key];
+    if (directive.drop) {
+      network_->send(self_, directive.target, 0.0,
                      seal(MessageKind::kRetuneDropReplica, self_, key,
-                          DropReplica{exchange.object, key}));
+                          DropReplica{directive.object}));
     } else {
-      network_->send(self_, exchange.target, 0.0,
+      network_->send(self_, directive.target, 0.0,
                      seal(MessageKind::kRetuneAddReplica, self_, key,
-                          AddReplica{exchange.object, exchange.holder, key}));
+                          AddReplica{directive.object, directive.holder}));
     }
     return 1;
   }
@@ -301,6 +233,11 @@ class MonitorEndpoint final : public Node, private ChannelClient {
   /// The site presumably crashed and keeps its stale replica set. The
   /// exchange stays open: an ack that still arrives completes it.
   void give_up(ExchangeKey /*key*/) override { ++report_->directives_failed; }
+
+  /// The monitor's own migration: a give-up leaves its stale replica set.
+  void fetched(std::uint64_t /*tag*/, bool arrived) override {
+    if (!arrived) ++report_->directives_failed;
+  }
 
   void on_report(SiteId from) {
     if (reported_[from]) {
@@ -313,7 +250,7 @@ class MonitorEndpoint final : public Node, private ChannelClient {
     // Ack only when the sender runs a retry loop that needs stopping.
     if (channel_.armed()) {
       network_->send(self_, from, 0.0,
-                     seal(MessageKind::kRetuneStatsAck, self_, 0, StatsAck{}));
+                     seal(MessageKind::kRetuneStatsAck, self_, 0));
     }
   }
 
@@ -323,10 +260,10 @@ class MonitorEndpoint final : public Node, private ChannelClient {
   }
 
   SiteId self_;
-  const core::Problem* problem_;
   DesNetwork* network_;
   RetuneReport* report_;
-  ReliableChannel<Exchange> channel_;
+  ReliableChannel<Directive> channel_;
+  FetchLeg fetch_;
   std::vector<bool> reported_;
   std::size_t awaiting_reports_;
   bool triggered_ = false;

@@ -19,9 +19,10 @@
 // and migration NTC of actually *rolling out* an adaptation, plus how long
 // the round takes in network time units.
 //
-// With a FaultPlan armed the round survives an imperfect network; reports,
-// directives and fetches are sim::ReliableChannel exchanges (DESIGN.md
-// Section 8, "ReliableChannel"):
+// With a FaultPlan armed the round survives an imperfect network; reports
+// and directives are sim::ReliableChannel exchanges and migrations run on
+// each endpoint's sim::FetchLeg (DESIGN.md Section 8, "ReliableChannel" and
+// "Fetch leg"):
 //   * stats reports are acked by the monitor; after the channel's
 //     collection deadline the monitor proceeds with whatever arrived,
 //     counting `reports_missing`;

@@ -35,11 +35,6 @@ double ChannelCore::deadline() {
   return policy_.give_up_time(base()) + 2.0 * base();
 }
 
-SiteId ChannelCore::fetch_target(SiteId holder, SiteId primary,
-                                 std::size_t attempt) const noexcept {
-  return attempt <= policy_.max_retries / 2 ? holder : primary;
-}
-
 bool ChannelCore::is_open(ExchangeKey key) const noexcept {
   const std::uint32_t slot = slot_of(key);
   return slot < slots_.size() && slots_[slot].open &&

@@ -2,13 +2,13 @@
 // One reliable-delivery layer for every DES protocol (DESIGN.md Section 8,
 // "ReliableChannel").
 //
-// Each protocol node owns one ReliableChannel and opens an *exchange* per
-// message that must reach its peer. The channel owns the retry timers (only
-// under a FaultPlan), silence while its own site is down, give-up, restart
-// on recover, RetryStats, the shared deadline and fetch-fallback rules, and
-// the exactly-once receive filter. Acks stay the protocol's own messages
-// and the channel sends nothing itself, so the order of sends, timers and
-// fault-RNG draws is exactly what the node asks for.
+// Each protocol node owns one ReliableChannel (and its sim::FetchLeg one
+// more) and opens an *exchange* per message that must reach its peer. The
+// channel owns the retry timers (only under a FaultPlan), silence while its
+// own site is down, give-up, restart on recover, RetryStats, the shared
+// deadline rule, and the exactly-once receive filter. Acks stay the
+// protocol's own messages and the channel sends nothing itself, so the order
+// of sends, timers and fault-RNG draws is exactly what the node asks for.
 //
 // Ordering contract: no delivery order is assumed. A reply settles its
 // exchange by key, and accept() admits each (sender, stream, seq) exactly
@@ -65,10 +65,6 @@ class ChannelCore {
   /// How long a collector waits before proceeding without a peer: the
   /// sender's whole retry ladder plus a round trip of two base timeouts.
   [[nodiscard]] double deadline();
-  /// Fetch target of `attempt`: the designated holder, then — past half the
-  /// retry budget — the object's primary, which always holds it.
-  [[nodiscard]] SiteId fetch_target(SiteId holder, SiteId primary,
-                                    std::size_t attempt) const noexcept;
 
   [[nodiscard]] bool is_open(ExchangeKey key) const noexcept;
   /// The protocol's reply arrived: closes `key` and returns true; a key that

@@ -11,6 +11,7 @@
 
 #include "algo/gra.hpp"
 #include "algo/solver.hpp"
+#include "algo/sra.hpp"
 #include "audit/invariants.hpp"
 #include "dist/dagra.hpp"
 #include "sim/fault_plan.hpp"
@@ -167,6 +168,50 @@ TEST(DagraConformance, OvertakenFetchResponsesComplete) {
     for (const auto& log : dist.envelope_logs)
       EXPECT_TRUE(audit::check_envelope_log(log).empty());
   }
+}
+
+// One seeded drop+spike+crash round with every counter pinned. Three sites
+// drift and retune concurrently over an SRA scheme, so replica gains fetch
+// from real replicas: fetches retry, fall back to the primary, and one gives
+// up. The counters pin the order of every send, retry timer and fault-RNG
+// draw of the dissemination and fetch legs.
+TEST(DagraConformance, DropSpikeCrashRunIsPinned) {
+  const core::Problem baseline = testing::small_random_problem(19);
+  core::Problem observed = baseline;
+  for (const core::SiteId site : {1u, 2u, 3u, 5u}) {
+    for (core::ObjectId k = 0; k < 8; ++k)
+      observed.set_reads(site, k, 10.0 * baseline.reads(site, k) + 5.0);
+  }
+  DadaptOptions options = base_options(baseline);
+  options.current_scheme = algo::solve_sra(baseline).scheme.matrix();
+  options.drift_threshold_percent = 100.0;
+  options.faults = sim::FaultPlan::parse(
+      "seed=7,drop=0.15,spike=0.2,spikex=3,crash=6@20..400");
+  options.retry.max_retries = 2;
+  const DadaptResult dist = run_decentralized_adapt(baseline, observed,
+                                                    options);
+  EXPECT_EQ(dist.drifted_sites, (std::vector<core::SiteId>{2, 3, 5}));
+  EXPECT_EQ(dist.retunes_run, 3u);
+  EXPECT_EQ(dist.changed_objects.size(), 8u);
+  EXPECT_EQ(dist.traffic.sent_messages, 492u);
+  EXPECT_EQ(dist.traffic.data_messages, 20u);
+  EXPECT_EQ(dist.traffic.control_messages, 379u);
+  EXPECT_EQ(dist.traffic.dropped_link, 77u);
+  EXPECT_EQ(dist.traffic.dropped_site_down, 16u);
+  EXPECT_EQ(dist.traffic.latency_spikes, 74u);
+  EXPECT_EQ(dist.traffic.data_traffic, 1437.0);
+  EXPECT_EQ(dist.retry_stats.retries, 88u);
+  EXPECT_EQ(dist.retry_stats.timeouts, 99u);
+  EXPECT_EQ(dist.retry_stats.give_ups, 11u);
+  EXPECT_EQ(dist.retry_stats.duplicates, 36u);
+  EXPECT_EQ(dist.updates_sent, 168u);
+  EXPECT_EQ(dist.updates_applied, 136u);
+  EXPECT_EQ(dist.updates_ignored, 26u);
+  EXPECT_EQ(dist.directives_failed, 1u);
+  EXPECT_EQ(dist.directives_rejected, 10u);
+  EXPECT_EQ(dist.round_time, 516.0);
+  EXPECT_EQ(dist.result.cost, 635052.0);
+  EXPECT_TRUE(audit::check_scheme(dist.result.scheme).empty());
 }
 
 TEST(DagraConformance, OptionValidation) {

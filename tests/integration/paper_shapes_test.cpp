@@ -109,37 +109,6 @@ TEST(PaperShapes, UpdateSurgeDegradesStaticScheme) {
   EXPECT_GT(adapted.best.savings_percent, degraded);
 }
 
-TEST(PaperShapes, AgraIsFasterThanFullGra) {
-  // Fig. 4(d): AGRA (+ mini-GRA) runs orders of magnitude faster than a
-  // full from-scratch GRA. At this reduced scale assert a conservative 2×;
-  // the bench reproduces the 1.5-2 orders-of-magnitude gap at paper scale.
-  core::Problem p = make(30, 60, 5.0, 15.0, 11);
-  util::Rng rng(12);
-  algo::GraConfig full = small_gra();
-  full.population = 20;
-  full.generations = 60;
-  const algo::GraResult static_run = algo::solve_gra(p, small_gra(), rng);
-
-  workload::PatternChangeConfig change;
-  change.objects_percent = 20.0;
-  util::Rng crng(13);
-  const auto report = workload::apply_pattern_change(p, change, crng);
-
-  util::Rng grng(14);
-  const algo::GraResult scratch = algo::solve_gra(p, full, grng);
-
-  std::vector<ga::Chromosome> retained;
-  for (const auto& ind : static_run.population) retained.push_back(ind.genes);
-  algo::AgraConfig agra;
-  agra.mini_gra_generations = 5;
-  agra.mini_gra.population = static_run.population.size();
-  util::Rng arng(15);
-  const algo::AgraResult adapted =
-      algo::solve_agra(p, static_run.best.scheme.matrix(), retained,
-                       report.all_changed(), agra, arng);
-  EXPECT_LT(adapted.best.elapsed_seconds, scratch.best.elapsed_seconds / 2.0);
-}
-
 TEST(PaperShapes, GraExploitsAddedSitesBetterThanSra) {
   // Fig. 1(b): GRA's replica count grows with the network while SRA's stays
   // nearly constant. Compare replica growth between two network sizes.

@@ -464,6 +464,32 @@ TEST(FaultInjectionGolden, RetuneRoundDropSpikeCrash) {
   EXPECT_DOUBLE_EQ(report.round_time, 4682.0);
 }
 
+// The migration fetches under a two-retry budget: the monitor site itself
+// gains a replica (it fetches without a directive), one fetch falls back
+// to the object's primary on its last attempt, and one gives up, so the
+// run reaches every branch of the fetch leg.
+TEST(FaultInjectionGolden, RetuneRoundFetchFallback) {
+  core::Problem p = testing::small_random_problem(39, 10, 12, 5.0, 15.0);
+  util::Rng rng(139);
+  Monitor monitor(p, fast_monitor(), rng);
+  apply_drift(p, 39);
+  RetuneOptions options;
+  options.monitor_site = 7;
+  options.faults = FaultPlan::parse(
+      "seed=10,drop=0.15,spike=0.2,spikex=3,crash=3@100..3000");
+  options.retry.max_retries = 2;
+  const RetuneReport report = run_retune_round(p, monitor, options, rng);
+  expect_traffic(report.traffic, 68, 5, 51, 11, 1, 15);
+  EXPECT_DOUBLE_EQ(report.traffic.data_traffic, 390.0);
+  EXPECT_DOUBLE_EQ(report.migration_traffic, 436.0);
+  expect_retries(report.retry_stats, 13, 14, 1, 5);
+  EXPECT_EQ(report.reports_missing, 0u);
+  EXPECT_EQ(report.directives_failed, 1u);
+  EXPECT_EQ(report.replicas_added, 6u);
+  EXPECT_EQ(report.replicas_dropped, 7u);
+  EXPECT_DOUBLE_EQ(report.round_time, 3000.0);
+}
+
 TEST(FaultInjectionGolden, TraceReplayDropSpikeCrash) {
   const core::Problem p = testing::small_random_problem(13, 8, 10);
   const algo::AlgorithmResult sra = algo::solve_sra(p);

@@ -87,7 +87,7 @@ TEST(ReliableChannel, KeysSurviveSlotReuse) {
   EXPECT_EQ(network.queue().pending(), 0u);
 }
 
-TEST(ReliableChannel, DeadlineAndFetchFallbackFollowThePolicy) {
+TEST(ReliableChannel, DeadlineFollowsThePolicy) {
   const net::CostMatrix costs = unit_costs(2);  // worst latency 1: base 4
   DesNetwork network(costs);
   RetryStats stats;
@@ -96,9 +96,6 @@ TEST(ReliableChannel, DeadlineAndFetchFallbackFollowThePolicy) {
   policy.max_retries = 4;
   ReliableChannel<int> channel(network, 0, policy, stats, client);
   EXPECT_DOUBLE_EQ(channel.deadline(), policy.give_up_time(4.0) + 8.0);
-  EXPECT_EQ(channel.fetch_target(3, 9, 0), 3u);
-  EXPECT_EQ(channel.fetch_target(3, 9, 2), 3u);  // up to half the budget
-  EXPECT_EQ(channel.fetch_target(3, 9, 3), 9u);  // then the primary
 }
 
 // --- a toy request/ack protocol over seeded fault schedules ----------------

@@ -4,16 +4,16 @@
 // is generated, driven through SRA → GRA (+ DeltaEvaluator churn) → the
 // epoch simulation (all three adaptation policies) → distributed SRA
 // (perfect and faulty) → trace replay (perfect and faulty, with every
-// injection at t=0 and at a fractional spacing) → a monitor
-// retune round → the online engine (standalone vs DES replay, perfect and
-// faulty, plus decision-log replay and registry determinism) → the serving
-// front-end (snapshot freeze coherence plus a 1-vs-2-worker trace-replay
-// determinism differential), and after
-// every stage the audit::check_* validators
-// cross-check the incremental state against from-scratch recomputation. The
-// validators are called explicitly, so the fuzzer finds divergence in any
-// build; compiling with -DDREP_AUDIT=ON additionally arms the inline hooks
-// inside the solvers and catches mid-run corruption at its source.
+// injection at t=0 and at a fractional spacing) → a monitor retune round
+// (perfect and faulty) → the online engine (standalone vs DES replay,
+// perfect and faulty, plus decision-log replay and registry determinism) →
+// the serving front-end (snapshot freeze coherence plus a 1-vs-2-worker
+// trace-replay determinism differential), and after every stage the
+// audit::check_* validators cross-check the incremental state against
+// from-scratch recomputation. The validators are called explicitly, so the
+// fuzzer finds divergence in any build; compiling with -DDREP_AUDIT=ON
+// additionally arms the inline hooks inside the solvers and catches mid-run
+// corruption at its source.
 //
 // On failure the case is shrunk (halve sites, halve objects, collapse the
 // epochs) while it still fails, and a replayable repro line is printed:
@@ -407,6 +407,41 @@ audit::Violations run_case(const FuzzCase& c) {
               .directives_failed = retune.directives_failed}));
     core::ReplicationScheme adopted(drifted, monitor.current_scheme());
     note(out, "retune", audit::check_scheme(adopted));
+
+    // --- the same round under faults ------------------------------------
+    // A second monitor from the same stream fork decides before any rollout
+    // traffic, so it adopts the perfect round's scheme; faults only change
+    // what the rollout costs. With every directive through, each gain's
+    // fetch landed at least once, from its designated holder or the
+    // (no closer) primary.
+    util::Rng faulty_monitor_rng = rng.fork(10);
+    sim::Monitor faulty_monitor(problem, mon_cfg, faulty_monitor_rng);
+    sim::RetuneOptions faulty_retune_opt;
+    faulty_retune_opt.faults = make_faults(c);
+    const sim::RetuneReport faulty_retune = sim::run_retune_round(
+        drifted, faulty_monitor, faulty_retune_opt, faulty_monitor_rng);
+    note(out, "retune/faulty", audit::check_message_conservation(
+                                   message_counts(faulty_retune.traffic)));
+    note(out, "retune/faulty",
+         audit::check_scheme(core::ReplicationScheme(
+             drifted, faulty_monitor.current_scheme())));
+    if (faulty_monitor.current_scheme() != monitor.current_scheme()) {
+      out.push_back({"retune/faulty: adopted_scheme",
+                     "the faulty round adopted a different scheme than the "
+                     "perfect round"});
+    }
+    const double migration_slack =
+        1e-9 * std::max(1.0, faulty_retune.migration_traffic);
+    if (faulty_retune.directives_failed == 0 &&
+        faulty_retune.traffic.data_traffic <
+            faulty_retune.migration_traffic - migration_slack) {
+      out.push_back({"retune/faulty: migration_traffic",
+                     "data traffic " +
+                         std::to_string(faulty_retune.traffic.data_traffic) +
+                         " < migration traffic " +
+                         std::to_string(faulty_retune.migration_traffic) +
+                         " with no failed directive"});
+    }
 
     // --- online engine: standalone == DES, perfect and faulty ------------
     // The policy decides at injection time, in trace order, so the final
