@@ -1,8 +1,8 @@
-// Micro-benchmarks for the incremental (delta) cost evaluator against the
-// full O(M·N) evaluation it replaces in the GA hot path. The headline
-// number is the single-flip re-evaluation vs CostEvaluator::total_cost at
-// the paper-scale 200-site / 1000-object shape (see DESIGN.md, incremental
-// cost model).
+// Micro-benchmarks for delta evaluation on core::CostEvaluator (a V_k
+// vector kept by full_cost/delta_cost) against the full O(M·N) evaluation
+// it replaces in the GA hot path. The headline number is the single-flip
+// re-evaluation vs CostEvaluator::total_cost at the paper-scale 200-site /
+// 1000-object shape (see DESIGN.md, incremental cost model).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -60,12 +60,17 @@ void BM_DeltaApplyFlip(benchmark::State& state) {
   const auto problem =
       make_problem(static_cast<std::size_t>(state.range(0)),
                    static_cast<std::size_t>(state.range(1)));
-  core::DeltaEvaluator delta(problem);
-  delta.rebase(dense_chromosome(problem));
+  core::CostEvaluator evaluator(problem);
+  ga::Chromosome genes = dense_chromosome(problem);
+  std::vector<double> v(problem.objects(), 0.0);
+  benchmark::DoNotOptimize(evaluator.full_cost(genes, v));
   const auto [site, object] = free_cell(problem);
+  std::uint8_t& bit = genes[site * problem.objects() + object];
+  const core::ObjectId changed[] = {object};
   for (auto _ : state) {
     // Toggles the replica on/off; every iteration is one flip.
-    benchmark::DoNotOptimize(delta.apply_flip(site, object));
+    bit = bit != 0 ? 0 : 1;
+    benchmark::DoNotOptimize(evaluator.delta_cost(genes, changed, v));
   }
   state.SetLabel("single-flip re-evaluation");
 }
@@ -75,75 +80,39 @@ BENCHMARK(BM_DeltaApplyFlip)
     ->Args({100, 500})
     ->Args({200, 1000});
 
-// Read-only flip probe (AGRA's exact-delta repair scoring).
+// Read-only flip probe (AGRA's exact-delta repair scoring): one column
+// cost of the flipped column, no re-sum.
 void BM_DeltaPeekFlip(benchmark::State& state) {
   const auto problem =
       make_problem(static_cast<std::size_t>(state.range(0)),
                    static_cast<std::size_t>(state.range(1)));
-  core::DeltaEvaluator delta(problem);
-  delta.rebase(dense_chromosome(problem));
+  core::CostEvaluator evaluator(problem);
+  ga::Chromosome genes = dense_chromosome(problem);
   const auto [site, object] = free_cell(problem);
+  std::uint8_t& bit = genes[site * problem.objects() + object];
+  bit = bit != 0 ? 0 : 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(delta.peek_flip(site, object));
+    benchmark::DoNotOptimize(evaluator.column_cost(genes, object));
   }
   state.SetLabel("hypothetical-flip probe");
 }
 BENCHMARK(BM_DeltaPeekFlip)->Args({50, 400})->Args({200, 1000});
 
-// Replacing one whole gene (crossover boundary-gene repair).
-void BM_DeltaGeneExchange(benchmark::State& state) {
-  const auto problem =
-      make_problem(static_cast<std::size_t>(state.range(0)),
-                   static_cast<std::size_t>(state.range(1)));
-  core::DeltaEvaluator delta(problem);
-  const ga::Chromosome a = dense_chromosome(problem);
-  util::Rng rng(11);
-  const ga::Chromosome b = algo::random_population(problem, 1, rng).front();
-  delta.rebase(a);
-  const std::size_t n = problem.objects();
-  const core::SiteId site = 1;
-  std::vector<std::uint8_t> row_a(a.begin() + static_cast<std::ptrdiff_t>(site * n),
-                                  a.begin() + static_cast<std::ptrdiff_t>((site + 1) * n));
-  std::vector<std::uint8_t> row_b(b.begin() + static_cast<std::ptrdiff_t>(site * n),
-                                  b.begin() + static_cast<std::ptrdiff_t>((site + 1) * n));
-  bool use_b = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(delta.apply_gene_exchange(site, use_b ? row_b : row_a));
-    use_b = !use_b;
-  }
-  state.SetLabel("whole-gene exchange");
-}
-BENCHMARK(BM_DeltaGeneExchange)->Args({50, 400})->Args({200, 1000});
-
-// Adopting a brand-new baseline (selection copies a different parent in).
-void BM_DeltaRebase(benchmark::State& state) {
-  const auto problem =
-      make_problem(static_cast<std::size_t>(state.range(0)),
-                   static_cast<std::size_t>(state.range(1)));
-  core::DeltaEvaluator delta(problem);
-  const ga::Chromosome genes = dense_chromosome(problem);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(delta.rebase(genes));
-  }
-  state.SetLabel("full rebase (upper bound)");
-}
-BENCHMARK(BM_DeltaRebase)->Args({50, 400})->Args({200, 1000});
-
 // The stateless population path: re-derive only `touched` objects of a
 // mutated chromosome against a cached per-object cost vector.
 void BM_DeltaCostTouched(benchmark::State& state) {
   const auto problem = make_problem(200, 1000);
-  core::DeltaEvaluator delta(problem);
+  core::CostEvaluator evaluator(problem);
   ga::Chromosome genes = dense_chromosome(problem);
   std::vector<double> v(problem.objects(), 0.0);
-  benchmark::DoNotOptimize(delta.full_cost(genes, v));
+  benchmark::DoNotOptimize(evaluator.full_cost(genes, v));
   std::vector<core::ObjectId> touched;
   for (std::int64_t t = 0; t < state.range(0); ++t) {
     touched.push_back(static_cast<core::ObjectId>(
         (t * 97) % static_cast<std::int64_t>(problem.objects())));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(delta.delta_cost(genes, touched, v));
+    benchmark::DoNotOptimize(evaluator.delta_cost(genes, touched, v));
   }
   state.SetLabel("delta_cost, N=1000");
 }

@@ -178,12 +178,16 @@ std::size_t repair_capacity(const core::Problem& problem, ga::Chromosome& genes,
       degree[k] += genes[static_cast<std::size_t>(i) * n + k] != 0 ? 1.0 : 0.0;
   }
 
-  // The exact-ΔD strategy scores a candidate deallocation with one
-  // incremental peek — O((|R_k|+1)·M) — instead of full scheme state.
-  std::optional<core::DeltaEvaluator> delta;
+  // The exact-ΔD strategy keeps D and the V_k behind it for the genes it
+  // repairs, and scores a candidate deallocation by re-deriving one column
+  // — O((|R_k|+1)·|row|) — instead of building scheme state.
+  std::optional<core::CostEvaluator> evaluator;
+  std::vector<double> v;
+  double total = 0.0;
   if (strategy == AgraConfig::Repair::kExactDelta) {
-    delta.emplace(problem);
-    delta->rebase(genes);
+    evaluator.emplace(problem);
+    v.resize(n);
+    total = evaluator->full_cost(genes, v);
   }
 
   std::size_t deallocations = 0;
@@ -212,11 +216,16 @@ std::size_t repair_capacity(const core::Problem& problem, ga::Chromosome& genes,
           case AgraConfig::Repair::kRandom:
             score = rng.uniform01();
             break;
-          case AgraConfig::Repair::kExactDelta:
+          case AgraConfig::Repair::kExactDelta: {
             // Deallocate the replica whose removal degrades D least: the
             // candidate with the smallest post-removal total wins.
-            score = delta->peek_flip(i, k);
+            std::uint8_t& bit = genes[static_cast<std::size_t>(i) * n + k];
+            const std::uint8_t held = bit;
+            bit = 0;
+            score = total - v[k] + evaluator->column_cost(genes, k);
+            bit = held;
             break;
+          }
         }
         if (!found || score < victim_score) {
           victim_score = score;
@@ -232,7 +241,10 @@ std::size_t repair_capacity(const core::Problem& problem, ga::Chromosome& genes,
       genes[static_cast<std::size_t>(i) * n + victim] = 0;
       loads[i] -= problem.object_size(victim);
       degree[victim] -= 1.0;
-      if (delta) delta->apply_flip(i, victim);
+      if (evaluator) {
+        const core::ObjectId removed[] = {victim};
+        total = evaluator->delta_cost(genes, removed, v);
+      }
       ++deallocations;
     }
   }

@@ -59,10 +59,11 @@ struct AgraConfig {
   enum class Repair {
     kEstimator,   // Eq. 6 estimate, O(M) per candidate — the paper's choice
     kRandom,      // deallocate uniformly at random
-    /// Exact ΔD greedy — the paper's rejected option, implemented with
-    /// DeltaEvaluator::peek_flip: O((|R_k|+1)·M) per candidate. The victim
-    /// is the replica whose removal degrades D least (smallest
-    /// post-removal total).
+    /// Exact ΔD greedy — the paper's rejected option. The repair keeps the
+    /// V_k vector of the genes it repairs and scores a candidate as
+    /// D - V_k + CostEvaluator::column_cost with the bit cleared:
+    /// O((|R_k|+1)·|row|) per candidate. The victim is the replica whose
+    /// removal degrades D least (smallest post-removal total).
     kExactDelta,
   };
   Repair repair = Repair::kEstimator;

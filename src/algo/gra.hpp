@@ -27,7 +27,7 @@
 // Island model (DESIGN.md Section 10): with `islands = K > 1` the
 // population is split into K sub-populations, each evolving the identical
 // generation loop on its own deterministic RNG child stream (util::Rng
-// fork keyed by island id) with its own DeltaEvaluator cache. Every
+// fork keyed by island id) with its own CostEvaluator. Every
 // `migration_interval` generations the islands synchronize and exchange
 // their `migration_count` fittest individuals along a ring (island i's
 // elites replace the worst of island (i+1) mod K). Islands are scheduled

@@ -65,8 +65,8 @@ inline constexpr std::uint64_t kIslandStreamBase = 0x15;
 /// the per-object cost vector V_k backing its fitness. Children produced by
 /// mutation or crossover inherit the parent's V_k plus the set of objects
 /// their genes changed ("touched"), so evaluating them re-derives only the
-/// touched objects through the per-worker DeltaEvaluator instances — the
-/// totals stay bit-identical to a full evaluation (see DeltaEvaluator), so
+/// touched objects through the per-worker CostEvaluator instances — the
+/// totals stay bit-identical to a full evaluation (see CostEvaluator), so
 /// results do not depend on which path evaluated a chromosome.
 ///
 /// The engine keeps references to the problem, config, and RNG: the caller
@@ -152,7 +152,7 @@ class GraEngine {
 
   /// Replaces the population's weakest individuals with the migrants (one
   /// per migrant, weakest first, ties to the lowest index). Migrant V_k
-  /// caches stay valid: DeltaEvaluator totals are bit-exact regardless of
+  /// caches stay valid: CostEvaluator totals are bit-exact regardless of
   /// which island's evaluator produced them.
   void immigrate(std::vector<EvalIndividual> migrants) {
     std::vector<std::size_t> order(population_.size());
@@ -189,7 +189,7 @@ class GraEngine {
         "gra/run",
         ::drep::audit::merge(
             ::drep::audit::check_object_cost_cache(
-                evaluators_[0], best_ever_.ind.genes, best_ever_.v),
+                problem_, best_ever_.ind.genes, best_ever_.v),
             ::drep::audit::check_scheme(scheme)));
     AlgorithmResult best = make_result(std::move(scheme), watch_.seconds());
     best.iterations = generation_;
@@ -263,7 +263,7 @@ class GraEngine {
     const std::size_t n = problem_.objects();
     const auto body = [this, &population, n](std::size_t block, std::size_t p) {
       EvalIndividual& e = population[p];
-      core::DeltaEvaluator& evaluator = evaluators_[block];
+      core::CostEvaluator& evaluator = evaluators_[block];
       double cost;
       if (!e.v.empty()) {
         std::sort(e.touched.begin(), e.touched.end());
@@ -442,14 +442,22 @@ class GraEngine {
 
     std::vector<EvalIndividual> offspring;
     offspring.reserve(2 * mu);
-    const auto pairing = ga::crossover_pairing(mu, rng_);
-    for (std::size_t t = 0; t + 1 < pairing.size(); t += 2) {
-      if (rng_.bernoulli(config_.crossover_rate))
-        crossed_children(pool[pairing[t]], pool[pairing[t + 1]], offspring);
+    {
+      DREP_SPAN("gra/crossover");
+      const auto pairing = ga::crossover_pairing(mu, rng_);
+      for (std::size_t t = 0; t + 1 < pairing.size(); t += 2) {
+        if (rng_.bernoulli(config_.crossover_rate))
+          crossed_children(pool[pairing[t]], pool[pairing[t + 1]], offspring);
+      }
     }
-    for (std::size_t p = 0; p < mu; ++p) offspring.push_back(mutated(pool[p]));
+    {
+      DREP_SPAN("gra/mutate");
+      for (std::size_t p = 0; p < mu; ++p)
+        offspring.push_back(mutated(pool[p]));
+    }
     evaluate(offspring);
 
+    DREP_SPAN("gra/select");
     pool.insert(pool.end(), std::make_move_iterator(offspring.begin()),
                 std::make_move_iterator(offspring.end()));
     const auto pool_fitness = fitness_of(pool);
@@ -477,24 +485,33 @@ class GraEngine {
   /// crossover with µc, mutate everything, and that IS the next generation.
   std::vector<EvalIndividual> sga_generation(
       std::vector<EvalIndividual>& parents) {
-    const auto picks = ga::roulette_selection(fitness_of(parents),
-                                              config_.population, rng_);
     std::vector<EvalIndividual> mating;
-    mating.reserve(picks.size());
-    for (const std::size_t pick : picks) mating.push_back(parents[pick]);
+    {
+      DREP_SPAN("gra/select");
+      const auto picks = ga::roulette_selection(fitness_of(parents),
+                                                config_.population, rng_);
+      mating.reserve(picks.size());
+      for (const std::size_t pick : picks) mating.push_back(parents[pick]);
+    }
 
     std::vector<EvalIndividual> next;
     next.reserve(mating.size() + 1);
-    for (std::size_t t = 0; t + 1 < mating.size(); t += 2) {
-      if (rng_.bernoulli(config_.crossover_rate)) {
-        crossed_children(mating[t], mating[t + 1], next);
-      } else {
-        next.push_back(mating[t]);
-        next.push_back(mating[t + 1]);
+    {
+      DREP_SPAN("gra/crossover");
+      for (std::size_t t = 0; t + 1 < mating.size(); t += 2) {
+        if (rng_.bernoulli(config_.crossover_rate)) {
+          crossed_children(mating[t], mating[t + 1], next);
+        } else {
+          next.push_back(mating[t]);
+          next.push_back(mating[t + 1]);
+        }
       }
+      if (mating.size() % 2 != 0) next.push_back(mating.back());
     }
-    if (mating.size() % 2 != 0) next.push_back(mating.back());
-    for (auto& ind : next) ind = mutated(ind);
+    {
+      DREP_SPAN("gra/mutate");
+      for (auto& ind : next) ind = mutated(ind);
+    }
     evaluate(next);
     return next;
   }
@@ -503,7 +520,7 @@ class GraEngine {
   const GraConfig& config_;
   util::Rng& rng_;
   ga::Chromosome primary_;
-  std::vector<core::DeltaEvaluator> evaluators_;
+  std::vector<core::CostEvaluator> evaluators_;
   double d_prime_ = 0.0;
   std::vector<double> primary_v_;
   std::vector<std::size_t> flip_positions_;  // mutated() scratch, main thread

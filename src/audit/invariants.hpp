@@ -14,7 +14,7 @@
 // option OFF the hooks vanish and library behavior is unchanged.
 //
 // Layering: this module sits directly above core (it needs ReplicationScheme,
-// DeltaEvaluator, and the benefit/cost kernels). Checks for sim-layer
+// CostEvaluator, and the benefit/cost kernels). Checks for sim-layer
 // aggregates (DES traffic conservation, epoch accounting, retune rounds)
 // deliberately take plain counters/spans instead of sim types so that sim
 // can link against audit without a dependency cycle.
@@ -81,19 +81,14 @@ void enforce(Violations violations, const std::string& where);
 ///   * scheme.replica_count — total_replicas() == Σ_k |R_k|
 [[nodiscard]] Violations check_scheme(const core::ReplicationScheme& scheme);
 
-/// DeltaEvaluator cache consistency: the cached per-object costs V_k and
-/// their sum must be bit-for-bit identical to a from-scratch
-/// CostEvaluator::total_cost of the adopted baseline matrix (the evaluator's
-/// documented exactness guarantee). No-op when no baseline is held.
-[[nodiscard]] Violations check_delta_evaluator(
-    const core::DeltaEvaluator& delta);
-
 /// GA cache check: a per-object cost vector `v` carried alongside chromosome
-/// `matrix` (the GRA incremental-evaluation path) must equal a from-scratch
-/// recomputation, per object and in total, bit-for-bit. `delta` supplies the
-/// request-pattern snapshot and scratch; its baseline is not consulted.
+/// `matrix` (the GRA incremental-evaluation path, AGRA's exact-ΔD repair)
+/// must equal a from-scratch evaluation, per object and in total,
+/// bit-for-bit (CostEvaluator's exactness guarantee). The evaluation uses a
+/// fresh CostEvaluator built from `problem`, so a V_k left stale by a
+/// request-pattern change is caught as well as a corrupted entry.
 [[nodiscard]] Violations check_object_cost_cache(
-    core::DeltaEvaluator& delta, std::span<const std::uint8_t> matrix,
+    const core::Problem& problem, std::span<const std::uint8_t> matrix,
     std::span<const double> v);
 
 /// SRA candidate-pruning soundness, checked at termination: pruning a

@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "serve/engine.hpp"
 #include "sim/access_replay.hpp"
 #include "sim/fault_plan.hpp"
+#include "sim/monitor.hpp"
 #include "workload/trace.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -578,20 +580,26 @@ int cmd_adapt(const Args& args) {
   const core::ReplicationScheme scheme =
       io::load_scheme(args.require("scheme"), old_problem);
 
-  // Detect which objects shifted beyond the threshold, then run AGRA.
+  // Detect which objects shifted beyond the threshold (the monitor's rule,
+  // with OLD's per-object totals as the baseline), then run AGRA.
   const double threshold = args.number("threshold", 100.0);
-  std::vector<core::ObjectId> changed;
+  if (!(threshold >= 0.0))
+    throw UsageError("--threshold must be >= 0");
+  if (new_problem.sites() != old_problem.sites() ||
+      new_problem.objects() != old_problem.objects())
+    throw std::invalid_argument(
+        "NEW is " + std::to_string(new_problem.sites()) + " sites x " +
+        std::to_string(new_problem.objects()) + " objects, OLD is " +
+        std::to_string(old_problem.sites()) + " x " +
+        std::to_string(old_problem.objects()));
+  std::vector<double> baseline_reads(old_problem.objects());
+  std::vector<double> baseline_writes(old_problem.objects());
   for (core::ObjectId k = 0; k < old_problem.objects(); ++k) {
-    const auto deviates = [threshold](double before, double now) {
-      if (before == now) return false;
-      if (before == 0.0) return true;
-      return 100.0 * std::abs(now - before) / before >= threshold;
-    };
-    if (deviates(old_problem.total_reads(k), new_problem.total_reads(k)) ||
-        deviates(old_problem.total_writes(k), new_problem.total_writes(k))) {
-      changed.push_back(k);
-    }
+    baseline_reads[k] = old_problem.total_reads(k);
+    baseline_writes[k] = old_problem.total_writes(k);
   }
+  const std::vector<core::ObjectId> changed = sim::changed_objects(
+      baseline_reads, baseline_writes, new_problem, threshold);
   algo::SolveRequest request{new_problem, solver_options_from(args)};
   const ga::Chromosome current = scheme.matrix();
   request.adapt =
@@ -784,6 +792,10 @@ void usage(std::ostream& out) {
          "(drop/spike probabilities, spike factor, crash=SITE@FROM..UNTIL with\n"
          "empty UNTIL meaning forever). replay drives the DES through the plan;\n"
          "adapt reports the adapted scheme's worst-case availability under it.\n"
+         "adapt re-tunes the objects whose read or write total in NEW deviates\n"
+         "from OLD's by at least --threshold percent (default 100); OLD and NEW\n"
+         "must have the same sites and objects. --threshold=0 adapts every\n"
+         "object, as the monitor and the decentralized round do.\n"
          "generate --topology=tree draws a tree-metric oracle instance (ample\n"
          "capacity by default) on which --algo=treedp is the provable optimum.\n"
          "solve --algo=dgra runs the island GA decentralized: one island per DES\n"

@@ -2,31 +2,51 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
-
-#include "util/index.hpp"
 
 namespace drep::core {
 
 namespace {
-/// Write-side NTC of object k under receiver-pays bookkeeping, divided into
-/// the common Σ_i w_k(i)·C(i,SP_k) base over the demand row plus the
-/// per-replica surcharge Σ_{j∈R_k} (TW_k - w_k(j))·C(j,SP_k). See
-/// cost_model.hpp.
-double write_cost_of_object(const Problem& p, ObjectId k,
-                            std::span<const SiteId> replicas) {
-  const SiteId sp = p.primary(k);
-  const auto sp_row = p.costs().row(sp);  // C symmetric: C(SP_k, i) == C(i, SP_k)
+/// Σ_i w_k(i)·C(i,SP_k) over object k's demand row: every write travels to
+/// the primary first. `sp_row` is C(SP_k, ·) (C is symmetric).
+double write_base(const Problem& p, ObjectId k,
+                  std::span<const double> sp_row) {
   const auto sites = p.demand_sites(k);
-  const auto writes = p.demand_writes().subspan(p.demand_begin(k), sites.size());
-  const double total_writes = p.total_writes(k);
+  const double* writes = p.demand_writes().data() + p.demand_begin(k);
   double base = 0.0;
   for (std::size_t j = 0; j < sites.size(); ++j)
     base += writes[j] * sp_row[sites[j]];
+  return base;
+}
+
+/// Σ_{j∈R_k} (TW_k - w_k(j))·C(j,SP_k): each replica receives the primary's
+/// broadcast of every write but its own. A full row indexes the replica's
+/// cell directly; a partial row looks it up.
+double write_surcharge(const Problem& p, ObjectId k,
+                       std::span<const SiteId> replicas,
+                       std::span<const double> sp_row) {
+  const double total_writes = p.total_writes(k);
+  const std::size_t begin = p.demand_begin(k);
   double surcharge = 0.0;
-  for (SiteId rep : replicas)
-    surcharge += (total_writes - p.writes(rep, k)) * p.cost(rep, sp);
-  return p.object_size(k) * (base + surcharge);
+  if (p.demand_end(k) - begin == p.sites()) {
+    const double* writes = p.demand_writes().data() + begin;
+    for (SiteId rep : replicas)
+      surcharge += (total_writes - writes[rep]) * sp_row[rep];
+  } else {
+    for (SiteId rep : replicas)
+      surcharge += (total_writes - p.writes(rep, k)) * sp_row[rep];
+  }
+  return surcharge;
+}
+
+/// Write-side NTC of object k under receiver-pays bookkeeping: the common
+/// base plus the per-replica surcharge. See cost_model.hpp.
+double write_cost_of_object(const Problem& p, ObjectId k,
+                            std::span<const SiteId> replicas) {
+  const auto sp_row = p.costs().row(p.primary(k));
+  return p.object_size(k) *
+         (write_base(p, k, sp_row) + write_surcharge(p, k, replicas, sp_row));
 }
 
 /// Σ_i r_k(i)·C(i,SN_k(i)) over object k's demand row.
@@ -137,78 +157,89 @@ double migration_cost(const ReplicationScheme& from,
   return total;
 }
 
-CostEvaluator::CostEvaluator(const Problem& problem) : problem_(&problem) {
+CostEvaluator::CostEvaluator(const Problem& problem)
+    : problem_(&problem), nearest_(problem.sites()) {
   refresh();
+  replica_buf_.reserve(problem.sites());
 }
 
 void CostEvaluator::refresh() {
   const Problem& p = *problem_;
-  const std::size_t m = p.sites();
   const std::size_t n = p.objects();
-  read_offsets_.assign(n + 1, 0);
-  read_sites_.clear();
-  read_values_.clear();
-  writes_t_.assign(n * m, 0.0);
   base_write_.assign(n, 0.0);
   v_prime_.assign(n, 0.0);
   d_prime_ = 0.0;
   for (ObjectId k = 0; k < n; ++k) {
-    const auto sp_row = p.costs().row(p.primary(k));
-    double base = 0.0;
-    double prime_requests = 0.0;
-    for (SiteId i = 0; i < m; ++i) {
-      const double r = p.reads(i, k);
-      const double w = p.writes(i, k);
-      if (r != 0.0) {
-        read_sites_.push_back(i);
-        read_values_.push_back(r);
-      }
-      writes_t_[util::dense_cell(k, m, i)] = w;
-      base += w * sp_row[i];
-      prime_requests += (r + w) * sp_row[i];
-    }
-    read_offsets_[static_cast<std::size_t>(k) + 1] = read_sites_.size();
-    base_write_[k] = base;
-    v_prime_[k] = p.object_size(k) * prime_requests;
+    base_write_[k] = write_base(p, k, p.costs().row(p.primary(k)));
+    v_prime_[k] = core::object_primary_only_cost(p, k);
     d_prime_ += v_prime_[k];
   }
-  row_ptrs_.clear();
-  row_ptrs_.reserve(m);
-  replica_buf_.clear();
-  replica_buf_.reserve(m);
 }
 
 double CostEvaluator::total_cost(std::span<const std::uint8_t> matrix) {
-  const Problem& p = *problem_;
-  const std::size_t m = p.sites();
-  const std::size_t n = p.objects();
-  if (matrix.size() != m * n)
+  const std::size_t n = problem_->objects();
+  if (matrix.size() != problem_->sites() * n)
     throw std::invalid_argument("CostEvaluator::total_cost: matrix size mismatch");
   double total = 0.0;
-  for (ObjectId k = 0; k < n; ++k) {
-    replica_buf_.clear();
-    const SiteId sp = p.primary(k);
-    for (SiteId i = 0; i < m; ++i) {
-      if (i == sp || matrix[static_cast<std::size_t>(i) * n + k] != 0)
-        replica_buf_.push_back(i);
-    }
-    total += object_cost_with_replicas(k, replica_buf_);
-  }
+  for (ObjectId k = 0; k < n; ++k)
+    total += strided_cost(k, matrix.data() + k, n);
   return total;
+}
+
+double CostEvaluator::full_cost(std::span<const std::uint8_t> matrix,
+                                std::span<double> object_costs) {
+  const std::size_t n = problem_->objects();
+  if (matrix.size() != problem_->sites() * n)
+    throw std::invalid_argument("CostEvaluator::full_cost: matrix size mismatch");
+  if (object_costs.size() != n)
+    throw std::invalid_argument("CostEvaluator::full_cost: object_costs size mismatch");
+  for (ObjectId k = 0; k < n; ++k)
+    object_costs[k] = strided_cost(k, matrix.data() + k, n);
+  return std::accumulate(object_costs.begin(), object_costs.end(), 0.0);
+}
+
+double CostEvaluator::delta_cost(std::span<const std::uint8_t> matrix,
+                                 std::span<const ObjectId> changed,
+                                 std::span<double> object_costs) {
+  const std::size_t n = problem_->objects();
+  if (matrix.size() != problem_->sites() * n)
+    throw std::invalid_argument("CostEvaluator::delta_cost: matrix size mismatch");
+  if (object_costs.size() != n)
+    throw std::invalid_argument("CostEvaluator::delta_cost: object_costs size mismatch");
+  for (const ObjectId k : changed) {
+    if (k >= n)
+      throw std::out_of_range("CostEvaluator::delta_cost: object out of range");
+    object_costs[k] = strided_cost(k, matrix.data() + k, n);
+  }
+  return std::accumulate(object_costs.begin(), object_costs.end(), 0.0);
+}
+
+double CostEvaluator::column_cost(std::span<const std::uint8_t> matrix,
+                                  ObjectId k) {
+  const std::size_t n = problem_->objects();
+  if (matrix.size() != problem_->sites() * n)
+    throw std::invalid_argument("CostEvaluator::column_cost: matrix size mismatch");
+  if (k >= n)
+    throw std::out_of_range("CostEvaluator::column_cost: object out of range");
+  return strided_cost(k, matrix.data() + k, n);
 }
 
 double CostEvaluator::object_cost(ObjectId k,
                                   std::span<const std::uint8_t> site_mask) {
-  const Problem& p = *problem_;
-  const std::size_t m = p.sites();
-  if (site_mask.size() != m)
+  if (site_mask.size() != problem_->sites())
     throw std::invalid_argument("CostEvaluator::object_cost: mask size mismatch");
-  if (k >= p.objects())
+  if (k >= problem_->objects())
     throw std::out_of_range("CostEvaluator::object_cost: object out of range");
+  return strided_cost(k, site_mask.data(), 1);
+}
+
+double CostEvaluator::strided_cost(ObjectId k, const std::uint8_t* bits,
+                                   std::size_t stride) {
+  const std::size_t m = problem_->sites();
+  const SiteId sp = problem_->primary(k);
   replica_buf_.clear();
-  const SiteId sp = p.primary(k);
   for (SiteId i = 0; i < m; ++i) {
-    if (i == sp || site_mask[i] != 0) replica_buf_.push_back(i);
+    if (i == sp || bits[i * stride] != 0) replica_buf_.push_back(i);
   }
   return object_cost_with_replicas(k, replica_buf_);
 }
@@ -216,37 +247,37 @@ double CostEvaluator::object_cost(ObjectId k,
 double CostEvaluator::object_cost_with_replicas(
     ObjectId k, std::span<const SiteId> replicas) {
   const Problem& p = *problem_;
-  const std::size_t m = p.sites();
-  const SiteId sp = p.primary(k);
-  const auto sp_row = p.costs().row(sp);
-  const double* writes = writes_t_.data() + util::dense_cell(k, m, SiteId{0});
-  const double total_writes = p.total_writes(k);
-  const std::size_t nz_begin = read_offsets_[k];
-  const std::size_t nz_end = read_offsets_[static_cast<std::size_t>(k) + 1];
+  const auto sp_row = p.costs().row(p.primary(k));
+  const auto sites = p.demand_sites(k);
+  const std::size_t cells = sites.size();
+  const bool full_row = cells == p.sites();
+  const double* reads = p.demand_reads().data() + p.demand_begin(k);
+  ++objects_recomputed_;
 
-  // Read traffic over the nonzero readers only. A zero-read site adds
-  // exactly +0.0 to the dense sum, so skipping it leaves every partial sum
-  // bit-identical; min over doubles is exact, so restricting the min scan to
-  // the sites that matter changes nothing either.
-  double read_sum = 0.0;
-  if (replicas.size() == 1) {
-    // Primary only: the nearest replica of every site is SP_k.
-    for (std::size_t z = nz_begin; z < nz_end; ++z)
-      read_sum += read_values_[z] * sp_row[read_sites_[z]];
-  } else {
-    row_ptrs_.clear();
-    for (SiteId rep : replicas) row_ptrs_.push_back(p.costs().row(rep).data());
-    for (std::size_t z = nz_begin; z < nz_end; ++z) {
-      const SiteId i = read_sites_[z];
-      double best = std::numeric_limits<double>::infinity();
-      for (const double* row : row_ptrs_) best = std::min(best, row[i]);
-      read_sum += read_values_[z] * best;
+  // C(i, SN_k(i)) for every cell of the row, one min pass per replica in
+  // replica order: each cell sees the same min sequence as a per-cell scan
+  // of R_k (and min is exact anyway). A full row's cells are the sites
+  // 0..M-1, so its passes run over contiguous costs.
+  double* nearest = nearest_.data();
+  std::fill(nearest, nearest + cells, std::numeric_limits<double>::infinity());
+  for (const SiteId rep : replicas) {
+    const double* row = p.costs().row(rep).data();
+    if (full_row) {
+      for (std::size_t j = 0; j < cells; ++j)
+        nearest[j] = std::min(nearest[j], row[j]);
+    } else {
+      for (std::size_t j = 0; j < cells; ++j)
+        nearest[j] = std::min(nearest[j], row[sites[j]]);
     }
   }
-
-  double surcharge = 0.0;
-  for (SiteId rep : replicas)
-    surcharge += (total_writes - writes[rep]) * sp_row[rep];
+  // Read traffic in row order over the nonzero readers only. A zero-read
+  // cell adds exactly +0.0 to the sum, so skipping it leaves every partial
+  // sum bit-identical.
+  double read_sum = 0.0;
+  for (std::size_t j = 0; j < cells; ++j) {
+    if (reads[j] != 0.0) read_sum += reads[j] * nearest[j];
+  }
+  const double surcharge = write_surcharge(p, k, replicas, sp_row);
   return p.object_size(k) * (read_sum + base_write_[k] + surcharge);
 }
 
@@ -255,182 +286,8 @@ double CostEvaluator::fitness(std::span<const std::uint8_t> matrix) {
   return (d_prime_ - total_cost(matrix)) / d_prime_;
 }
 
-DeltaEvaluator::DeltaEvaluator(const Problem& problem) : eval_(problem) {
-  scratch_replicas_.reserve(problem.sites());
-}
-
-void DeltaEvaluator::refresh() {
-  eval_.refresh();
-  if (!has_baseline()) return;
-  const std::size_t n = problem().objects();
-  for (ObjectId k = 0; k < n; ++k) {
-    v_[k] = eval_.object_cost_with_replicas(k, replicas_[k]);
-  }
-  objects_recomputed_ += n;
-  total_ = sum_object_costs(v_);
-}
-
-double DeltaEvaluator::rebase(std::span<const std::uint8_t> matrix) {
-  const Problem& p = problem();
-  const std::size_t m = p.sites();
-  const std::size_t n = p.objects();
-  if (matrix.size() != m * n)
-    throw std::invalid_argument("DeltaEvaluator::rebase: matrix size mismatch");
-  matrix_.assign(matrix.begin(), matrix.end());
-  replicas_.assign(n, std::vector<SiteId>());
-  v_.assign(n, 0.0);
-  for (ObjectId k = 0; k < n; ++k) {
-    const SiteId sp = p.primary(k);
-    matrix_[static_cast<std::size_t>(sp) * n + k] = 1;
-    auto& reps = replicas_[k];
-    for (SiteId i = 0; i < m; ++i) {
-      if (matrix_[static_cast<std::size_t>(i) * n + k] != 0) reps.push_back(i);
-    }
-    v_[k] = eval_.object_cost_with_replicas(k, reps);
-  }
-  objects_recomputed_ += n;
-  total_ = sum_object_costs(v_);
-  return total_;
-}
-
-double DeltaEvaluator::total() const {
-  if (!has_baseline())
-    throw std::logic_error("DeltaEvaluator::total: no baseline (call rebase)");
-  return total_;
-}
-
-double DeltaEvaluator::fitness() const {
-  const double d_prime = eval_.primary_only_cost();
-  if (d_prime <= 0.0) return 0.0;
-  return (d_prime - total()) / d_prime;
-}
-
-bool DeltaEvaluator::has_replica(SiteId i, ObjectId k) const {
-  if (!has_baseline())
-    throw std::logic_error("DeltaEvaluator::has_replica: no baseline");
-  const std::size_t n = problem().objects();
-  if (i >= problem().sites() || k >= n)
-    throw std::out_of_range("DeltaEvaluator::has_replica: cell out of range");
-  return matrix_[static_cast<std::size_t>(i) * n + k] != 0;
-}
-
-double DeltaEvaluator::peek_flip(SiteId site, ObjectId k) {
-  const bool present = has_replica(site, k);  // validates state and bounds
-  if (problem().primary(k) == site && present)
-    throw std::invalid_argument("DeltaEvaluator::peek_flip: cannot drop a primary copy");
-  scratch_replicas_.clear();
-  for (SiteId rep : replicas_[k]) {
-    if (!(present && rep == site)) scratch_replicas_.push_back(rep);
-  }
-  if (!present) {
-    scratch_replicas_.insert(
-        std::upper_bound(scratch_replicas_.begin(), scratch_replicas_.end(), site),
-        site);
-  }
-  ++objects_recomputed_;
-  return total_ - v_[k] + eval_.object_cost_with_replicas(k, scratch_replicas_);
-}
-
-double DeltaEvaluator::apply_flip(SiteId site, ObjectId k) {
-  const bool present = has_replica(site, k);
-  if (problem().primary(k) == site && present)
-    throw std::invalid_argument("DeltaEvaluator::apply_flip: cannot drop a primary copy");
-  const std::size_t n = problem().objects();
-  auto& reps = replicas_[k];
-  if (present) {
-    reps.erase(std::find(reps.begin(), reps.end(), site));
-  } else {
-    reps.insert(std::upper_bound(reps.begin(), reps.end(), site), site);
-  }
-  matrix_[static_cast<std::size_t>(site) * n + k] = present ? 0 : 1;
-  v_[k] = eval_.object_cost_with_replicas(k, reps);
-  ++objects_recomputed_;
-  total_ = sum_object_costs(v_);
-  return total_;
-}
-
-double DeltaEvaluator::apply_gene_exchange(SiteId site,
-                                           std::span<const std::uint8_t> row) {
-  if (!has_baseline())
-    throw std::logic_error("DeltaEvaluator::apply_gene_exchange: no baseline");
-  const Problem& p = problem();
-  const std::size_t n = p.objects();
-  if (site >= p.sites())
-    throw std::out_of_range("DeltaEvaluator::apply_gene_exchange: site out of range");
-  if (row.size() != n)
-    throw std::invalid_argument("DeltaEvaluator::apply_gene_exchange: row length mismatch");
-  bool any_changed = false;
-  for (ObjectId k = 0; k < n; ++k) {
-    const bool want = row[k] != 0 || p.primary(k) == site;
-    std::uint8_t& cell = matrix_[static_cast<std::size_t>(site) * n + k];
-    if ((cell != 0) == want) continue;
-    auto& reps = replicas_[k];
-    if (want) {
-      reps.insert(std::upper_bound(reps.begin(), reps.end(), site), site);
-    } else {
-      reps.erase(std::find(reps.begin(), reps.end(), site));
-    }
-    cell = want ? 1 : 0;
-    v_[k] = eval_.object_cost_with_replicas(k, reps);
-    ++objects_recomputed_;
-    any_changed = true;
-  }
-  if (any_changed) total_ = sum_object_costs(v_);
-  return total_;
-}
-
-double DeltaEvaluator::full_cost(std::span<const std::uint8_t> matrix,
-                                 std::span<double> object_costs) {
-  const Problem& p = problem();
-  const std::size_t n = p.objects();
-  if (matrix.size() != p.sites() * n)
-    throw std::invalid_argument("DeltaEvaluator::full_cost: matrix size mismatch");
-  if (object_costs.size() != n)
-    throw std::invalid_argument("DeltaEvaluator::full_cost: object_costs size mismatch");
-  for (ObjectId k = 0; k < n; ++k)
-    object_costs[k] = object_cost_in_matrix(k, matrix);
-  return sum_object_costs(object_costs);
-}
-
-double DeltaEvaluator::delta_cost(std::span<const std::uint8_t> matrix,
-                                  std::span<const ObjectId> changed,
-                                  std::span<double> object_costs) {
-  const Problem& p = problem();
-  const std::size_t n = p.objects();
-  if (matrix.size() != p.sites() * n)
-    throw std::invalid_argument("DeltaEvaluator::delta_cost: matrix size mismatch");
-  if (object_costs.size() != n)
-    throw std::invalid_argument("DeltaEvaluator::delta_cost: object_costs size mismatch");
-  for (const ObjectId k : changed)
-    object_costs[k] = object_cost_in_matrix(k, matrix);
-  return sum_object_costs(object_costs);
-}
-
-double DeltaEvaluator::object_cost_in_matrix(
-    ObjectId k, std::span<const std::uint8_t> matrix) {
-  const Problem& p = problem();
-  const std::size_t m = p.sites();
-  const std::size_t n = p.objects();
-  if (k >= n)
-    throw std::out_of_range("DeltaEvaluator: object out of range");
-  const SiteId sp = p.primary(k);
-  scratch_replicas_.clear();
-  for (SiteId i = 0; i < m; ++i) {
-    if (i == sp || matrix[static_cast<std::size_t>(i) * n + k] != 0)
-      scratch_replicas_.push_back(i);
-  }
-  ++objects_recomputed_;
-  return eval_.object_cost_with_replicas(k, scratch_replicas_);
-}
-
-double DeltaEvaluator::sum_object_costs(std::span<const double> v) const {
-  double total = 0.0;
-  for (const double cost : v) total += cost;
-  return total;
-}
-
-double DeltaEvaluator::full_equivalents() const noexcept {
-  const std::size_t n = problem().objects();
+double CostEvaluator::full_equivalents() const noexcept {
+  const std::size_t n = problem_->objects();
   if (n == 0) return 0.0;
   return static_cast<double>(objects_recomputed_) / static_cast<double>(n);
 }

@@ -1,8 +1,10 @@
 #include "online/referee.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/replication.hpp"
@@ -39,7 +41,9 @@ RefereeReport hindsight_cost(const core::Problem& problem,
 
   RefereeReport report;
   core::ReplicationScheme current(local);  // primary-only start
-  core::DeltaEvaluator delta(local);
+  core::CostEvaluator evaluator(local);
+  std::vector<double> v(objects, 0.0);  // V_k of the candidate scheme
+  std::vector<SiteId> flipped;          // R_k with one bit flipped
 
   const std::size_t window = config.window;
   const std::size_t windows =
@@ -60,11 +64,14 @@ RefereeReport hindsight_cost(const core::Problem& problem,
       else
         local.add_reads(request.site, request.object, 1.0);
     }
-    delta.refresh();
-    const double stay = delta.rebase(current.matrix());
+    evaluator.refresh();
+    for (ObjectId k = 0; k < objects; ++k)
+      v[k] = evaluator.object_cost_with_replicas(k, current.replicas(k));
+    const double stay = std::accumulate(v.begin(), v.end(), 0.0);
 
     // Clairvoyant local search: greedy first-improvement flips from the
-    // current placement, capacity-checked, primaries pinned.
+    // current placement, capacity-checked, primaries pinned. `best` is
+    // always Σ_k v[k], re-summed in object order after every flip.
     core::ReplicationScheme candidate(local, current.matrix());
     double best = stay;
     const double eps = improvement_eps(stay);
@@ -76,12 +83,21 @@ RefereeReport hindsight_cost(const core::Problem& problem,
           const bool has = candidate.has_replica(i, k);
           if (has && local.primary(k) == i) continue;
           if (!has && !candidate.fits(i, k)) continue;
-          if (delta.peek_flip(i, k) < best - eps) {
-            best = delta.apply_flip(i, k);
+          flipped = candidate.replicas(k);
+          if (has)
+            flipped.erase(std::find(flipped.begin(), flipped.end(), i));
+          else
+            flipped.insert(std::upper_bound(flipped.begin(), flipped.end(), i),
+                           i);
+          const double flipped_cost =
+              evaluator.object_cost_with_replicas(k, flipped);
+          if (best - v[k] + flipped_cost < best - eps) {
             if (has)
               candidate.remove(i, k);
             else
               candidate.add(i, k);
+            v[k] = flipped_cost;
+            best = std::accumulate(v.begin(), v.end(), 0.0);
             improved = true;
           }
         }

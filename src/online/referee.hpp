@@ -8,9 +8,10 @@
 // is measurable per run. The referee slices the trace into the engine's
 // predictor windows; for each window it knows the window's exact request
 // counts in advance, locally optimizes a scheme for them (greedy
-// first-improvement bit flips over a DeltaEvaluator — the same incremental
-// kernel the GAs use), and adopts the optimized scheme only when its
-// serving cost plus the migration NTC of switching beats staying put.
+// first-improvement bit flips, each scored by re-deriving one object's V_k
+// with the CostEvaluator kernel the GAs use), and adopts the optimized
+// scheme only when its serving cost plus the migration NTC of switching
+// beats staying put.
 //
 // The referee is a strong clairvoyant baseline, not a provable optimum
 // (greedy local search + windowed migration); the exact-OPT comparisons

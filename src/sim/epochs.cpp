@@ -16,6 +16,9 @@ EpochReport run_epochs(core::Problem problem, const EpochConfig& config,
   util::Rng drift_rng = rng.fork(0xD21F7);
 
   Monitor monitor(problem, config.monitor, rng);
+  // The scheme in force, bound to the drifting `problem`. It is only ever
+  // built from a chromosome, and its top-2 cache depends only on R_k and C,
+  // so it faces each epoch's drifted pattern as it is.
   core::ReplicationScheme active(problem, monitor.current_scheme());
 
   EpochReport report;
@@ -27,9 +30,7 @@ EpochReport run_epochs(core::Problem problem, const EpochConfig& config,
     DREP_SPAN("sim/epoch");
     DREP_COUNT("drep_epochs_total", 1);
     (void)workload::apply_pattern_change(problem, config.drift, drift_rng);
-    // The active scheme faces the drifted pattern...
-    core::ReplicationScheme current(problem, active.matrix());
-    report.stale_savings.push_back(core::savings_percent(problem, current));
+    report.stale_savings.push_back(core::savings_percent(problem, active));
 
     std::size_t adapted = 0;
     double epoch_migration = 0.0;
@@ -37,20 +38,19 @@ EpochReport run_epochs(core::Problem problem, const EpochConfig& config,
       adapted = monitor.adapt(problem, rng).size();
       if (adapted > 0) {
         core::ReplicationScheme next(problem, monitor.current_scheme());
-        epoch_migration = core::migration_cost(current, next);
+        epoch_migration = core::migration_cost(active, next);
         report.migration_traffic += epoch_migration;
         DREP_COUNT("drep_epochs_migration_traffic_units_total",
                    epoch_migration);
         active = std::move(next);
       }
     }
-    core::ReplicationScheme serving(problem, active.matrix());
     // Audit (compiled out unless DREP_AUDIT=ON): the scheme serving this
     // epoch must be internally consistent before its traffic is charged.
-    DREP_AUDIT_ENFORCE("epochs/epoch", ::drep::audit::check_scheme(serving));
-    report.adapted_savings.push_back(core::savings_percent(problem, serving));
+    DREP_AUDIT_ENFORCE("epochs/epoch", ::drep::audit::check_scheme(active));
+    report.adapted_savings.push_back(core::savings_percent(problem, active));
     report.objects_adapted.push_back(adapted);
-    const double epoch_served = core::total_cost(serving);
+    const double epoch_served = core::total_cost(active);
     report.epoch_served.push_back(epoch_served);
     report.epoch_migration.push_back(epoch_migration);
     report.served_traffic += epoch_served;
@@ -60,9 +60,8 @@ EpochReport run_epochs(core::Problem problem, const EpochConfig& config,
     // The night run happens after the day: charged for migration so the
     // policy comparison stays fair, but too late to help today's traffic.
     monitor.reoptimize(problem, rng);
-    core::ReplicationScheme current(problem, active.matrix());
     core::ReplicationScheme next(problem, monitor.current_scheme());
-    const double night_migration = core::migration_cost(current, next);
+    const double night_migration = core::migration_cost(active, next);
     report.epoch_migration.push_back(night_migration);
     report.migration_traffic += night_migration;
   }

@@ -83,45 +83,56 @@ TEST(AuditCheckSparseScheme, CleanAfterMirroredChurn) {
   EXPECT_TRUE(audit::check_scheme(scheme).empty());
 }
 
+// The V_k cache of one chromosome, kept by full_cost/delta_cost, against
+// check_object_cost_cache's fresh evaluation (the suite is named for the
+// DeltaEvaluator class the cache used to live in).
 TEST(AuditCheckDeltaEvaluator, CleanAfterFlipChurn) {
   const core::Problem problem = testing::small_random_problem(12);
-  core::DeltaEvaluator delta(problem);
-  core::ReplicationScheme seed(problem);
-  (void)delta.rebase(seed.matrix());
+  core::CostEvaluator evaluator(problem);
+  std::vector<std::uint8_t> matrix = core::ReplicationScheme(problem).matrix();
+  std::vector<double> v(problem.objects(), 0.0);
+  (void)evaluator.full_cost(matrix, v);
   util::Rng rng(9);
   for (int step = 0; step < 300; ++step) {
     const auto i = static_cast<core::SiteId>(rng.index(problem.sites()));
     const auto k = static_cast<core::ObjectId>(rng.index(problem.objects()));
     if (problem.primary(k) == i) continue;
-    (void)delta.apply_flip(i, k);
+    std::uint8_t& bit =
+        matrix[static_cast<std::size_t>(i) * problem.objects() + k];
+    bit = bit != 0 ? 0 : 1;
+    const core::ObjectId changed[] = {k};
+    (void)evaluator.delta_cost(matrix, changed, v);
   }
-  EXPECT_TRUE(audit::check_delta_evaluator(delta).empty());
+  EXPECT_TRUE(audit::check_object_cost_cache(problem, matrix, v).empty());
 }
 
 TEST(AuditCheckDeltaEvaluator, CatchesStaleCacheAfterPatternChange) {
   core::Problem problem = testing::small_random_problem(13);
-  core::DeltaEvaluator delta(problem);
-  core::ReplicationScheme seed(problem);
-  (void)delta.rebase(seed.matrix());
-  // Mutating the pattern without refresh() leaves every cached V_k stale —
-  // exactly the divergence the validator exists to catch.
+  core::CostEvaluator evaluator(problem);
+  const std::vector<std::uint8_t> matrix =
+      core::ReplicationScheme(problem).matrix();
+  std::vector<double> v(problem.objects(), 0.0);
+  (void)evaluator.full_cost(matrix, v);
+  // Mutating the pattern without re-deriving the V_k leaves the cache
+  // stale — exactly the divergence the validator exists to catch.
   problem.add_reads(1, 0, 500.0);
-  const audit::Violations violations = audit::check_delta_evaluator(delta);
+  const audit::Violations violations =
+      audit::check_object_cost_cache(problem, matrix, v);
   ASSERT_FALSE(violations.empty());
-  EXPECT_EQ(violations.front().invariant, "delta_eval.object_cost");
+  EXPECT_EQ(violations.front().invariant, "ga.v_cache");
 }
 
 TEST(AuditCheckObjectCostCache, CatchesACorruptedEntry) {
   const core::Problem problem = testing::small_random_problem(14);
-  core::DeltaEvaluator delta(problem);
-  core::ReplicationScheme scheme(problem);
+  core::CostEvaluator evaluator(problem);
+  const std::vector<std::uint8_t> matrix =
+      core::ReplicationScheme(problem).matrix();
   std::vector<double> v(problem.objects(), 0.0);
-  (void)delta.full_cost(scheme.matrix(), v);
-  EXPECT_TRUE(
-      audit::check_object_cost_cache(delta, scheme.matrix(), v).empty());
+  (void)evaluator.full_cost(matrix, v);
+  EXPECT_TRUE(audit::check_object_cost_cache(problem, matrix, v).empty());
   v[2] += 1.0;
   const audit::Violations violations =
-      audit::check_object_cost_cache(delta, scheme.matrix(), v);
+      audit::check_object_cost_cache(problem, matrix, v);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations.front().invariant, "ga.v_cache");
 }

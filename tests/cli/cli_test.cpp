@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -56,6 +58,27 @@ void strip_timing(obs::Json& value) {
   } else if (value.is_array()) {
     for (obs::Json& item : value.as_array()) strip_timing(item);
   }
+}
+
+/// The first span labelled `label` below `node` (depth-first), or nullptr.
+const obs::Json* find_span(const obs::Json& node, const std::string& label) {
+  const obs::Json* children = node.find("children");
+  if (children == nullptr) return nullptr;
+  for (const obs::Json& child : children->as_array()) {
+    if (child.find("label")->as_string() == label) return &child;
+    if (const obs::Json* found = find_span(child, label)) return found;
+  }
+  return nullptr;
+}
+
+/// run_cli with std::cerr captured into `err`.
+int run_cli_capturing_stderr(std::vector<std::string> args, std::string& err) {
+  std::ostringstream captured;
+  std::streambuf* saved = std::cerr.rdbuf(captured.rdbuf());
+  const int code = run_cli(std::move(args));
+  std::cerr.rdbuf(saved);
+  err = captured.str();
+  return code;
 }
 
 class CliTest : public ::testing::Test {
@@ -112,6 +135,18 @@ TEST_F(CliTest, SolveGraWritesAReportWithMetricsAndSpans) {
   EXPECT_EQ(top[0].find("label")->as_string(), "cli/solve");
   EXPECT_GE(top[0].find("seconds")->as_number(), 0.0);
   EXPECT_FALSE(top[0].find("children")->as_array().empty());
+  // Every phase of a generation runs under its own span, once per
+  // generation.
+  const obs::Json* generation = find_span(top[0], "gra/generation");
+  ASSERT_NE(generation, nullptr);
+  EXPECT_EQ(generation->find("count")->as_number(), 4.0);
+  for (const char* phase :
+       {"gra/crossover", "gra/mutate", "gra/evaluate", "gra/select"}) {
+    const obs::Json* span = find_span(*generation, phase);
+    ASSERT_NE(span, nullptr) << phase;
+    EXPECT_EQ(span->find("count")->as_number(), 4.0) << phase;
+    EXPECT_GE(span->find("seconds")->as_number(), 0.0) << phase;
+  }
 #endif
   std::remove(report_path.c_str());
 }
@@ -233,6 +268,75 @@ TEST_F(CliTest, AdaptWithFaultsReportsAvailability) {
   EXPECT_LE(read_availability, 1.0);
   ASSERT_NE(result->find("write_availability"), nullptr);
   ASSERT_NE(result->find("objects_lost"), nullptr);
+  std::remove(scheme.c_str());
+  std::remove(adapted.c_str());
+  std::remove(report_path.c_str());
+}
+
+TEST_F(CliTest, AdaptRejectsInstancesOfAnotherShape) {
+  const std::string scheme = dir_ + "_adapt.drs";
+  const std::string adapted = dir_ + "_adapted.drs";
+  ASSERT_EQ(run_cli({"solve", "-i", problem_, "--algo=sra", "-o", scheme}), 0);
+  // OLD is 10 sites x 12 objects; NEW has more objects, fewer, more sites.
+  const std::string other = dir_ + "_other.drp";
+  for (const auto& [sites, objects] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--sites=10", "--objects=14"},
+           {"--sites=10", "--objects=9"},
+           {"--sites=11", "--objects=12"}}) {
+    ASSERT_EQ(run_cli({"generate", sites, objects, "--seed=4", "-o", other}),
+              0);
+    std::string err;
+    EXPECT_EQ(run_cli_capturing_stderr({"adapt", "-i", problem_, "-n", other,
+                                        "-s", scheme, "-o", adapted},
+                                       err),
+              1)
+        << sites << " " << objects;
+    EXPECT_NE(err.find("NEW is"), std::string::npos) << err;
+  }
+  std::remove(other.c_str());
+  std::remove(scheme.c_str());
+  std::remove(adapted.c_str());
+}
+
+TEST_F(CliTest, AdaptRejectsANegativeOrNanThreshold) {
+  const std::string scheme = dir_ + "_adapt.drs";
+  const std::string adapted = dir_ + "_adapted.drs";
+  ASSERT_EQ(run_cli({"solve", "-i", problem_, "--algo=sra", "-o", scheme}), 0);
+  for (const std::string threshold : {"--threshold=-1", "--threshold=nan"}) {
+    EXPECT_EQ(run_cli({"adapt", "-i", problem_, "-n", problem_, "-s", scheme,
+                       "-o", adapted, threshold}),
+              2)
+        << threshold;
+  }
+  std::remove(scheme.c_str());
+  std::remove(adapted.c_str());
+}
+
+TEST_F(CliTest, AdaptThresholdZeroAdaptsEveryObject) {
+  // The monitor's rule: a deviation of 0% reaches a 0% threshold, so even
+  // an unchanged instance re-tunes every object; the default leaves it be.
+  const std::string scheme = dir_ + "_adapt.drs";
+  const std::string adapted = dir_ + "_adapted.drs";
+  const std::string report_path = dir_ + "_adapt.json";
+  ASSERT_EQ(run_cli({"solve", "-i", problem_, "--algo=sra", "-o", scheme}), 0);
+  const std::vector<std::string> base{"adapt", "-i", problem_, "-n", problem_,
+                                      "-s",    scheme, "-o", adapted,
+                                      "--report=" + report_path};
+  auto args = base;
+  args.push_back("--threshold=0");
+  ASSERT_EQ(run_cli(args), 0);
+  EXPECT_EQ(load_json(report_path)
+                .find("result")
+                ->find("changed_objects")
+                ->as_number(),
+            12.0);
+  ASSERT_EQ(run_cli(base), 0);
+  EXPECT_EQ(load_json(report_path)
+                .find("result")
+                ->find("changed_objects")
+                ->as_number(),
+            0.0);
   std::remove(scheme.c_str());
   std::remove(adapted.c_str());
   std::remove(report_path.c_str());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/builders.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace drep::core {
 namespace {
@@ -142,6 +143,49 @@ TEST(CostEvaluator, RefreshPicksUpPatternChanges) {
   evaluator.refresh();
   EXPECT_DOUBLE_EQ(evaluator.primary_only_cost(),
                    10.0 * (5.0 * 1.0 + 20.0 * 2.0));
+}
+
+TEST(CostEvaluator, PartialRowsMatchTheirMaterializedCopy) {
+  // The evaluator walks whatever rows the problem stores: partial rows of a
+  // streamed instance and the full rows of its materialize() copy must give
+  // the same V'_k, D', V_k and totals, bit for bit, through delta churn.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    workload::StreamConfig config;
+    config.sites = 9 + seed;
+    config.objects = 40;
+    config.seed = seed;
+    const Problem partial = workload::build_sparse_instance(config);
+    const Problem full = partial.materialize();
+    ASSERT_LT(partial.demand_cells(), full.demand_cells());
+    CostEvaluator on_partial(partial);
+    CostEvaluator on_full(full);
+    ASSERT_EQ(on_partial.primary_only_cost(), on_full.primary_only_cost());
+    for (ObjectId k = 0; k < partial.objects(); ++k) {
+      ASSERT_EQ(on_partial.object_primary_only_cost(k),
+                on_full.object_primary_only_cost(k));
+    }
+
+    util::Rng rng(seed + 500);
+    const std::size_t n = partial.objects();
+    std::vector<std::uint8_t> matrix(partial.sites() * n, 0);
+    for (auto& bit : matrix) bit = rng.bernoulli(0.2) ? 1 : 0;
+    std::vector<double> v_partial(n, 0.0);
+    std::vector<double> v_full(n, 0.0);
+    ASSERT_EQ(on_partial.full_cost(matrix, v_partial),
+              on_full.full_cost(matrix, v_full));
+    ASSERT_EQ(v_partial, v_full);
+    for (int step = 0; step < 100; ++step) {
+      const auto i = static_cast<SiteId>(rng.index(partial.sites()));
+      const auto k = static_cast<ObjectId>(rng.index(n));
+      std::uint8_t& bit = matrix[static_cast<std::size_t>(i) * n + k];
+      bit = bit != 0 ? 0 : 1;
+      const ObjectId changed[] = {k};
+      const double total = on_partial.delta_cost(matrix, changed, v_partial);
+      ASSERT_EQ(total, on_full.delta_cost(matrix, changed, v_full));
+      ASSERT_EQ(v_partial[k], v_full[k]);
+      ASSERT_EQ(total, on_full.total_cost(matrix));
+    }
+  }
 }
 
 TEST(CostEvaluator, RejectsWrongSizes) {

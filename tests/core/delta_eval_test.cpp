@@ -1,9 +1,11 @@
-// Property/differential harness for DeltaEvaluator: after ANY sequence of
-// incremental operations the cached total must equal a fresh full
-// CostEvaluator::total_cost of the same matrix. The evaluator is designed to
-// be bit-for-bit exact (sorted replica lists, shared kernel, object-order
-// re-summation), so the 1e-9 relative tolerance used here carries a wide
-// safety margin.
+// Property/differential harness for delta evaluation on core::CostEvaluator:
+// a V_k vector filled by full_cost and kept current by delta_cost, after ANY
+// sequence of bit flips, gene (row) exchanges, restarts and refreshes, must
+// give the total of a fresh CostEvaluator::total_cost of the same matrix.
+// The evaluator is designed to be bit-for-bit exact (ascending replica
+// lists, one per-object kernel, object-order re-summation), so most checks
+// here are exact; the 1e-9 relative ones carry a wide safety margin. The
+// suite keeps the name of the DeltaEvaluator class CostEvaluator absorbed.
 #include "core/cost_model.hpp"
 
 #include <gtest/gtest.h>
@@ -41,6 +43,33 @@ std::pair<SiteId, ObjectId> random_free_cell(const Problem& p, util::Rng& rng) {
   }
 }
 
+std::uint8_t& cell(const Problem& p, std::vector<std::uint8_t>& matrix,
+                   SiteId i, ObjectId k) {
+  return matrix[static_cast<std::size_t>(i) * p.objects() + k];
+}
+
+/// Flips bit (i, k) and re-derives V_k; returns the new total.
+double flip(CostEvaluator& eval, std::vector<std::uint8_t>& matrix,
+            std::vector<double>& v, SiteId i, ObjectId k) {
+  std::uint8_t& bit = cell(eval.problem(), matrix, i, k);
+  bit = bit != 0 ? 0 : 1;
+  const ObjectId changed[] = {k};
+  return eval.delta_cost(matrix, changed, v);
+}
+
+/// The total after flipping bit (i, k), computed as D - V_k + V_k' with the
+/// matrix left as it was (AGRA's exact-ΔD probe).
+double peek(CostEvaluator& eval, std::vector<std::uint8_t>& matrix,
+            const std::vector<double>& v, double total, SiteId i,
+            ObjectId k) {
+  std::uint8_t& bit = cell(eval.problem(), matrix, i, k);
+  const std::uint8_t held = bit;
+  bit = held != 0 ? 0 : 1;
+  const double peeked = total - v[k] + eval.column_cost(matrix, k);
+  bit = held;
+  return peeked;
+}
+
 TEST(DeltaEvaluator, RandomFlipSequencesMatchFullRecompute) {
   // 25 instances × 60 flips = 1500 randomized steps, each checked against a
   // fresh full evaluation.
@@ -50,22 +79,20 @@ TEST(DeltaEvaluator, RandomFlipSequencesMatchFullRecompute) {
     const std::size_t objects = 3 + rng.index(13);
     const Problem p = testing::small_random_problem(seed, sites, objects);
     CostEvaluator full(p);
-    DeltaEvaluator delta(p);
+    CostEvaluator delta(p);
 
     auto matrix = random_matrix(p, rng);
-    double total = delta.rebase(matrix);
+    std::vector<double> v(p.objects(), 0.0);
+    double total = delta.full_cost(matrix, v);
     expect_rel_near(full.total_cost(matrix), total);
 
     for (int step = 0; step < 60; ++step) {
       const auto [i, k] = random_free_cell(p, rng);
-      const double peeked = delta.peek_flip(i, k);
-      total = delta.apply_flip(i, k);
-      matrix[static_cast<std::size_t>(i) * p.objects() + k] =
-          delta.has_replica(i, k) ? 1 : 0;
+      const double peeked = peek(delta, matrix, v, total, i, k);
+      total = flip(delta, matrix, v, i, k);
       const double fresh = full.total_cost(matrix);
       expect_rel_near(fresh, total);
       expect_rel_near(fresh, peeked);
-      expect_rel_near(fresh, delta.total());
     }
   }
 }
@@ -76,14 +103,13 @@ TEST(DeltaEvaluator, FlipTotalsAreBitExact) {
   const Problem p = testing::small_random_problem(7, 10, 12);
   util::Rng rng(71);
   CostEvaluator full(p);
-  DeltaEvaluator delta(p);
+  CostEvaluator delta(p);
   auto matrix = random_matrix(p, rng);
-  delta.rebase(matrix);
+  std::vector<double> v(p.objects(), 0.0);
+  (void)delta.full_cost(matrix, v);
   for (int step = 0; step < 200; ++step) {
     const auto [i, k] = random_free_cell(p, rng);
-    const double total = delta.apply_flip(i, k);
-    matrix[static_cast<std::size_t>(i) * p.objects() + k] =
-        delta.has_replica(i, k) ? 1 : 0;
+    const double total = flip(delta, matrix, v, i, k);
     ASSERT_EQ(full.total_cost(matrix), total) << "drift after step " << step;
   }
 }
@@ -91,63 +117,70 @@ TEST(DeltaEvaluator, FlipTotalsAreBitExact) {
 TEST(DeltaEvaluator, PerObjectCostsMatchMaskEvaluation) {
   const Problem p = testing::small_random_problem(3, 8, 9);
   util::Rng rng(31);
-  DeltaEvaluator delta(p);
+  CostEvaluator delta(p);
   CostEvaluator full(p);
   auto matrix = random_matrix(p, rng);
-  delta.rebase(matrix);
+  std::vector<double> v(p.objects(), 0.0);
+  (void)delta.full_cost(matrix, v);
   for (int step = 0; step < 40; ++step) {
     const auto [i, k] = random_free_cell(p, rng);
-    delta.apply_flip(i, k);
+    (void)flip(delta, matrix, v, i, k);
   }
   std::vector<std::uint8_t> mask(p.sites(), 0);
   for (ObjectId k = 0; k < p.objects(); ++k) {
-    for (SiteId i = 0; i < p.sites(); ++i)
-      mask[i] = delta.has_replica(i, k) ? 1 : 0;
-    expect_rel_near(full.object_cost(k, mask), delta.object_cost(k));
+    for (SiteId i = 0; i < p.sites(); ++i) mask[i] = cell(p, matrix, i, k);
+    EXPECT_EQ(full.object_cost(k, mask), v[k]);
+    EXPECT_EQ(full.column_cost(matrix, k), v[k]);
   }
 }
 
 TEST(DeltaEvaluator, RebaseMidSequenceAdoptsNewBaseline) {
+  // full_cost of a different matrix restarts the V_k cache; delta_cost
+  // then continues from the new baseline.
   const Problem p = testing::small_random_problem(11, 9, 11);
   util::Rng rng(113);
   CostEvaluator full(p);
-  DeltaEvaluator delta(p);
+  CostEvaluator delta(p);
   auto matrix = random_matrix(p, rng);
-  delta.rebase(matrix);
+  std::vector<double> v(p.objects(), 0.0);
+  (void)delta.full_cost(matrix, v);
   for (int round = 0; round < 6; ++round) {
     for (int step = 0; step < 15; ++step) {
       const auto [i, k] = random_free_cell(p, rng);
-      const double total = delta.apply_flip(i, k);
-      matrix[static_cast<std::size_t>(i) * p.objects() + k] =
-          delta.has_replica(i, k) ? 1 : 0;
-      expect_rel_near(full.total_cost(matrix), total);
+      const double total = flip(delta, matrix, v, i, k);
+      ASSERT_EQ(full.total_cost(matrix), total);
     }
     // Adopt a completely different baseline and keep flipping.
     matrix = random_matrix(p, rng, 0.2 + 0.1 * round);
-    const double rebased = delta.rebase(matrix);
-    expect_rel_near(full.total_cost(matrix), rebased);
+    const double rebased = delta.full_cost(matrix, v);
+    ASSERT_EQ(full.total_cost(matrix), rebased);
   }
 }
 
 TEST(DeltaEvaluator, GeneExchangeMatchesFullRecompute) {
+  // Crossover's unit: one gene (the row of one site) replaced wholesale;
+  // only the objects whose bit changed are re-derived.
   for (std::uint64_t seed = 40; seed < 48; ++seed) {
     const Problem p = testing::small_random_problem(seed, 7, 10);
     util::Rng rng(seed);
     CostEvaluator full(p);
-    DeltaEvaluator delta(p);
+    CostEvaluator delta(p);
     auto matrix = random_matrix(p, rng);
-    delta.rebase(matrix);
+    std::vector<double> v(p.objects(), 0.0);
+    (void)delta.full_cost(matrix, v);
     const std::size_t n = p.objects();
     for (int step = 0; step < 20; ++step) {
       const auto site = static_cast<SiteId>(rng.index(p.sites()));
-      std::vector<std::uint8_t> row(n, 0);
-      for (auto& bit : row) bit = rng.bernoulli(0.4) ? 1 : 0;
-      const double total = delta.apply_gene_exchange(site, row);
+      std::vector<ObjectId> changed;
       for (ObjectId k = 0; k < n; ++k) {
-        matrix[static_cast<std::size_t>(site) * n + k] =
-            (row[k] != 0 || p.primary(k) == site) ? 1 : 0;
+        const std::uint8_t bit = rng.bernoulli(0.4) ? 1 : 0;
+        std::uint8_t& held = cell(p, matrix, site, k);
+        if (held == bit) continue;
+        held = bit;  // a cleared primary bit still counts as set
+        changed.push_back(k);
       }
-      expect_rel_near(full.total_cost(matrix), total);
+      const double total = delta.delta_cost(matrix, changed, v);
+      ASSERT_EQ(full.total_cost(matrix), total);
     }
   }
 }
@@ -155,11 +188,13 @@ TEST(DeltaEvaluator, GeneExchangeMatchesFullRecompute) {
 TEST(DeltaEvaluator, RefreshAfterPatternMutation) {
   Problem p = testing::small_random_problem(21, 8, 10);
   util::Rng rng(211);
-  DeltaEvaluator delta(p);
+  CostEvaluator delta(p);
   auto matrix = random_matrix(p, rng);
-  delta.rebase(matrix);
+  std::vector<double> v(p.objects(), 0.0);
+  (void)delta.full_cost(matrix, v);
   for (int round = 0; round < 5; ++round) {
-    // Mutate the request patterns, then refresh and keep delta-evaluating.
+    // Mutate the request patterns, then refresh, re-derive the V_k and keep
+    // delta-evaluating.
     for (int change = 0; change < 10; ++change) {
       const auto i = static_cast<SiteId>(rng.index(p.sites()));
       const auto k = static_cast<ObjectId>(rng.index(p.objects()));
@@ -171,13 +206,12 @@ TEST(DeltaEvaluator, RefreshAfterPatternMutation) {
     }
     delta.refresh();
     CostEvaluator fresh(p);
-    expect_rel_near(fresh.total_cost(matrix), delta.total());
+    EXPECT_EQ(fresh.primary_only_cost(), delta.primary_only_cost());
+    ASSERT_EQ(fresh.total_cost(matrix), delta.full_cost(matrix, v));
     for (int step = 0; step < 10; ++step) {
       const auto [i, k] = random_free_cell(p, rng);
-      const double total = delta.apply_flip(i, k);
-      matrix[static_cast<std::size_t>(i) * p.objects() + k] =
-          delta.has_replica(i, k) ? 1 : 0;
-      expect_rel_near(fresh.total_cost(matrix), total);
+      const double total = flip(delta, matrix, v, i, k);
+      ASSERT_EQ(fresh.total_cost(matrix), total);
     }
   }
 }
@@ -188,18 +222,18 @@ TEST(DeltaEvaluator, StatelessFullAndDeltaCostAgree) {
   for (std::uint64_t seed = 60; seed < 72; ++seed) {
     const Problem p = testing::small_random_problem(seed, 9, 12);
     util::Rng rng(seed * 3);
-    DeltaEvaluator delta(p);
+    CostEvaluator delta(p);
     CostEvaluator full(p);
     auto matrix = random_matrix(p, rng);
     std::vector<double> v(p.objects(), 0.0);
     const double base = delta.full_cost(matrix, v);
-    expect_rel_near(full.total_cost(matrix), base);
+    ASSERT_EQ(full.total_cost(matrix), base);
 
     std::vector<ObjectId> changed;
-    for (int flip = 0; flip < 8; ++flip) {
+    for (int flip_count = 0; flip_count < 8; ++flip_count) {
       const auto [i, k] = random_free_cell(p, rng);
-      auto& cell = matrix[static_cast<std::size_t>(i) * p.objects() + k];
-      cell = cell != 0 ? 0 : 1;
+      std::uint8_t& bit = cell(p, matrix, i, k);
+      bit = bit != 0 ? 0 : 1;
       changed.push_back(k);
       changed.push_back(k);  // duplicates must be harmless
     }
@@ -209,59 +243,75 @@ TEST(DeltaEvaluator, StatelessFullAndDeltaCostAgree) {
 }
 
 TEST(DeltaEvaluator, PrimaryFlipsAreRejected) {
+  // Clearing a primary bit drops no copy: the primary counts as set, so
+  // the column, the re-derived V_k and the total do not move.
   const Problem p = testing::small_random_problem(5, 6, 6);
   util::Rng rng(55);
-  DeltaEvaluator delta(p);
-  delta.rebase(random_matrix(p, rng));
+  CostEvaluator delta(p);
+  auto matrix = random_matrix(p, rng);
+  std::vector<double> v(p.objects(), 0.0);
+  const double total = delta.full_cost(matrix, v);
   const ObjectId k = 2;
   const SiteId sp = p.primary(k);
-  EXPECT_THROW((void)delta.apply_flip(sp, k), std::invalid_argument);
-  EXPECT_THROW((void)delta.peek_flip(sp, k), std::invalid_argument);
-  // A gene exchange carrying a zero primary bit keeps the primary copy.
-  std::vector<std::uint8_t> row(p.objects(), 0);
-  delta.apply_gene_exchange(sp, row);
-  EXPECT_TRUE(delta.has_replica(sp, k));
+  const double column = delta.column_cost(matrix, k);
+  cell(p, matrix, sp, k) = 0;
+  EXPECT_EQ(delta.column_cost(matrix, k), column);
+  const ObjectId changed[] = {k};
+  EXPECT_EQ(delta.delta_cost(matrix, changed, v), total);
+  EXPECT_EQ(delta.total_cost(matrix), total);
 }
 
 TEST(DeltaEvaluator, RequiresBaselineAndValidShapes) {
+  // delta_cost's baseline is an N-long V_k vector; every entry point checks
+  // the matrix shape and the object range.
   const Problem p = testing::small_random_problem(6, 5, 5);
-  DeltaEvaluator delta(p);
-  EXPECT_FALSE(delta.has_baseline());
-  EXPECT_THROW((void)delta.total(), std::logic_error);
-  EXPECT_THROW((void)delta.apply_flip(1, 1), std::logic_error);
-  EXPECT_THROW((void)delta.rebase(std::vector<std::uint8_t>(3, 0)),
-               std::invalid_argument);
+  CostEvaluator delta(p);
   util::Rng rng(66);
-  delta.rebase(random_matrix(p, rng));
-  EXPECT_TRUE(delta.has_baseline());
-  EXPECT_THROW((void)delta.apply_flip(static_cast<SiteId>(p.sites()), 0),
+  const auto matrix = random_matrix(p, rng);
+  std::vector<double> v(p.objects(), 0.0);
+  std::vector<double> short_v(p.objects() - 1, 0.0);
+  const std::vector<std::uint8_t> bad(3, 0);
+  const ObjectId one[] = {1};
+  const ObjectId out_of_range[] = {static_cast<ObjectId>(p.objects())};
+  EXPECT_THROW((void)delta.delta_cost(matrix, one, short_v),
+               std::invalid_argument);
+  EXPECT_THROW((void)delta.full_cost(matrix, short_v), std::invalid_argument);
+  EXPECT_THROW((void)delta.full_cost(bad, v), std::invalid_argument);
+  EXPECT_THROW((void)delta.delta_cost(bad, one, v), std::invalid_argument);
+  EXPECT_THROW((void)delta.column_cost(bad, 0), std::invalid_argument);
+  EXPECT_THROW((void)delta.delta_cost(matrix, out_of_range, v),
                std::out_of_range);
   EXPECT_THROW(
-      (void)delta.apply_gene_exchange(0, std::vector<std::uint8_t>(2, 0)),
-      std::invalid_argument);
+      (void)delta.column_cost(matrix, static_cast<ObjectId>(p.objects())),
+      std::out_of_range);
 }
 
 TEST(DeltaEvaluator, FitnessMatchesCostEvaluator) {
   const Problem p = testing::small_random_problem(8, 8, 8);
   util::Rng rng(88);
-  CostEvaluator full(p);
-  DeltaEvaluator delta(p);
+  CostEvaluator delta(p);
   const auto matrix = random_matrix(p, rng);
-  delta.rebase(matrix);
-  expect_rel_near(full.fitness(matrix), delta.fitness());
-  EXPECT_DOUBLE_EQ(full.primary_only_cost(), delta.primary_only_cost());
+  std::vector<double> v(p.objects(), 0.0);
+  const double total = delta.full_cost(matrix, v);
+  const double d_prime = delta.primary_only_cost();
+  EXPECT_EQ(delta.fitness(matrix), (d_prime - total) / d_prime);
+  EXPECT_EQ(d_prime, primary_only_cost(p));
 }
 
 TEST(DeltaEvaluator, WorkAccountingCountsObjectKernels) {
   const Problem p = testing::small_random_problem(9, 6, 10);
   util::Rng rng(99);
-  DeltaEvaluator delta(p);
-  delta.rebase(random_matrix(p, rng));
+  CostEvaluator delta(p);
+  auto matrix = random_matrix(p, rng);
+  std::vector<double> v(p.objects(), 0.0);
+  (void)delta.full_cost(matrix, v);
   EXPECT_EQ(delta.objects_recomputed(), p.objects());
   EXPECT_DOUBLE_EQ(delta.full_equivalents(), 1.0);
   const auto [i, k] = random_free_cell(p, rng);
-  delta.apply_flip(i, k);
+  (void)flip(delta, matrix, v, i, k);
   EXPECT_EQ(delta.objects_recomputed(), p.objects() + 1);
+  (void)delta.column_cost(matrix, k);
+  EXPECT_EQ(delta.objects_recomputed(), p.objects() + 2);
 }
 
 }  // namespace

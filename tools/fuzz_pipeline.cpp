@@ -1,7 +1,7 @@
 // Seeded end-to-end pipeline fuzzer (DESIGN.md Section 9).
 //
 // Each case is a pure function of {seed, sites, objects, epochs}: a problem
-// is generated, driven through SRA → GRA (+ DeltaEvaluator churn) → the
+// is generated, driven through SRA → GRA (+ V_k cache churn) → the
 // epoch simulation (all three adaptation policies) → distributed SRA
 // (perfect and faulty) → trace replay (perfect and faulty, with every
 // injection at t=0 and at a fractional spacing) → a monitor retune round
@@ -171,7 +171,7 @@ audit::Violations run_case(const FuzzCase& c) {
     note(out, "sra", audit::check_scheme(sra.scheme));
     note(out, "sra", audit::check_sra_terminal(sra.scheme));
 
-    // --- GRA + DeltaEvaluator churn -------------------------------------
+    // --- GRA + V_k cache churn -------------------------------------------
     algo::GraConfig gra_cfg;
     gra_cfg.population = 8;
     gra_cfg.generations = 6;
@@ -183,13 +183,16 @@ audit::Violations run_case(const FuzzCase& c) {
         algo::solver_registry().at("gra").solve({problem, gra_opt});
     note(out, "gra", audit::check_scheme(gra.result.scheme));
 
-    core::DeltaEvaluator delta(problem);
-    (void)delta.rebase(gra.result.scheme.matrix());
-    note(out, "gra/rebase", audit::check_delta_evaluator(delta));
+    core::CostEvaluator evaluator(problem);
+    ga::Chromosome genes = gra.result.scheme.matrix();
+    std::vector<double> v(problem.objects(), 0.0);
+    (void)evaluator.full_cost(genes, v);
+    note(out, "gra/v_cache", audit::check_object_cost_cache(problem, genes, v));
 
     // Long random add/remove churn: the incremental scheme state and the
-    // delta caches must track through it without drifting.
-    core::ReplicationScheme churn(problem, gra.result.scheme.matrix());
+    // winner's V_k cache, re-derived one changed column at a time, must
+    // track through it without drifting.
+    core::ReplicationScheme churn(problem, genes);
     util::Rng churn_rng = rng.fork(4);
     for (int step = 0; step < 300; ++step) {
       const auto i = static_cast<core::SiteId>(churn_rng.index(c.sites));
@@ -200,10 +203,13 @@ audit::Violations run_case(const FuzzCase& c) {
       } else {
         churn.add(i, k);
       }
-      (void)delta.apply_flip(i, k);
+      std::uint8_t& bit = genes[static_cast<std::size_t>(i) * c.objects + k];
+      bit = bit != 0 ? 0 : 1;
+      const core::ObjectId changed[] = {k};
+      (void)evaluator.delta_cost(genes, changed, v);
     }
     note(out, "churn", audit::check_scheme(churn));
-    note(out, "churn", audit::check_delta_evaluator(delta));
+    note(out, "churn", audit::check_object_cost_cache(problem, genes, v));
 
     // --- partial rows: streamed instance, SRA trajectory, churn, freeze --
     // One kernel, two row shapes: the partial rows of the streamed instance
