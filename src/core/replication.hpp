@@ -100,6 +100,10 @@ class ReplicationScheme {
   [[nodiscard]] const double* nearest_cost_data() const noexcept {
     return nearest_cost_.data();
   }
+  /// The whole nearest-site cache (demand-cell indexed), for bulk copies.
+  [[nodiscard]] std::span<const SiteId> nearest_sites() const noexcept {
+    return nearest_site_;
+  }
 
   /// Data units of storage consumed at site i by this scheme.
   [[nodiscard]] double used(SiteId i) const { return used_.at(i); }

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 namespace drep::audit {
 
@@ -20,12 +21,19 @@ std::string at_cell(std::size_t i, std::size_t k) {
   return out.str();
 }
 
-template <typename T>
-void expect_eq(Violations& violations, const std::string& invariant,
-               const std::string& where, T expected, T found) {
+/// Records a violation when expected != found. `where` is a string or a
+/// callable returning one; a callable runs only on a mismatch, so the
+/// per-cell checks of a clean snapshot format nothing.
+template <typename T, typename Where>
+void expect_eq(Violations& violations, const char* invariant,
+               const Where& where, T expected, T found) {
   if (expected == found) return;
   std::ostringstream out;
-  out << where << ": expected " << expected << ", found " << found;
+  if constexpr (std::is_invocable_v<const Where&>)
+    out << where();
+  else
+    out << where;
+  out << ": expected " << expected << ", found " << found;
   add(violations, invariant, out.str());
 }
 
@@ -87,31 +95,33 @@ Violations check_snapshot_coherence(const SchemeSnapshot& snapshot,
   for (core::ObjectId k = 0; k < problem.objects(); ++k) {
     const core::SiteId sp = problem.primary(k);
     expect_eq(violations, "snapshot.primary",
-              "primary of object " + std::to_string(k), sp,
+              [k] { return "primary of object " + std::to_string(k); }, sp,
               snapshot.primary(k));
     double surcharge = 0.0;
     for (const core::SiteId r : scheme.replicas(k))
       surcharge += problem.cost(sp, r);
     expect_eq(violations, "snapshot.write_surcharge",
-              "W of object " + std::to_string(k), surcharge,
+              [k] { return "W of object " + std::to_string(k); }, surcharge,
               snapshot.write_surcharge(k));
     expect_eq(violations, "snapshot.shape",
-              "demand_begin of object " + std::to_string(k),
+              [k] { return "demand_begin of object " + std::to_string(k); },
               problem.demand_begin(k), snapshot.demand_begin(k));
     const auto sites = problem.demand_sites(k);
     for (std::size_t j = 0; j < sites.size(); ++j) {
       const std::size_t z = problem.demand_begin(k) + j;
       const core::SiteId i = sites[j];
-      expect_eq(violations, "snapshot.shape", "site of " + at_cell(i, k), i,
+      expect_eq(violations, "snapshot.shape",
+                [&] { return "site of " + at_cell(i, k); }, i,
                 snapshot.demand_site(z));
-      expect_eq(violations, "snapshot.nearest", "nearest " + at_cell(i, k),
+      expect_eq(violations, "snapshot.nearest",
+                [&] { return "nearest " + at_cell(i, k); },
                 scheme.nearest_site_at(z), snapshot.nearest_at(z));
       expect_eq(violations, "snapshot.nearest",
-                "nearest cost " + at_cell(i, k), scheme.nearest_cost_at(z),
-                snapshot.nearest_cost_at(z));
+                [&] { return "nearest cost " + at_cell(i, k); },
+                scheme.nearest_cost_at(z), snapshot.nearest_cost_at(z));
       expect_eq(violations, "snapshot.primary_cost",
-                "primary cost " + at_cell(i, k), problem.cost(i, sp),
-                snapshot.primary_cost_at(z));
+                [&] { return "primary cost " + at_cell(i, k); },
+                problem.cost(i, sp), snapshot.primary_cost_at(z));
     }
   }
   return violations;

@@ -8,15 +8,18 @@
 //
 // Two strengths:
 //   * check_snapshot_coherence(snapshot) — internal integrity: the routing
-//     arrays cover the demand cells and the recomputed FNV checksum equals
-//     the stamped one. Cheap enough for readers to spot-check pinned snapshots
-//     (the reader-vs-swap stress suite does), and the line of defense
-//     against a torn or corrupted publish.
+//     arrays cover the demand cells and the recomputed word-at-a-time
+//     checksum (serve::word_hash) equals the stamped one. One pass over the
+//     table at memory speed, cheap enough for readers to spot-check pinned
+//     snapshots (the reader-vs-swap stress suite does), and the line of
+//     defense against a torn or corrupted publish.
 //   * check_snapshot_coherence(snapshot, scheme) — fidelity: every frozen
 //     routing entry equals the scheme it claims to be frozen from, bit for
 //     bit, demand cell by demand cell (nearest entries under the lex
 //     (cost, id) contract, primaries, write surcharges re-accumulated in
-//     ascending replica order).
+//     ascending replica order). Cells are compared first and a diagnostic
+//     is formatted only for one that differs, so a clean audit costs a
+//     few comparisons per cell.
 
 #include "audit/invariants.hpp"
 #include "serve/snapshot.hpp"

@@ -28,6 +28,19 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kSeedMix = 0x9e3779b97f4a7c15ULL;
 
+/// FNV-1a 64-bit over raw bytes, chainable via `seed`: the outcome-log
+/// hash, whose bench/serve value BENCH_serve.json pins.
+std::uint64_t fnv1a(const void* data, std::size_t size,
+                    std::uint64_t seed = 1469598103934665603ULL) noexcept {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint64_t hash = seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
 /// Solve → freeze → (optionally) audit: the retune pipeline's construction
 /// side, always off the reader hot path. threads = 1 keeps the solver
 /// strictly serial — the serving workers own the cores, and a deterministic
@@ -43,10 +56,12 @@ std::unique_ptr<const SchemeSnapshot> solve_and_freeze(
       algo::solver_registry().at(config.algo).solve({problem, options});
   auto snapshot = std::make_unique<SchemeSnapshot>(
       SchemeSnapshot::freeze(response.result.scheme, generation));
-  if (config.audit)
+  if (config.audit) {
+    DREP_SPAN("serve/audit");
     audit::enforce(
         audit::check_snapshot_coherence(*snapshot, response.result.scheme),
         "serve/freeze generation " + std::to_string(generation));
+  }
   return snapshot;
 }
 

@@ -27,10 +27,15 @@
 // instance can hit, with their sites copied too, addressed by demand-cell
 // index through serve_cell().
 //
-// Every snapshot carries its generation (the publish version) and an FNV-1a
+// Every snapshot carries its generation (the publish version) and a
 // checksum over all frozen arrays, so audit::check_snapshot_coherence can
 // certify both internal integrity (no torn/corrupted table) and fidelity to
-// the scheme it was frozen from.
+// the scheme it was frozen from. The checksum is one word_hash digest per
+// array, folded with the header in a fixed field order. freeze() bulk-
+// copies each array (the nearest entries are the scheme's demand-cell
+// cache verbatim; a full row's primary costs are row SP_k of the symmetric
+// C) and then stamps compute_checksum(), so a freeze costs about two
+// passes over the table's memory.
 
 #include <cassert>
 #include <cstddef>
@@ -42,11 +47,18 @@
 
 namespace drep::serve {
 
-/// FNV-1a 64-bit over raw bytes, chainable via `seed`. Shared by the
-/// snapshot checksum and the engine's outcome-log hash.
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t size,
-                                  std::uint64_t seed =
-                                      1469598103934665603ULL) noexcept;
+/// Bytes one round of word_hash's four lanes consumes.
+inline constexpr std::size_t kWordHashStride = 4 * sizeof(std::uint64_t);
+
+/// Multi-lane, word-at-a-time 64-bit hash of one array. Lane l folds words
+/// l, l + 4, l + 8, … (8 bytes each, read with memcpy; the last one zero-
+/// padded) by the step h = rotl((h ^ w) · odd, 29), a bijection in h and in
+/// w, and the digest folds the byte count and the lanes the same way:
+/// changing any single word changes the digest. The lanes are independent
+/// multiply chains, so the hash runs at memory speed instead of one
+/// multiply per byte.
+[[nodiscard]] std::uint64_t word_hash(const void* data,
+                                      std::size_t size) noexcept;
 
 /// Result of serving one request against a snapshot.
 struct Outcome {

@@ -556,8 +556,20 @@ TEST_F(CliTest, ServeTraceHashIsIdenticalAcrossWorkerCounts) {
     const obs::Json* result = json.find("result");
     ASSERT_NE(result, nullptr);
     EXPECT_GT(result->find("requests")->as_number(), 0.0);
-    EXPECT_GT(result->find("generations")->as_number(), 1.0);
+    const double generations = result->find("generations")->as_number();
+    EXPECT_GT(generations, 1.0);
     hashes.push_back(result->find("outcome_hash")->as_string());
+#if !defined(DREP_OBS_DISABLED)
+    // Each generation's retune splits into solve, freeze and audit spans.
+    const obs::Json* retune = find_span(*json.find("spans"), "serve/retune");
+    ASSERT_NE(retune, nullptr);
+    EXPECT_EQ(retune->find("count")->as_number(), generations);
+    for (const char* phase : {"serve/freeze", "serve/audit"}) {
+      const obs::Json* span = find_span(*retune, phase);
+      ASSERT_NE(span, nullptr) << phase;
+      EXPECT_EQ(span->find("count")->as_number(), generations) << phase;
+    }
+#endif
     std::remove(report.c_str());
   }
   ASSERT_EQ(hashes.size(), 3u);

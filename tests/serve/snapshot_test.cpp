@@ -1,11 +1,16 @@
 // SchemeSnapshot freeze fidelity, the serving cost model, checksum
-// determinism, and the coherence validators' corruption detection.
+// determinism, the word hash's bit-flip guarantees, and the
+// coherence validators' corruption detection.
 
 #include "serve/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "serve/audit.hpp"
 #include "testing/builders.hpp"
@@ -83,15 +88,88 @@ TEST(SchemeSnapshot, DenseFreezeMatchesSchemeCellForCell) {
 }
 
 TEST(SchemeSnapshot, ChecksumIsDeterministicAndGenerationSensitive) {
-  const core::Problem problem = testing::small_random_problem(4);
-  core::ReplicationScheme scheme(problem);
-  scheme.add(1, 0);
-  const SchemeSnapshot a = SchemeSnapshot::freeze(scheme, 5);
-  const SchemeSnapshot b = SchemeSnapshot::freeze(scheme, 5);
-  const SchemeSnapshot c = SchemeSnapshot::freeze(scheme, 6);
-  EXPECT_EQ(a.checksum(), a.compute_checksum());
-  EXPECT_EQ(a.checksum(), b.checksum());
-  EXPECT_NE(a.checksum(), c.checksum());
+  struct Shape {
+    core::Problem problem;
+    bool full_rows;
+  };
+  const Shape shapes[] = {{testing::small_random_problem(4), true},
+                          {tiny_sparse_instance(), false}};
+  for (const Shape& shape : shapes) {
+    core::ReplicationScheme scheme(shape.problem);
+    scheme.add(1, 0);
+    const SchemeSnapshot a = SchemeSnapshot::freeze(scheme, 5);
+    const SchemeSnapshot b = SchemeSnapshot::freeze(scheme, 5);
+    const SchemeSnapshot c = SchemeSnapshot::freeze(scheme, 6);
+    EXPECT_EQ(a.full_rows(), shape.full_rows);
+    EXPECT_EQ(a.checksum(), a.compute_checksum());
+    EXPECT_EQ(a.checksum(), b.checksum());
+    EXPECT_NE(a.checksum(), c.checksum());
+  }
+}
+
+std::vector<unsigned char> random_bytes(std::size_t size, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& byte : bytes)
+    byte = static_cast<unsigned char>(rng.index(256));
+  return bytes;
+}
+
+/// Flips bit `bit` (0 = least significant) of 8-byte word `word` in place.
+void flip_word_bit(unsigned char* data, std::size_t word, std::size_t bit) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, data + 8 * word, 8);
+  value ^= std::uint64_t{1} << bit;
+  std::memcpy(data + 8 * word, &value, 8);
+}
+
+TEST(SchemeSnapshot, WordHashCatchesAnySingleBitFlip) {
+  // Every length from empty to three lane strides plus a 7-byte tail, at
+  // every alignment of the first word.
+  constexpr std::size_t kMaxSize = 3 * serve::kWordHashStride + 7;
+  std::vector<unsigned char> buffer = random_bytes(kMaxSize + 8, 17);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= kMaxSize; ++size) {
+      const unsigned char* data = buffer.data() + offset;
+      const std::uint64_t clean = serve::word_hash(data, size);
+      for (std::size_t bit = 0; bit < 8 * size; ++bit) {
+        const auto mask = static_cast<unsigned char>(1u << (bit % 8));
+        buffer[offset + bit / 8] ^= mask;
+        const std::uint64_t flipped = serve::word_hash(data, size);
+        buffer[offset + bit / 8] ^= mask;
+        ASSERT_NE(flipped, clean)
+            << "offset " << offset << ", size " << size << ", bit " << bit;
+      }
+    }
+  }
+  // Zero padding of the tail is told apart by the byte count.
+  const std::vector<unsigned char> zeros(kMaxSize, 0);
+  std::set<std::uint64_t> digests;
+  for (std::size_t size = 0; size <= kMaxSize; ++size)
+    digests.insert(serve::word_hash(zeros.data(), size));
+  EXPECT_EQ(digests.size(), kMaxSize + 1);
+}
+
+TEST(SchemeSnapshot, WordHashCatchesTheSameBitFlippedInTwoWords) {
+  // A multiply alone leaves a top-bit change in place, so two top-bit flips
+  // would cancel without the step's rotation. Every bit, flipped in every
+  // pair of words of three strides plus one word: pairs in one lane
+  // (a multiple of four words apart) and in different lanes.
+  constexpr std::size_t kWords = 3 * serve::kWordHashStride / 8 + 1;
+  std::vector<unsigned char> buffer = random_bytes(8 * kWords, 29);
+  const std::uint64_t clean = serve::word_hash(buffer.data(), buffer.size());
+  for (std::size_t bit = 0; bit < 64; ++bit)
+    for (std::size_t a = 0; a < kWords; ++a)
+      for (std::size_t b = a + 1; b < kWords; ++b) {
+        flip_word_bit(buffer.data(), a, bit);
+        flip_word_bit(buffer.data(), b, bit);
+        const std::uint64_t flipped =
+            serve::word_hash(buffer.data(), buffer.size());
+        flip_word_bit(buffer.data(), a, bit);
+        flip_word_bit(buffer.data(), b, bit);
+        ASSERT_NE(flipped, clean)
+            << "bit " << bit << " of words " << a << " and " << b;
+      }
 }
 
 TEST(SchemeSnapshot, SparseFreezeAgreesWithDenseOnMaterializedInstance) {
@@ -174,6 +252,17 @@ TEST(SnapshotCoherence, CrossCheckCatchesSchemeDrift) {
                      violation.invariant == "snapshot.write_surcharge" ||
                      violation.invariant == "snapshot.replicas";
   EXPECT_TRUE(drift_flagged);
+  // The new replica's own cell now reads itself; the snapshot still routes
+  // it to the primary. The detail names the cell and both sites.
+  const std::string expected =
+      "nearest (site " + std::to_string(site) + ", object 0): expected " +
+      std::to_string(site) + ", found " +
+      std::to_string(problem.primary(object));
+  bool detail_pinned = false;
+  for (const audit::Violation& violation : violations)
+    detail_pinned |= violation.invariant == "snapshot.nearest" &&
+                     violation.detail == expected;
+  EXPECT_TRUE(detail_pinned) << expected;
 }
 
 }  // namespace
