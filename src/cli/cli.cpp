@@ -1,10 +1,12 @@
 #include "cli/cli.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -69,6 +71,22 @@ struct Args {
     if (text.empty() || end != text.c_str() + text.size())
       throw UsageError(flag_name(key) + " expects a number, got '" + text +
                        "'");
+    return value;
+  }
+  /// An integer flag: decimal digits only (no sign, fraction or exponent),
+  /// within T's range.
+  template <typename T>
+  [[nodiscard]] T integer(const std::string& key, T fallback) const {
+    const auto it = named.find(key);
+    if (it == named.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [end, error] = std::from_chars(text.data(), last, value);
+    if (text.empty() || error != std::errc{} || end != last)
+      throw UsageError(flag_name(key) + " expects an integer in [0, " +
+                       std::to_string(std::numeric_limits<T>::max()) +
+                       "], got '" + text + "'");
     return value;
   }
 
@@ -160,8 +178,8 @@ sim::FaultPlan parse_fault_plan(const Args& args) {
 /// --algo=treedp is exact on the result.
 core::Problem generate_tree_problem(const Args& args, util::Rng& rng) {
   workload::TreeInstanceConfig config;
-  config.sites = static_cast<std::size_t>(args.number("sites", 50));
-  config.objects = static_cast<std::size_t>(args.number("objects", 200));
+  config.sites = args.integer<std::size_t>("sites", 50);
+  config.objects = args.integer<std::size_t>("objects", 200);
   config.update_ratio_percent = args.number("update", 5.0);
   config.capacity_percent = args.number("capacity", 0.0);
   const std::string shape = args.get("shape", "random");
@@ -174,10 +192,9 @@ core::Problem generate_tree_problem(const Args& args, util::Rng& rng) {
   } else {
     throw UsageError("--shape expects random|chain|star, got '" + shape + "'");
   }
-  config.fanout = static_cast<std::size_t>(args.number("fanout", 3));
+  config.fanout = args.integer<std::size_t>("fanout", 3);
   config.depth_skew = args.number("skew", 0.0);
-  config.clients_per_object =
-      static_cast<std::size_t>(args.number("clients", 0));
+  config.clients_per_object = args.integer<std::size_t>("clients", 0);
   try {
     config.validate();
   } catch (const std::invalid_argument& error) {
@@ -188,7 +205,7 @@ core::Problem generate_tree_problem(const Args& args, util::Rng& rng) {
 
 int cmd_generate(const Args& args) {
   const std::string topology = args.get("topology", "complete");
-  util::Rng rng(static_cast<std::uint64_t>(args.number("seed", 1)));
+  util::Rng rng(args.integer<std::uint64_t>("seed", 1));
   core::Problem problem = [&]() -> core::Problem {
     if (topology == "tree") return generate_tree_problem(args, rng);
     if (topology != "complete")
@@ -200,8 +217,8 @@ int cmd_generate(const Args& args) {
                          " requires --topology=tree");
     }
     workload::GeneratorConfig config;
-    config.sites = static_cast<std::size_t>(args.number("sites", 50));
-    config.objects = static_cast<std::size_t>(args.number("objects", 200));
+    config.sites = args.integer<std::size_t>("sites", 50);
+    config.objects = args.integer<std::size_t>("objects", 200);
     config.update_ratio_percent = args.number("update", 5.0);
     config.capacity_percent = args.number("capacity", 15.0);
     return workload::generate(config, rng);
@@ -217,7 +234,7 @@ int cmd_generate(const Args& args) {
 /// `replay --online`.
 algo::OnlineOptions online_options_from(const Args& args) {
   algo::OnlineOptions options;
-  options.window = static_cast<std::size_t>(args.number("window", 128));
+  options.window = args.integer<std::size_t>("window", 128);
   if (options.window == 0) throw UsageError("--window must be >= 1");
   options.trust = args.number("trust", 0.5);
   if (options.trust < 0.0 || options.trust > 1.0)
@@ -240,18 +257,14 @@ algo::OnlineOptions online_options_from(const Args& args) {
 /// resizes the shared pool so the flag takes effect immediately.
 algo::SolverOptions solver_options_from(const Args& args) {
   algo::SolverOptions options;
-  options.common.seed = static_cast<std::uint64_t>(args.number("seed", 1));
-  options.common.threads =
-      static_cast<std::size_t>(args.number("threads", 0));
+  options.common.seed = args.integer<std::uint64_t>("seed", 1);
+  options.common.threads = args.integer<std::size_t>("threads", 0);
   if (args.has("threads"))
     util::ThreadPool::configure_shared(options.common.threads);
-  options.gra.generations =
-      static_cast<std::size_t>(args.number("generations", 80));
-  options.gra.population =
-      static_cast<std::size_t>(args.number("population", 50));
-  options.gra.islands = static_cast<std::size_t>(args.number("islands", 1));
-  options.agra.mini_gra_generations =
-      static_cast<std::size_t>(args.number("mini", 5));
+  options.gra.generations = args.integer<std::size_t>("generations", 80);
+  options.gra.population = args.integer<std::size_t>("population", 50);
+  options.gra.islands = args.integer<std::size_t>("islands", 1);
+  options.agra.mini_gra_generations = args.integer<std::size_t>("mini", 5);
   options.agra.common.threads = options.common.threads;
   options.online = online_options_from(args);
   return options;
@@ -383,12 +396,12 @@ int cmd_replay(const Args& args) {
   core::ReplicationScheme scheme =
       args.has("scheme") ? io::load_scheme(args.require("scheme"), problem)
                          : core::ReplicationScheme(problem);
-  util::Rng rng(static_cast<std::uint64_t>(args.number("seed", 1)));
+  util::Rng rng(args.integer<std::uint64_t>("seed", 1));
 
   workload::ModedTraceConfig trace_config;
   try {
     trace_config.mode = workload::parse_trace_mode(args.get("trace", "uniform"));
-    trace_config.phases = static_cast<std::size_t>(args.number("phases", 8));
+    trace_config.phases = args.integer<std::size_t>("phases", 8);
     trace_config.validate();
   } catch (const std::invalid_argument& error) {
     throw UsageError(std::string("--trace: ") + error.what());
@@ -516,10 +529,8 @@ int cmd_adapt_decentralized(const Args& args) {
   options.current_scheme = scheme.matrix();
   options.drift_threshold_percent = args.number("drift", 100.0);
   options.change_threshold_percent = args.number("threshold", 100.0);
-  options.trace_seed =
-      static_cast<std::uint64_t>(args.number("trace-seed", 1));
-  options.predictor.window =
-      static_cast<std::size_t>(args.number("window", 128));
+  options.trace_seed = args.integer<std::uint64_t>("trace-seed", 1);
+  options.predictor.window = args.integer<std::size_t>("window", 128);
   options.latency_per_cost = args.number("latency", 1.0);
   if (args.has("faults")) options.faults = parse_fault_plan(args);
   try {
@@ -672,15 +683,14 @@ int cmd_serve(const Args& args) {
                      solver_names_joined() + ")");
 
   serve::ServeConfig config;
-  config.workers = static_cast<std::size_t>(args.number("workers", 1));
-  config.seed = static_cast<std::uint64_t>(args.number("seed", 1));
+  config.workers = args.integer<std::size_t>("workers", 1);
+  config.seed = args.integer<std::uint64_t>("seed", 1);
   config.algo = algo_name;
-  config.batch = static_cast<std::size_t>(args.number("batch", 256));
+  config.batch = args.integer<std::size_t>("batch", 256);
   config.audit = args.has("audit");
   config.duration_seconds = args.number("duration", 1.0);
   config.retune_interval_seconds = args.number("retune-interval", 0.0);
-  config.retune_every =
-      static_cast<std::size_t>(args.number("retune-every", 0));
+  config.retune_every = args.integer<std::size_t>("retune-every", 0);
   config.load.write_fraction = args.number("write-fraction", 0.05);
   try {
     config.validate();

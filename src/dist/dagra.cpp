@@ -52,7 +52,7 @@ core::Problem local_view(const core::Problem& baseline,
 
 // --- wire payloads --------------------------------------------------------
 
-/// A retuned column; its retuner is the envelope's sender. A column ack
+/// A retuned column; its retuner is the message's sender. A column ack
 /// carries nothing but the update's seq.
 struct ColumnUpdate {
   core::ObjectId object = 0;
@@ -111,15 +111,15 @@ class DriftNode final : public sim::Node,
 
   void handle(const sim::Message& message) override {
     const Envelope& envelope = sim::open(message);
-    if (fetch_.handle(message, envelope)) return;
+    if (fetch_.handle(message)) return;
     switch (envelope.kind) {
       case MessageKind::kDriftColumnUpdate:
-        on_update(envelope);
+        on_update(message);
         return;
       case MessageKind::kDriftColumnAck:
-        if (channel_.accept(envelope)) {
-          record(envelope);
-          on_ack(envelope.sender, envelope.seq);
+        if (channel_.accept(message)) {
+          record(message);
+          on_ack(message.from, envelope.seq);
         } else {
           ++shared_.retry_stats.duplicates;
         }
@@ -219,7 +219,7 @@ class DriftNode final : public sim::Node,
   void transmit_update(core::SiteId dest, const Lane& lane) {
     const ColumnUpdate& update = lane.queue[lane.next];
     network_.send(self_, dest, 0.0,
-                  sim::seal(MessageKind::kDriftColumnUpdate, self_,
+                  sim::seal(MessageKind::kDriftColumnUpdate,
                             lane.base_seq + lane.next, update));
   }
 
@@ -257,16 +257,17 @@ class DriftNode final : public sim::Node,
 
   // --- receiver role ------------------------------------------------------
 
-  void on_update(const Envelope& envelope) {
+  void on_update(const sim::Message& message) {
+    const Envelope& envelope = message.envelope;
     const auto& update = sim::unseal<ColumnUpdate>(envelope);
-    const core::SiteId retuner = envelope.sender;
-    if (!channel_.accept(envelope)) {
+    const core::SiteId retuner = message.from;
+    if (!channel_.accept(message)) {
       // Duplicate: our ack was lost — re-ack so the lane advances.
       ++shared_.retry_stats.duplicates;
       ack(retuner, envelope.seq);
       return;
     }
-    record(envelope);
+    record(message);
     const core::ObjectId k = update.object;
     // Concurrent-retuner conflicts resolve to the lowest site id no matter
     // the arrival order: a higher-id update never displaces a lower one,
@@ -320,13 +321,14 @@ class DriftNode final : public sim::Node,
   void ack(core::SiteId retuner, std::uint64_t update_seq) {
     if (!channel_.armed()) return;  // perfect network: no ack traffic
     network_.send(self_, retuner, 0.0,
-                  sim::seal(MessageKind::kDriftColumnAck, self_, update_seq));
+                  sim::seal(MessageKind::kDriftColumnAck, update_seq));
   }
 
-  void record(const Envelope& envelope) {
+  void record(const sim::Message& message) {
     shared_.logs[self_].push_back(
-        {static_cast<std::size_t>(envelope.sender),
-         static_cast<std::uint16_t>(envelope.kind), envelope.seq});
+        {static_cast<std::size_t>(message.from),
+         static_cast<std::uint16_t>(message.envelope.kind),
+         message.envelope.seq});
   }
 
   core::SiteId self_;

@@ -99,19 +99,18 @@ class IslandNode final : public sim::Node, private sim::ChannelClient {
         // Ack every delivery (a duplicate means our previous ack was lost).
         if (network_.faults_armed()) {
           network_.send(self_, message.from, 0.0,
-                        sim::seal(MessageKind::kGaElitesAck, self_,
-                                  envelope.seq));
+                        sim::seal(MessageKind::kGaElitesAck, envelope.seq));
         }
-        if (!channel_.accept(envelope)) {
+        if (!channel_.accept(message)) {
           ++shared_.retry_stats.duplicates;
           return;
         }
-        record(envelope);
+        record(message);
         on_elites(envelope.seq, payload);
         return;
       }
       case MessageKind::kGaElitesAck: {
-        if (channel_.accept(envelope)) record(envelope);
+        if (channel_.accept(message)) record(message);
         const Outgoing* outgoing = channel_.find(pending_);
         if (outgoing != nullptr && outgoing->epoch == envelope.seq)
           channel_.close(pending_);
@@ -164,7 +163,7 @@ class IslandNode final : public sim::Node, private sim::ChannelClient {
     network_.send(
         self_, successor,
         static_cast<double>(outgoing.elites.size()) * elite_size_units_,
-        sim::seal(MessageKind::kGaElites, self_, outgoing.epoch,
+        sim::seal(MessageKind::kGaElites, outgoing.epoch,
                   ElitesPayload{outgoing.elites}));
     return 1;
   }
@@ -228,10 +227,11 @@ class IslandNode final : public sim::Node, private sim::ChannelClient {
     if (done_ < generations_) schedule_next_epoch();
   }
 
-  void record(const Envelope& envelope) {
+  void record(const sim::Message& message) {
     shared_.envelope_log.push_back(
-        {static_cast<std::size_t>(envelope.sender),
-         static_cast<std::uint16_t>(envelope.kind), envelope.seq});
+        {static_cast<std::size_t>(message.from),
+         static_cast<std::uint16_t>(message.envelope.kind),
+         message.envelope.seq});
   }
 
   sim::SiteId self_;

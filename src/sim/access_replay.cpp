@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/envelope.hpp"
 #include "sim/reliable_channel.hpp"
 
 namespace drep::sim {
@@ -14,36 +17,9 @@ namespace {
 
 using core::ObjectId;
 
-// Protocol payloads. Ids are 0 on a perfect network (no retries, nothing to
-// correlate) and the sender's ExchangeKey under a fault plan.
-struct ReadRequest {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct ReadResponse {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct WriteShip {
-  ObjectId object;
-  SiteId writer;
-  std::uint64_t id;
-};
-struct WriteAck {
-  std::uint64_t id;
-};
-struct UpdateBroadcast {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct UpdateAck {
-  std::uint64_t id;
-};
-/// Replica-creation shipment of the online replay (source replica -> new
-/// replicator). Pure data transfer: ReplicaNode::handle ignores it.
-struct MigrationShip {
-  ObjectId object;
-};
+// Every kReplay* message but the two acks carries the bare ObjectId. The
+// envelope seq is 0 on a perfect network (no retries, nothing to correlate)
+// and the sender's ExchangeKey under a fault plan, echoed by the reply.
 
 /// One exchange of the fault path, as the channel keeps it.
 struct Pending {
@@ -103,7 +79,8 @@ class ReplicaNode final : public Node, private ChannelClient {
       DREP_COUNT("drep_replay_remote_reads_total", 1);
       DREP_OBSERVE("drep_replay_read_latency", obs::latency_buckets(),
                    latency);
-      network_->send(self_, nearest, 0.0, ReadRequest{request.object, 0});
+      network_->send(self_, nearest, 0.0,
+                     seal(MessageKind::kReplayRead, 0, request.object));
       return;
     }
     ++result.writes;
@@ -124,29 +101,41 @@ class ReplicaNode final : public Node, private ChannelClient {
       (void)channel_.open({Pending::Kind::kShip, request.object, 0, 0.0});
     else
       network_->send(self_, primary, problem.object_size(request.object),
-                     WriteShip{request.object, self_, 0});
+                     seal(MessageKind::kReplayWriteShip, 0, request.object));
   }
 
   void handle(const Message& message) override {
-    const core::Problem& problem = scheme_->problem();
-    if (const auto* read = std::any_cast<ReadRequest>(&message.payload)) {
-      network_->send(self_, message.from, problem.object_size(read->object),
-                     ReadResponse{read->object, read->id});
-    } else if (const auto* resp =
-                   std::any_cast<ReadResponse>(&message.payload)) {
-      if (channel_.armed()) on_read_response(*resp);
-    } else if (const auto* ship = std::any_cast<WriteShip>(&message.payload)) {
-      on_write_ship(*ship);
-    } else if (const auto* ack = std::any_cast<WriteAck>(&message.payload)) {
-      (void)channel_.settle(ack->id);
-    } else if (const auto* update =
-                   std::any_cast<UpdateBroadcast>(&message.payload)) {
-      // Applying the same version twice is idempotent; just ack.
-      if (channel_.armed())
-        network_->send(self_, message.from, 0.0, UpdateAck{update->id});
-    } else if (const auto* uack =
-                   std::any_cast<UpdateAck>(&message.payload)) {
-      (void)channel_.settle(uack->id);
+    const Envelope& envelope = open(message);
+    switch (envelope.kind) {
+      case MessageKind::kReplayRead: {
+        const auto object = unseal<ObjectId>(envelope);
+        network_->send(
+            self_, message.from, scheme_->problem().object_size(object),
+            seal(MessageKind::kReplayReadResponse, envelope.seq, object));
+        break;
+      }
+      case MessageKind::kReplayReadResponse:
+        if (channel_.armed()) on_read_response(envelope.seq);
+        break;
+      case MessageKind::kReplayWriteShip:
+        on_write_ship(message);
+        break;
+      case MessageKind::kReplayWriteAck:
+      case MessageKind::kReplayUpdateAck:
+        (void)channel_.settle(envelope.seq);
+        break;
+      case MessageKind::kReplayUpdate:
+        // Applying the same version twice is idempotent; just ack.
+        if (channel_.armed()) {
+          network_->send(self_, message.from, 0.0,
+                         seal(MessageKind::kReplayUpdateAck, envelope.seq));
+        }
+        break;
+      case MessageKind::kReplayMigration:
+        break;  // a replica-creation shipment: pure data transfer
+      default:
+        throw std::logic_error("ReplicaNode: unexpected message kind " +
+                               std::string(kind_name(envelope.kind)));
     }
   }
 
@@ -233,18 +222,21 @@ class ReplicaNode final : public Node, private ChannelClient {
         // crashed (or recovered) since. The attempt counts as a retry even
         // when no live replica can take it.
         if (const std::optional<SiteId> target =
-                live_read_target(pending.object))
-          network_->send(self_, *target, 0.0, ReadRequest{pending.object, key});
+                live_read_target(pending.object)) {
+          network_->send(self_, *target, 0.0,
+                         seal(MessageKind::kReplayRead, key, pending.object));
+        }
         break;
       case Pending::Kind::kShip:
-        network_->send(self_, problem.primary(pending.object),
-                       problem.object_size(pending.object),
-                       WriteShip{pending.object, self_, key});
+        network_->send(
+            self_, problem.primary(pending.object),
+            problem.object_size(pending.object),
+            seal(MessageKind::kReplayWriteShip, key, pending.object));
         break;
       case Pending::Kind::kLeg:
         network_->send(self_, pending.target,
                        problem.object_size(pending.object),
-                       UpdateBroadcast{pending.object, key});
+                       seal(MessageKind::kReplayUpdate, key, pending.object));
         break;
     }
     return 1;
@@ -260,8 +252,8 @@ class ReplicaNode final : public Node, private ChannelClient {
     channel_.close(key);
   }
 
-  void on_read_response(const ReadResponse& resp) {
-    const Pending* read = channel_.find(resp.id);
+  void on_read_response(ExchangeKey key) {
+    const Pending* read = channel_.find(key);
     if (read == nullptr) {
       ++result_->retry_stats.duplicates;
       return;
@@ -271,22 +263,24 @@ class ReplicaNode final : public Node, private ChannelClient {
     const double latency = network_->queue().now() - read->issued_at;
     result_->read_latency.add(latency);
     DREP_OBSERVE("drep_replay_read_latency", obs::latency_buckets(), latency);
-    channel_.close(resp.id);
+    channel_.close(key);
   }
 
-  void on_write_ship(const WriteShip& ship) {
+  void on_write_ship(const Message& ship) {
+    const auto object = unseal<ObjectId>(ship.envelope);
     if (!channel_.armed()) {
-      broadcast(ship.object, ship.writer);
+      broadcast(object, ship.from);
       return;
     }
     // The primary deduplicates replayed shipments: the version already
-    // committed and fanned out, only the ack was lost. Stream 0: shipments
-    // are the replay's only deduplicated message.
-    if (channel_.accept(ship.writer, 0, ship.id))
-      broadcast(ship.object, ship.writer);
+    // committed and fanned out, only the ack was lost. Shipments are the
+    // replay's only deduplicated message.
+    if (channel_.accept(ship))
+      broadcast(object, ship.from);
     else
       ++result_->retry_stats.duplicates;
-    network_->send(self_, ship.writer, 0.0, WriteAck{ship.id});
+    network_->send(self_, ship.from, 0.0,
+                   seal(MessageKind::kReplayWriteAck, ship.envelope.seq));
   }
 
   /// Primary-side fan-out of an update to every other replicator, excluding
@@ -298,7 +292,7 @@ class ReplicaNode final : public Node, private ChannelClient {
       if (replicator == self_ || replicator == writer) continue;
       if (!channel_.armed()) {
         network_->send(self_, replicator, problem.object_size(object),
-                       UpdateBroadcast{object, 0});
+                       seal(MessageKind::kReplayUpdate, 0, object));
         continue;
       }
       (void)channel_.open({Pending::Kind::kLeg, object, replicator, 0.0});
@@ -351,7 +345,7 @@ ReplayResult run_replay(const core::ReplicationScheme& scheme,
             change.shipped_units * problem.cost(change.source, change.site);
         DREP_COUNT("drep_replay_online_migrations_total", 1);
         network.send(change.source, change.site, change.shipped_units,
-                     MigrationShip{change.object});
+                     seal(MessageKind::kReplayMigration, 0, change.object));
       }
     }
     nodes[request.site]->issue(request);
@@ -367,15 +361,6 @@ ReplayResult run_replay(const core::ReplicationScheme& scheme,
 }
 
 }  // namespace
-
-ReplayResult replay_trace(const core::ReplicationScheme& scheme,
-                          std::span<const workload::Request> trace,
-                          double latency_per_cost, double inter_arrival) {
-  ReplayOptions options;
-  options.latency_per_cost = latency_per_cost;
-  options.inter_arrival = inter_arrival;
-  return replay_trace(scheme, trace, options);
-}
 
 ReplayResult replay_trace(const core::ReplicationScheme& scheme,
                           std::span<const workload::Request> trace,

@@ -14,6 +14,10 @@
 // scheme — the central model-validation property of this reproduction
 // (tests/sim/access_replay_test.cpp).
 //
+// The replay speaks the shared sim::Envelope like every other DES protocol,
+// in its own kinds (kReplayRead … kReplayMigration): the object rides as the
+// bare payload, the exchange key as the seq and the writer as the sender.
+//
 // With a FaultPlan armed the replay degrades instead of diverging:
 //   * a read routes to the nearest *live* replicator — when SN_k(i) is
 //     inside a crash window it falls back to the cheapest live replica
@@ -23,8 +27,8 @@
 //   * reads, write shipments and update-broadcast legs are
 //     sim::ReliableChannel exchanges (DESIGN.md Section 8,
 //     "ReliableChannel"): retried until their ack, the primary re-acking a
-//     replayed WriteShip without re-broadcasting; a leg that exhausts its
-//     retries leaves that replica stale (counted);
+//     replayed write shipment without re-broadcasting; a leg that exhausts
+//     its retries leaves that replica stale (counted);
 //   * read latency is then *measured* (request injection to response
 //     delivery, retransmissions included) instead of the analytic round
 //     trip — with all-zero fault rates the two coincide exactly. Write
@@ -92,18 +96,12 @@ struct ReplayResult {
   double migration_traffic = 0.0;
 };
 
-/// Replays `trace` against `scheme`. Requests are injected
-/// `inter_arrival` time units apart (0 = all at t=0, still causally ordered
-/// by the event queue).
-[[nodiscard]] ReplayResult replay_trace(const core::ReplicationScheme& scheme,
-                                        std::span<const workload::Request> trace,
-                                        double latency_per_cost = 1.0,
-                                        double inter_arrival = 0.0);
-
-/// Full-options variant (fault injection + retry policy).
-[[nodiscard]] ReplayResult replay_trace(const core::ReplicationScheme& scheme,
-                                        std::span<const workload::Request> trace,
-                                        const ReplayOptions& options);
+/// Replays `trace` against `scheme` under `options` (default: a perfect
+/// network, unit latency factor, every request injected at t=0).
+[[nodiscard]] ReplayResult replay_trace(
+    const core::ReplicationScheme& scheme,
+    std::span<const workload::Request> trace,
+    const ReplayOptions& options = {});
 
 // --- online replay --------------------------------------------------------
 

@@ -60,7 +60,7 @@ double DesNetwork::worst_one_way_latency() noexcept {
 }
 
 void DesNetwork::send(SiteId from, SiteId to, double size_units,
-                      std::any payload) {
+                      Envelope envelope) {
   ++stats_.sent_messages;
   const double cost = costs_->at(from, to);
   double latency = latency_per_cost_ * cost;
@@ -96,7 +96,7 @@ void DesNetwork::send(SiteId from, SiteId to, double size_units,
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  in_flight_[slot] = Message{from, to, size_units, std::move(payload)};
+  in_flight_[slot] = Message{from, to, size_units, std::move(envelope)};
   queue_.schedule_in(latency, [this, slot] { deliver(slot); });
 }
 

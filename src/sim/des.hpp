@@ -7,7 +7,8 @@
 // analytic cost model uses, which is what makes replayed traffic directly
 // comparable to D. Zero-size messages model control traffic (the paper
 // treats its cost as negligible; we deliver it with latency but charge no
-// NTC).
+// NTC). Every message carries one sim::Envelope (envelope.hpp), the one
+// format all protocols speak.
 //
 // With a FaultPlan attached (set_faults), the network becomes imperfect:
 // messages are dropped with the plan's link-loss probability, latencies
@@ -17,13 +18,13 @@
 // cost full price — the replayed traffic of a faulty run prices the
 // protocol's retry overhead.
 
-#include <any>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "net/topology.hpp"
+#include "sim/envelope.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault_plan.hpp"
 #include "util/rng.hpp"
@@ -37,8 +38,8 @@ struct Message {
   SiteId to = 0;
   /// Payload size in data units; 0 for control messages.
   double size_units = 0.0;
-  /// Protocol-specific payload; receivers std::any_cast what they expect.
-  std::any payload;
+  /// Kind, seq and payload; the sender is `from`. Receivers open() it.
+  Envelope envelope;
 };
 
 /// A site-resident protocol endpoint.
@@ -114,7 +115,7 @@ class DesNetwork {
   /// latency_per_cost × C(from,to) (immediate for from == to). Traffic is
   /// charged at delivery. Throws std::logic_error when the destination has
   /// no attached node at delivery time.
-  void send(SiteId from, SiteId to, double size_units, std::any payload);
+  void send(SiteId from, SiteId to, double size_units, Envelope envelope);
 
   /// Runs the simulation until no events remain.
   void run();
@@ -128,7 +129,8 @@ class DesNetwork {
   EventQueue queue_;
   /// Messages in flight, in slots reused through a free list. A delivery
   /// event captures only (this, slot), which fits std::function's inline
-  /// storage, so a send allocates nothing beyond its payload.
+  /// storage, so a send allocates nothing beyond a payload std::any cannot
+  /// keep inline.
   std::vector<Message> in_flight_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<Node*> nodes_;

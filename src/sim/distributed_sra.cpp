@@ -20,13 +20,11 @@ using core::ObjectId;
 // Protocol payloads, carried inside the shared sim::Envelope. A grant and
 // its token return carry the token round as the envelope seq, an announce
 // and its acks the announce exchange's key, so every retransmission is
-// idempotent; the announcing replicator is the envelope's sender. Grants,
-// acks and rejoins carry nothing else.
+// idempotent; the announcing replicator is the message's sender and the
+// announced object its bare ObjectId payload. Grants, acks and rejoins carry
+// nothing else.
 struct TokenReturn {
   bool list_empty;
-};
-struct ReplicaAnnounce {
-  ObjectId object;
 };
 
 /// One exchange of the protocol, as the node's channel keeps it. A grant
@@ -108,7 +106,7 @@ class SraNode final : public Node, private ChannelClient, private FetchClient {
 
   void handle(const Message& message) override {
     const Envelope& envelope = open(message);
-    if (fetch_.handle(message, envelope)) return;
+    if (fetch_.handle(message)) return;
     switch (envelope.kind) {
       case MessageKind::kSraTokenGrant:
         on_grant(envelope.seq);
@@ -118,9 +116,9 @@ class SraNode final : public Node, private ChannelClient, private FetchClient {
                         unseal<TokenReturn>(envelope));
         break;
       case MessageKind::kSraReplicaAnnounce:
-        on_announce(envelope.sender, unseal<ReplicaAnnounce>(envelope));
-        network_->send(self_, envelope.sender, 0.0,
-                       seal(MessageKind::kSraAnnounceAck, self_, envelope.seq));
+        on_announce(message.from, unseal<ObjectId>(envelope));
+        network_->send(self_, message.from, 0.0,
+                       seal(MessageKind::kSraAnnounceAck, envelope.seq));
         break;
       case MessageKind::kSraAnnounceAck:
         on_announce_ack(message.from, envelope.seq);
@@ -128,7 +126,7 @@ class SraNode final : public Node, private ChannelClient, private FetchClient {
       case MessageKind::kSraRejoin:
         readmit(message.from);
         network_->send(self_, message.from, 0.0,
-                       seal(MessageKind::kSraRejoinAck, self_, 0));
+                       seal(MessageKind::kSraRejoinAck, 0));
         break;
       case MessageKind::kSraRejoinAck:
         close_rejoins();
@@ -168,19 +166,18 @@ class SraNode final : public Node, private ChannelClient, private FetchClient {
           if (announce_acked_[j]) continue;
           ++sent;
           network_->send(self_, j, 0.0,
-                         seal(MessageKind::kSraReplicaAnnounce, self_, key,
-                              ReplicaAnnounce{exchange.object}));
+                         seal(MessageKind::kSraReplicaAnnounce, key,
+                              exchange.object));
         }
         return sent;
       }
       case Exchange::Kind::kRejoin:
         network_->send(self_, leader_site_, 0.0,
-                       seal(MessageKind::kSraRejoin, self_, 0));
+                       seal(MessageKind::kSraRejoin, 0));
         return 1;
       case Exchange::Kind::kGrant:
-        network_->send(
-            self_, active_[granted_slot_], 0.0,
-            seal(MessageKind::kSraTokenGrant, self_, current_round_));
+        network_->send(self_, active_[granted_slot_], 0.0,
+                       seal(MessageKind::kSraTokenGrant, current_round_));
         return 1;
     }
     return 0;
@@ -231,8 +228,7 @@ class SraNode final : public Node, private ChannelClient, private FetchClient {
       ++state_->retry.duplicates;
       ++state_->retry.retries;
       network_->send(self_, leader_site_, 0.0,
-                     seal(MessageKind::kSraTokenReturn, self_,
-                          last_served_round_,
+                     seal(MessageKind::kSraTokenReturn, last_served_round_,
                           TokenReturn{last_return_empty_}));
       return;
     }
@@ -321,17 +317,17 @@ class SraNode final : public Node, private ChannelClient, private FetchClient {
     }
   }
 
-  void on_announce(SiteId replicator, const ReplicaAnnounce& announce) {
+  void on_announce(SiteId replicator, ObjectId object) {
     const double via = problem_->cost(self_, replicator);
     // Lex (cost, site id) update — the same tie-break the centralized
     // ReplicationScheme uses, so the local SN record tracks scheme.nearest()
     // exactly, not just its cost.
-    if (core::closer_replica(via, replicator, nearest_cost_[announce.object],
-                             nearest_site_[announce.object])) {
-      nearest_cost_[announce.object] = via;
-      nearest_site_[announce.object] = replicator;
+    if (core::closer_replica(via, replicator, nearest_cost_[object],
+                             nearest_site_[object])) {
+      nearest_cost_[object] = via;
+      nearest_site_[object] = replicator;
     }
-    if (self_ == leader_site_) record_replication(announce.object, replicator);
+    if (self_ == leader_site_) record_replication(object, replicator);
   }
 
   void finish_visit() {
@@ -339,7 +335,7 @@ class SraNode final : public Node, private ChannelClient, private FetchClient {
     last_served_round_ = serving_round_;
     last_return_empty_ = candidates_.empty();
     network_->send(self_, leader_site_, 0.0,
-                   seal(MessageKind::kSraTokenReturn, self_, last_served_round_,
+                   seal(MessageKind::kSraTokenReturn, last_served_round_,
                         TokenReturn{last_return_empty_}));
   }
 

@@ -2,31 +2,9 @@
 
 #include <string>
 
-namespace drep::sim {
+#include "sim/des.hpp"
 
-bool known_kind(std::uint16_t kind) noexcept {
-  switch (static_cast<MessageKind>(kind)) {
-    case MessageKind::kSraTokenGrant:
-    case MessageKind::kSraTokenReturn:
-    case MessageKind::kSraReplicaAnnounce:
-    case MessageKind::kSraAnnounceAck:
-    case MessageKind::kSraRejoin:
-    case MessageKind::kSraRejoinAck:
-    case MessageKind::kRetuneStatsReport:
-    case MessageKind::kRetuneStatsAck:
-    case MessageKind::kRetuneAddReplica:
-    case MessageKind::kRetuneDropReplica:
-    case MessageKind::kRetuneAck:
-    case MessageKind::kGaElites:
-    case MessageKind::kGaElitesAck:
-    case MessageKind::kDriftColumnUpdate:
-    case MessageKind::kDriftColumnAck:
-    case MessageKind::kFetchRequest:
-    case MessageKind::kFetchResponse:
-      return true;
-  }
-  return false;
-}
+namespace drep::sim {
 
 std::string_view kind_name(MessageKind kind) noexcept {
   switch (kind) {
@@ -47,24 +25,29 @@ std::string_view kind_name(MessageKind kind) noexcept {
     case MessageKind::kDriftColumnAck: return "drift.column_ack";
     case MessageKind::kFetchRequest: return "fetch.request";
     case MessageKind::kFetchResponse: return "fetch.response";
+    case MessageKind::kReplayRead: return "replay.read";
+    case MessageKind::kReplayReadResponse: return "replay.read_response";
+    case MessageKind::kReplayWriteShip: return "replay.write_ship";
+    case MessageKind::kReplayWriteAck: return "replay.write_ack";
+    case MessageKind::kReplayUpdate: return "replay.update";
+    case MessageKind::kReplayUpdateAck: return "replay.update_ack";
+    case MessageKind::kReplayMigration: return "replay.migration";
   }
   return "unknown";
 }
 
 const Envelope& open(const Message& message) {
-  const Envelope* envelope = std::any_cast<Envelope>(&message.payload);
-  if (envelope == nullptr)
-    throw std::logic_error("Envelope: unknown payload (not an Envelope)");
-  if (envelope->version != kEnvelopeVersion) {
+  const Envelope& envelope = message.envelope;
+  if (envelope.version != kEnvelopeVersion) {
     throw std::logic_error("Envelope: unsupported version " +
-                           std::to_string(envelope->version));
+                           std::to_string(envelope.version));
   }
-  if (!known_kind(static_cast<std::uint16_t>(envelope->kind))) {
+  if (!known_kind(static_cast<std::uint16_t>(envelope.kind))) {
     throw std::logic_error(
         "Envelope: unknown message kind " +
-        std::to_string(static_cast<std::uint16_t>(envelope->kind)));
+        std::to_string(static_cast<std::uint16_t>(envelope.kind)));
   }
-  return *envelope;
+  return envelope;
 }
 
 }  // namespace drep::sim

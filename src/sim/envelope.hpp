@@ -1,21 +1,23 @@
 #pragma once
-// The versioned protocol message envelope shared by every DES protocol
-// (DESIGN.md Section 15).
+// The versioned protocol message envelope: the one message format on the
+// DES (DESIGN.md Section 15). Every sim::Message carries one by value.
 //
-// distributed_sra.*, monitor_protocol.*, fetch_leg.* and the decentralized
-// GA/adapt protocols in src/dist/ send every message inside one Envelope:
+// The trace replay (access_replay.*), distributed_sra.*, monitor_protocol.*,
+// fetch_leg.* and the decentralized GA/adapt protocols in src/dist/ all
+// speak it:
 //
 //   version   wire-format version; receivers reject anything unknown
 //   kind      global message-type tag (one enum across all protocols)
 //   seq       per-sender sequence id for dedup/idempotence (0 = unsequenced);
 //             receivers dedup through ReliableChannel::accept
-//   sender    originating site
-//   payload   the protocol-specific struct, a std::any; empty when the
+//   payload   the protocol-specific value, a std::any; empty when the
 //             message carries nothing but its header
 //
-// Ids travel once: a message's id is its seq and its origin is its sender,
-// so no payload repeats either, and an ack, grant or rejoin that carries
-// only an id seals no payload at all.
+// Ids travel once: a message's id is its seq and its origin Message::from
+// (the envelope stores no sender), so no payload repeats either, and an
+// ack, grant or rejoin that carries only an id seals no payload at all.
+// Every fixed-size payload is 8 bytes or smaller, which std::any keeps
+// inline, so such a message allocates nothing.
 //
 // open() is the single entry point on the receive side: it validates the
 // version and the kind, so the DES fault machinery (drops, duplicates from
@@ -26,12 +28,13 @@
 #include <any>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
-#include "sim/des.hpp"
-
 namespace drep::sim {
+
+struct Message;
 
 inline constexpr std::uint16_t kEnvelopeVersion = 1;
 
@@ -63,14 +66,24 @@ enum class MessageKind : std::uint16_t {
   // that moves replicas.
   kFetchRequest = 128,
   kFetchResponse = 129,
+  // Trace replay of the access policy (sim/access_replay.cpp).
+  kReplayRead = 160,
+  kReplayReadResponse = 161,
+  kReplayWriteShip = 162,
+  kReplayWriteAck = 163,
+  kReplayUpdate = 164,
+  kReplayUpdateAck = 165,
+  kReplayMigration = 166,
 };
-
-/// True for every tag listed above.
-[[nodiscard]] bool known_kind(std::uint16_t kind) noexcept;
 
 /// Stable lowercase name for diagnostics ("sra.token_grant", …);
 /// "unknown" for unlisted tags.
 [[nodiscard]] std::string_view kind_name(MessageKind kind) noexcept;
+
+/// True for every tag listed above: the ones kind_name() knows.
+[[nodiscard]] inline bool known_kind(std::uint16_t kind) noexcept {
+  return kind_name(static_cast<MessageKind>(kind)) != "unknown";
+}
 
 struct Envelope {
   std::uint16_t version = kEnvelopeVersion;
@@ -78,29 +91,26 @@ struct Envelope {
   /// Per-sender sequence id; retransmissions re-send the same value so
   /// receivers can dedup. 0 = unsequenced (fire-and-forget control).
   std::uint64_t seq = 0;
-  SiteId sender = 0;
   std::any payload;
 };
 
-/// Wraps a payload for send(): DesNetwork carries the Envelope as the
-/// message's std::any payload.
+/// Wraps a payload for DesNetwork::send().
 template <typename Payload>
-[[nodiscard]] Envelope seal(MessageKind kind, SiteId sender, std::uint64_t seq,
+[[nodiscard]] Envelope seal(MessageKind kind, std::uint64_t seq,
                             Payload payload) {
-  return Envelope{kEnvelopeVersion, kind, seq, sender, std::move(payload)};
+  return Envelope{kEnvelopeVersion, kind, seq, std::move(payload)};
 }
 
 /// Wraps a message that carries nothing but its header (an id-only ack,
 /// grant or rejoin); unseal() of it always throws.
-[[nodiscard]] inline Envelope seal(MessageKind kind, SiteId sender,
-                                   std::uint64_t seq) {
-  return Envelope{kEnvelopeVersion, kind, seq, sender, {}};
+[[nodiscard]] inline Envelope seal(MessageKind kind, std::uint64_t seq) {
+  return Envelope{kEnvelopeVersion, kind, seq, {}};
 }
 
-/// The uniform receive-side gate: any_casts the message payload to an
-/// Envelope and validates it. Throws std::logic_error when the payload is
-/// not an Envelope ("unknown payload"), the version is unsupported, or the
-/// kind is not a registered tag — the shared unknown-type rejection rule.
+/// The uniform receive-side gate: validates the message's envelope and
+/// returns it. Throws std::logic_error when the version is unsupported or
+/// the kind is not a registered tag — the shared unknown-type rejection
+/// rule.
 [[nodiscard]] const Envelope& open(const Message& message);
 
 /// Typed payload access after the kind switch; throws std::logic_error when

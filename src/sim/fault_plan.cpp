@@ -1,11 +1,13 @@
 #include "sim/fault_plan.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace drep::sim {
 
@@ -24,13 +26,18 @@ double parse_number(std::string_view text, const std::string& what) {
   return value;
 }
 
-std::uint64_t parse_u64(std::string_view text, const std::string& what) {
-  const std::string copy(text);
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(copy.c_str(), &end, 10);
-  if (copy.empty() || end != copy.c_str() + copy.size())
-    bad_spec(what + " expects an unsigned integer, got '" + copy + "'");
-  return static_cast<std::uint64_t>(value);
+/// Decimal digits only (no sign or blanks), at most `max`.
+std::uint64_t parse_u64(std::string_view text, const std::string& what,
+                        std::uint64_t max =
+                            std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (text.empty() || error != std::errc{} || end != last || value > max) {
+    bad_spec(what + " expects an integer in [0, " + std::to_string(max) +
+             "], got '" + std::string(text) + "'");
+  }
+  return value;
 }
 
 /// crash=SITE@FROM..UNTIL with UNTIL optional (empty = forever).
@@ -39,8 +46,9 @@ CrashWindow parse_crash(std::string_view text) {
   if (at == std::string_view::npos)
     bad_spec("crash expects SITE@FROM..UNTIL, got '" + std::string(text) + "'");
   CrashWindow window;
-  window.site =
-      static_cast<net::SiteId>(parse_u64(text.substr(0, at), "crash site"));
+  window.site = static_cast<net::SiteId>(
+      parse_u64(text.substr(0, at), "crash site",
+                std::numeric_limits<net::SiteId>::max()));
   const std::string_view range = text.substr(at + 1);
   const auto dots = range.find("..");
   if (dots == std::string_view::npos)

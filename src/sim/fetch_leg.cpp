@@ -16,14 +16,14 @@ void FetchLeg::fetch(core::ObjectId object, SiteId holder, std::uint64_t tag) {
   (void)channel_.open({object, holder, tag});
 }
 
-bool FetchLeg::handle(const Message& message, const Envelope& envelope) {
+bool FetchLeg::handle(const Message& message) {
+  const Envelope& envelope = message.envelope;
   switch (envelope.kind) {
     case MessageKind::kFetchRequest: {
       // Served every time (retransmissions included): the requester dedups.
-      const core::ObjectId object = unseal<FetchRequest>(envelope).object;
+      const auto object = unseal<core::ObjectId>(envelope);
       network_->send(self_, message.from, problem_->object_size(object),
-                     seal(MessageKind::kFetchResponse, self_, envelope.seq,
-                          FetchResponse{object}));
+                     seal(MessageKind::kFetchResponse, envelope.seq, object));
       return true;
     }
     case MessageKind::kFetchResponse: {
@@ -47,8 +47,7 @@ std::size_t FetchLeg::transmit(ExchangeKey key, std::size_t attempt) {
                             ? fetch.holder
                             : problem_->primary(fetch.object);
   network_->send(self_, target, 0.0,
-                 seal(MessageKind::kFetchRequest, self_, key,
-                      FetchRequest{fetch.object}));
+                 seal(MessageKind::kFetchRequest, key, fetch.object));
   return 1;
 }
 

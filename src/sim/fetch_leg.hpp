@@ -5,9 +5,9 @@
 // with one transfer of o_k from a site that holds the object.
 //
 // A node embeds one FetchLeg. The leg answers every fetch request with one
-// o_k-sized data response, and runs the node's own fetches as exchanges on
-// its own ReliableChannel, which shares the node's RetryPolicy and
-// RetryStats. One rule covers every protocol:
+// o_k-sized data response (both carry the bare core::ObjectId), and runs the
+// node's own fetches as exchanges on its own ReliableChannel, which shares
+// the node's RetryPolicy and RetryStats. One rule covers every protocol:
 //   * a fetch asks the holder first and, past half the retry budget, the
 //     object's primary, which always holds it;
 //   * the response echoes the fetch's exchange key, and the first one
@@ -24,15 +24,6 @@
 #include "sim/reliable_channel.hpp"
 
 namespace drep::sim {
-
-/// kFetchRequest payload: the object the sender wants a copy of.
-struct FetchRequest {
-  core::ObjectId object = 0;
-};
-/// kFetchResponse payload: the object, charged o_k data units in transit.
-struct FetchResponse {
-  core::ObjectId object = 0;
-};
 
 /// The node side of a FetchLeg.
 class FetchClient {
@@ -55,8 +46,8 @@ class FetchLeg final : private ChannelClient {
   void fetch(core::ObjectId object, SiteId holder, std::uint64_t tag);
 
   /// Serves a kFetchRequest or settles a kFetchResponse and returns true;
-  /// returns false for every other kind.
-  bool handle(const Message& message, const Envelope& envelope);
+  /// returns false for every other kind. Call after open(message).
+  bool handle(const Message& message);
 
   /// The site crashed: in-flight fetches are lost, with no callback.
   void on_crash();

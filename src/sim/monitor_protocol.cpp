@@ -19,14 +19,11 @@ using core::ObjectId;
 
 // Protocol payloads, carried inside the shared sim::Envelope. A directive's
 // id is the monitor channel's exchange key, carried as the envelope seq of
-// the directive and of its ack, so retransmissions are idempotent. Stats
-// reports and acks carry nothing else.
+// the directive and of its ack, so retransmissions are idempotent. A drop
+// carries the bare ObjectId; stats reports and acks carry nothing else.
 struct AddReplica {
   ObjectId object;
   SiteId fetch_from;
-};
-struct DropReplica {
-  ObjectId object;
 };
 
 /// The one exchange a site endpoint's channel keeps: its stats report.
@@ -52,7 +49,7 @@ class SiteEndpoint final : public Node,
 
   void handle(const Message& message) override {
     const Envelope& envelope = open(message);
-    if (fetch_.handle(message, envelope)) return;
+    if (fetch_.handle(message)) return;
     switch (envelope.kind) {
       case MessageKind::kRetuneAddReplica:
         on_add(envelope.seq, unseal<AddReplica>(envelope));
@@ -65,7 +62,8 @@ class SiteEndpoint final : public Node,
         channel_.close_if([](const Report&) { return true; });
         break;
       default:
-        break;  // stats reports and acks terminate at the monitor endpoint
+        throw std::logic_error("SiteEndpoint: unexpected message kind " +
+                               std::string(kind_name(envelope.kind)));
     }
   }
 
@@ -84,7 +82,7 @@ class SiteEndpoint final : public Node,
  private:
   std::size_t transmit(ExchangeKey /*key*/, std::size_t /*attempt*/) override {
     network_->send(self_, monitor_site_, 0.0,
-                   seal(MessageKind::kRetuneStatsReport, self_, 0));
+                   seal(MessageKind::kRetuneStatsReport, 0));
     return 1;
   }
 
@@ -95,7 +93,7 @@ class SiteEndpoint final : public Node,
     if (completed_.count(id) != 0) {
       ++channel_.stats().duplicates;  // already migrated; the ack was lost
       network_->send(self_, monitor_site_, 0.0,
-                     seal(MessageKind::kRetuneAck, self_, id));
+                     seal(MessageKind::kRetuneAck, id));
       return;
     }
     // The rollout can direct several additions at one site back-to-back, so
@@ -127,14 +125,14 @@ class SiteEndpoint final : public Node,
         });
     (void)first_completion;
     network_->send(self_, monitor_site_, 0.0,
-                   seal(MessageKind::kRetuneAck, self_, id));
+                   seal(MessageKind::kRetuneAck, id));
   }
 
   void on_drop(std::uint64_t id) {
     // Local deallocation is instantaneous and idempotent; always ack.
     if (!completed_.insert(id).second) ++channel_.stats().duplicates;
     network_->send(self_, monitor_site_, 0.0,
-                   seal(MessageKind::kRetuneAck, self_, id));
+                   seal(MessageKind::kRetuneAck, id));
   }
 
   SiteId self_;
@@ -153,7 +151,7 @@ struct Directive {
   ObjectId object = 0;
   SiteId target = 0;  // the site it goes to
   SiteId holder = 0;  // AddReplica: fetch from here
-  bool drop = false;  // DropReplica instead of AddReplica
+  bool drop = false;  // kRetuneDropReplica instead of kRetuneAddReplica
 };
 
 /// The monitor-site endpoint: collects stats reports (with a give-up
@@ -181,7 +179,7 @@ class MonitorEndpoint final : public Node,
 
   void handle(const Message& message) override {
     const Envelope& envelope = open(message);
-    if (fetch_.handle(message, envelope)) return;
+    if (fetch_.handle(message)) return;
     switch (envelope.kind) {
       case MessageKind::kRetuneStatsReport:
         on_report(message.from);
@@ -190,7 +188,8 @@ class MonitorEndpoint final : public Node,
         (void)channel_.settle(envelope.seq);
         break;
       default:
-        break;  // directives and stats acks terminate at the site endpoints
+        throw std::logic_error("MonitorEndpoint: unexpected message kind " +
+                               std::string(kind_name(envelope.kind)));
     }
   }
 
@@ -220,11 +219,11 @@ class MonitorEndpoint final : public Node,
     const Directive& directive = channel_[key];
     if (directive.drop) {
       network_->send(self_, directive.target, 0.0,
-                     seal(MessageKind::kRetuneDropReplica, self_, key,
-                          DropReplica{directive.object}));
+                     seal(MessageKind::kRetuneDropReplica, key,
+                          directive.object));
     } else {
       network_->send(self_, directive.target, 0.0,
-                     seal(MessageKind::kRetuneAddReplica, self_, key,
+                     seal(MessageKind::kRetuneAddReplica, key,
                           AddReplica{directive.object, directive.holder}));
     }
     return 1;
@@ -249,8 +248,7 @@ class MonitorEndpoint final : public Node,
     }
     // Ack only when the sender runs a retry loop that needs stopping.
     if (channel_.armed()) {
-      network_->send(self_, from, 0.0,
-                     seal(MessageKind::kRetuneStatsAck, self_, 0));
+      network_->send(self_, from, 0.0, seal(MessageKind::kRetuneStatsAck, 0));
     }
   }
 

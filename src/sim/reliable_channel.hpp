@@ -81,10 +81,11 @@ class ChannelCore {
   /// is seen, in any arrival order; false for every repeat.
   [[nodiscard]] bool accept(SiteId sender, std::uint16_t stream,
                             std::uint64_t seq);
-  /// accept() over an envelope's (sender, kind, seq).
-  [[nodiscard]] bool accept(const Envelope& envelope) {
-    return accept(envelope.sender, static_cast<std::uint16_t>(envelope.kind),
-                  envelope.seq);
+  /// accept() over a message's (from, envelope kind, envelope seq).
+  [[nodiscard]] bool accept(const Message& message) {
+    return accept(message.from,
+                  static_cast<std::uint16_t>(message.envelope.kind),
+                  message.envelope.seq);
   }
 
  protected:

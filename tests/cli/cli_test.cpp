@@ -447,6 +447,31 @@ TEST_F(CliTest, UsageErrorsExitWithStatusTwo) {
   EXPECT_EQ(run_cli({}), 2);                                   // no command
 }
 
+// Integer flags take decimal digits within their type: a fraction, a sign
+// or a value past 2^64 - 1 is a usage error, never truncated or wrapped.
+TEST_F(CliTest, IntegerFlagsRejectFractionsNegativesAndOverflow) {
+  const std::string out = dir_ + "_integers.drp";
+  std::string err;
+  EXPECT_EQ(run_cli_capturing_stderr(
+                {"generate", "--sites=10.9", "--objects=12", "-o", out}, err),
+            2);
+  EXPECT_NE(err.find("--sites expects an integer"), std::string::npos) << err;
+  EXPECT_EQ(run_cli({"generate", "--sites=10", "--objects=12.5", "-o", out}),
+            2);
+  EXPECT_EQ(run_cli({"generate", "--sites=5", "--objects=5", "--seed=-1", "-o",
+                     out}),
+            2);
+  EXPECT_EQ(run_cli({"generate", "--sites=5", "--objects=5",
+                     "--seed=99999999999999999999999", "-o", out}),
+            2);
+  EXPECT_FALSE(std::ifstream(out).good());  // no instance was written
+  // The whole unsigned range still parses.
+  EXPECT_EQ(run_cli({"generate", "--sites=5", "--objects=5",
+                     "--seed=18446744073709551615", "-o", out}),
+            0);
+  std::remove(out.c_str());
+}
+
 TEST_F(CliTest, GenerateTreeSolveTreedpRoundTrip) {
   const std::string tree = dir_ + "_tree.drp";
   const std::string dp_report = dir_ + "_treedp.json";

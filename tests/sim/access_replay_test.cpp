@@ -91,8 +91,10 @@ TEST(AccessReplay, InterArrivalSpacingExtendsDuration) {
   const core::ReplicationScheme scheme(p);
   util::Rng rng(11);
   const auto trace = workload::build_trace(p, rng);
-  const ReplayResult tight = replay_trace(scheme, trace, 1.0, 0.0);
-  const ReplayResult spaced = replay_trace(scheme, trace, 1.0, 10.0);
+  ReplayOptions options;
+  const ReplayResult tight = replay_trace(scheme, trace, options);
+  options.inter_arrival = 10.0;
+  const ReplayResult spaced = replay_trace(scheme, trace, options);
   EXPECT_GT(spaced.duration, tight.duration);
 }
 
@@ -116,7 +118,9 @@ TEST(AccessReplay, ReadLatencyHandComputed) {
   const core::ReplicationScheme scheme(p);
   util::Rng rng(20);
   const auto trace = workload::build_trace(p, rng);
-  const ReplayResult result = replay_trace(scheme, trace, /*latency=*/1.0);
+  ReplayOptions options;
+  options.latency_per_cost = 1.0;
+  const ReplayResult result = replay_trace(scheme, trace, options);
   EXPECT_EQ(result.read_latency.count(), 5u);
   EXPECT_DOUBLE_EQ(result.read_latency.max(), 4.0);
   EXPECT_DOUBLE_EQ(result.read_latency.min(), 0.0);

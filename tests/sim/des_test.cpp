@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace drep::sim {
@@ -14,6 +15,15 @@ net::CostMatrix line_costs() {
   costs.set(1, 2, 3.0);
   costs.set(0, 2, 5.0);
   return costs;
+}
+
+/// A message carrying a test string; the network never looks inside the
+/// envelope, so any kind will do.
+Envelope text(std::string value) {
+  return seal(MessageKind::kGaElites, 0, std::move(value));
+}
+const std::string& text_of(const Message& message) {
+  return unseal<std::string>(message.envelope);
 }
 
 /// Records everything it receives.
@@ -30,13 +40,13 @@ TEST(DesNetwork, DeliversWithCostProportionalLatency) {
   network.attach(0, node0);
   network.attach(1, node1);
   network.attach(2, node2);
-  network.send(0, 2, 4.0, std::string("payload"));
+  network.send(0, 2, 4.0, text("payload"));
   network.run();
   ASSERT_EQ(node2.received.size(), 1u);
   EXPECT_EQ(node2.received[0].from, 0u);
   EXPECT_DOUBLE_EQ(node2.received[0].size_units, 4.0);
   EXPECT_DOUBLE_EQ(network.queue().now(), 10.0);  // 2.0 × C(0,2)=5
-  EXPECT_EQ(std::any_cast<std::string>(node2.received[0].payload), "payload");
+  EXPECT_EQ(text_of(node2.received[0]), "payload");
 }
 
 TEST(DesNetwork, TrafficAccounting) {
@@ -44,9 +54,9 @@ TEST(DesNetwork, TrafficAccounting) {
   DesNetwork network(costs);
   RecorderNode nodes[3];
   for (SiteId i = 0; i < 3; ++i) network.attach(i, nodes[i]);
-  network.send(0, 1, 10.0, 0);  // data: 10 × 2 = 20
-  network.send(1, 2, 0.0, 0);   // control: free
-  network.send(2, 0, 3.0, 0);   // data: 3 × 5 = 15
+  network.send(0, 1, 10.0, {});  // data: 10 × 2 = 20
+  network.send(1, 2, 0.0, {});   // control: free
+  network.send(2, 0, 3.0, {});   // data: 3 × 5 = 15
   network.run();
   EXPECT_DOUBLE_EQ(network.stats().data_traffic, 35.0);
   EXPECT_EQ(network.stats().data_messages, 2u);
@@ -59,7 +69,7 @@ TEST(DesNetwork, SelfSendIsImmediateAndFree) {
   DesNetwork network(costs);
   RecorderNode node;
   network.attach(1, node);
-  network.send(1, 1, 100.0, 0);
+  network.send(1, 1, 100.0, {});
   network.run();
   ASSERT_EQ(node.received.size(), 1u);
   EXPECT_DOUBLE_EQ(network.stats().data_traffic, 0.0);  // C(1,1)=0
@@ -71,7 +81,7 @@ TEST(DesNetwork, UnattachedDestinationThrows) {
   DesNetwork network(costs);
   RecorderNode node;
   network.attach(0, node);
-  network.send(0, 1, 1.0, 0);
+  network.send(0, 1, 1.0, {});
   EXPECT_THROW(network.run(), std::logic_error);
 }
 
@@ -83,17 +93,17 @@ TEST(DesNetwork, RunResumesAfterAnUnattachedDestinationThrows) {
   DesNetwork network(costs);
   RecorderNode node0;
   network.attach(0, node0);
-  network.send(2, 0, 3.0, std::string("late"));   // t=5
-  network.send(0, 1, 1.0, std::string("lost"));   // t=2, site 1 unattached
-  network.send(0, 0, 1.0, std::string("early"));  // t=0
+  network.send(2, 0, 3.0, text("late"));   // t=5
+  network.send(0, 1, 1.0, text("lost"));   // t=2, site 1 unattached
+  network.send(0, 0, 1.0, text("early"));  // t=0
   EXPECT_THROW(network.run(), std::logic_error);
   ASSERT_EQ(node0.received.size(), 1u);
   EXPECT_EQ(network.queue().pending(), 1u);
 
   network.run();
   ASSERT_EQ(node0.received.size(), 2u);
-  EXPECT_EQ(std::any_cast<std::string>(node0.received[0].payload), "early");
-  EXPECT_EQ(std::any_cast<std::string>(node0.received[1].payload), "late");
+  EXPECT_EQ(text_of(node0.received[0]), "early");
+  EXPECT_EQ(text_of(node0.received[1]), "late");
   EXPECT_EQ(node0.received[1].from, 2u);
   EXPECT_DOUBLE_EQ(network.queue().now(), 5.0);
   const TrafficStats& stats = network.stats();
@@ -119,13 +129,13 @@ TEST(DesNetwork, BurstSentDuringDeliveryArrivesIntactExactlyOnce) {
    public:
     explicit Burster(DesNetwork& net) : net_(&net) {}
     void handle(const Message& message) override {
-      received.push_back(std::any_cast<std::string>(message.payload));
+      received.push_back(text_of(message));
       if (received.size() > 1) return;
       // Self-sends land on this very instant; the rest cross the network.
       for (int i = 0; i < kBurst; ++i)
-        net_->send(1, i % 3 == 0 ? 1 : 2, 1.0, burst_payload(i));
+        net_->send(1, i % 3 == 0 ? 1 : 2, 1.0, text(burst_payload(i)));
       // The message being handled is still intact after the burst.
-      EXPECT_EQ(std::any_cast<std::string>(message.payload), "trigger");
+      EXPECT_EQ(text_of(message), "trigger");
       EXPECT_EQ(message.from, 0u);
     }
     std::vector<std::string> received;
@@ -138,7 +148,7 @@ TEST(DesNetwork, BurstSentDuringDeliveryArrivesIntactExactlyOnce) {
   network.attach(0, node0);
   network.attach(1, node1);
   network.attach(2, node2);
-  network.send(0, 1, 1.0, std::string("trigger"));
+  network.send(0, 1, 1.0, text("trigger"));
   network.run();
 
   std::vector<int> seen(kBurst, 0);
@@ -155,7 +165,7 @@ TEST(DesNetwork, BurstSentDuringDeliveryArrivesIntactExactlyOnce) {
   for (std::size_t k = 1; k < node1.received.size(); ++k)
     tally(node1.received[k]);
   for (const Message& message : node2.received)
-    tally(std::any_cast<std::string>(message.payload));
+    tally(text_of(message));
   for (int i = 0; i < kBurst; ++i)
     EXPECT_EQ(seen[static_cast<std::size_t>(i)], 1) << "payload " << i;
 
@@ -184,7 +194,7 @@ TEST(DesNetwork, HandlersMaySendMore) {
         : net_(&net), self_(self), next_(next) {}
     void handle(const Message& message) override {
       if (message.size_units > 1.0)
-        net_->send(self_, next_, message.size_units - 1.0, 0);
+        net_->send(self_, next_, message.size_units - 1.0, {});
     }
     DesNetwork* net_;
     SiteId self_, next_;
@@ -193,7 +203,7 @@ TEST(DesNetwork, HandlersMaySendMore) {
   network.attach(0, f0);
   network.attach(1, f1);
   network.attach(2, f2);
-  network.send(2, 0, 3.0, 0);  // 3 hops: 3→2→1, stops at size 1
+  network.send(2, 0, 3.0, {});  // 3 hops: 3→2→1, stops at size 1
   network.run();
   EXPECT_EQ(network.stats().data_messages, 3u);
 }

@@ -4,13 +4,13 @@
 // reliable_channel_test.cpp).
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/invariants.hpp"
+#include "sim/des.hpp"
 #include "sim/envelope.hpp"
 
 namespace drep::sim {
@@ -21,66 +21,53 @@ struct TestPayload {
   std::vector<std::uint8_t> bytes;
 };
 
-Message wrap(Envelope envelope, SiteId from = 0, SiteId to = 1) {
+Message wrap(Envelope envelope) {
   Message message;
-  message.from = from;
-  message.to = to;
-  message.payload = std::move(envelope);
+  message.envelope = std::move(envelope);
   return message;
 }
 
 TEST(Envelope, RoundTripPreservesHeaderAndPayload) {
   TestPayload payload{42, {1, 0, 1, 1}};
   const Message message =
-      wrap(seal(MessageKind::kGaElites, /*sender=*/3, /*seq=*/7, payload));
+      wrap(seal(MessageKind::kGaElites, /*seq=*/7, payload));
 
   const Envelope& envelope = open(message);
   EXPECT_EQ(envelope.version, kEnvelopeVersion);
   EXPECT_EQ(envelope.kind, MessageKind::kGaElites);
   EXPECT_EQ(envelope.seq, 7u);
-  EXPECT_EQ(envelope.sender, 3u);
 
   const TestPayload& back = unseal<TestPayload>(envelope);
   EXPECT_EQ(back.value, 42);
   EXPECT_EQ(back.bytes, payload.bytes);
 }
 
-// A payload that is not an Envelope at all is the legacy ad-hoc framing:
-// the shared gate rejects it with the "unknown payload" diagnostic.
-TEST(Envelope, NonEnvelopePayloadRejected) {
-  Message message;
-  message.payload = std::string("raw bytes");
-  try {
-    (void)open(message);
-    FAIL() << "open() accepted a non-Envelope payload";
-  } catch (const std::logic_error& error) {
-    EXPECT_NE(std::string(error.what()).find("unknown payload"),
-              std::string::npos);
-  }
-}
-
 TEST(Envelope, UnsupportedVersionRejected) {
-  Envelope envelope = seal(MessageKind::kGaElites, 0, 1, TestPayload{});
+  Envelope envelope = seal(MessageKind::kGaElites, 1, TestPayload{});
   envelope.version = kEnvelopeVersion + 1;
   EXPECT_THROW((void)open(wrap(std::move(envelope))), std::logic_error);
 }
 
 TEST(Envelope, UnknownKindRejected) {
-  Envelope envelope = seal(MessageKind::kGaElites, 0, 1, TestPayload{});
+  Envelope envelope = seal(MessageKind::kGaElites, 1, TestPayload{});
   envelope.kind = static_cast<MessageKind>(7777);
   EXPECT_THROW((void)open(wrap(std::move(envelope))), std::logic_error);
   EXPECT_FALSE(known_kind(7777));
   EXPECT_TRUE(known_kind(static_cast<std::uint16_t>(MessageKind::kGaElites)));
+  EXPECT_TRUE(
+      known_kind(static_cast<std::uint16_t>(MessageKind::kReplayMigration)));
 }
 
 TEST(Envelope, UnsealWrongPayloadTypeThrows) {
-  const Envelope envelope = seal(MessageKind::kDriftColumnAck, 0, 1,
+  const Envelope envelope = seal(MessageKind::kDriftColumnAck, 1,
                                  TestPayload{});
   EXPECT_THROW((void)unseal<int>(envelope), std::logic_error);
 }
 
 TEST(Envelope, KindNamesAreStable) {
   EXPECT_EQ(kind_name(MessageKind::kGaElites), "ga.elites");
+  EXPECT_EQ(kind_name(MessageKind::kReplayRead), "replay.read");
+  EXPECT_EQ(kind_name(MessageKind::kReplayMigration), "replay.migration");
   EXPECT_EQ(kind_name(static_cast<MessageKind>(7777)), "unknown");
 }
 

@@ -56,6 +56,21 @@ TEST(FaultPlanParse, MalformedSpecsThrow) {
   EXPECT_THROW((void)FaultPlan::parse("drop=1.5"), std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("spikex=0.5"), std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("crash=1@9..3"), std::invalid_argument);
+  // Integers are decimal digits within their type: no sign, no blanks, no
+  // wrap-around past 2^64 - 1 or past the SiteId range.
+  EXPECT_THROW((void)FaultPlan::parse("seed=-1"), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("seed=+1"), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("seed= 1"), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("seed=99999999999999999999999"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("crash=4294967296@0..40"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("crash=-4294967295@0..5"),
+               std::invalid_argument);
+  EXPECT_EQ(FaultPlan::parse("seed=18446744073709551615").seed,
+            ~std::uint64_t{0});
+  EXPECT_EQ(FaultPlan::parse("crash=4294967295@0..5").crashes.at(0).site,
+            4294967295u);
 }
 
 TEST(FaultPlan, SiteDownTracksWindows) {

@@ -49,7 +49,7 @@ class ToySite final : public Node, private FetchClient {
       requests.push_back(envelope.seq);
       if (!answers) return;  // a holder that stopped answering
     }
-    EXPECT_TRUE(leg_.handle(message, envelope));
+    EXPECT_TRUE(leg_.handle(message));
   }
 
   void on_crash() override { leg_.on_crash(); }
@@ -118,8 +118,10 @@ TEST(FetchLeg, LeavesEveryOtherKindToTheNode) {
   Silent client;
   FetchLeg leg(network, 0, problem, RetryPolicy{}, stats, client);
   Message message;
-  message.payload = seal(MessageKind::kDriftColumnAck, 1, 5);
-  EXPECT_FALSE(leg.handle(message, open(message)));
+  message.from = 1;
+  message.envelope = seal(MessageKind::kDriftColumnAck, /*seq=*/5);
+  (void)open(message);
+  EXPECT_FALSE(leg.handle(message));
   EXPECT_EQ(network.stats().sent_messages, 0u);
 }
 
@@ -222,8 +224,8 @@ TEST(FetchLeg, RepeatedOrLateResponsesCountOneDuplicateEach) {
     ASSERT_EQ(net.site(1).requests.size(), 1u);
     // The holder answers the same exchange a second time.
     net.network.send(1, 0, net.problem.object_size(1),
-                     seal(MessageKind::kFetchResponse, 1,
-                          net.site(1).requests[0], FetchResponse{1}));
+                     seal(MessageKind::kFetchResponse,
+                          net.site(1).requests[0], core::ObjectId{1}));
     net.network.run();
     EXPECT_EQ(net.stats.duplicates, 1u);
     EXPECT_EQ(net.site(0).done,

@@ -121,10 +121,9 @@ class ToyNode final : public Node, private ChannelClient {
     const Envelope& envelope = open(message);
     if (envelope.kind == MessageKind::kDriftColumnUpdate) {
       network_->send(self_, message.from, 0.0,
-                     seal(MessageKind::kDriftColumnAck, self_, envelope.seq,
-                          0));
-      if (channel_.accept(envelope))
-        ++delivered[{envelope.sender, envelope.seq}];
+                     seal(MessageKind::kDriftColumnAck, envelope.seq));
+      if (channel_.accept(message))
+        ++delivered[{message.from, envelope.seq}];
       return;
     }
     if (channel_.settle(envelope.seq)) ++completed[envelope.seq];
@@ -147,7 +146,7 @@ class ToyNode final : public Node, private ChannelClient {
  private:
   std::size_t transmit(ExchangeKey key, std::size_t /*attempt*/) override {
     network_->send(self_, channel_[key].to, 1.0,
-                   seal(MessageKind::kDriftColumnUpdate, self_, key, 0));
+                   seal(MessageKind::kDriftColumnUpdate, key));
     return 1;
   }
   void give_up(ExchangeKey key) override {

@@ -366,8 +366,10 @@ audit::Violations run_case(const FuzzCase& c) {
     // every event on a timestamp of its own, the event queue's other regime.
     util::Rng spacing_rng = rng.fork(15);
     const double spacing = spacing_rng.uniform_real(0.001, 0.1);
+    sim::ReplayOptions spaced_opt;
+    spaced_opt.inter_arrival = spacing;
     const sim::ReplayResult spaced =
-        sim::replay_trace(sra.scheme, trace, 1.0, spacing);
+        sim::replay_trace(sra.scheme, trace, spaced_opt);
     note(out, "replay/spaced", audit::check_message_conservation(
                                    message_counts(spaced.traffic)));
     if (std::abs(spaced.traffic.data_traffic - analytic) >
@@ -378,8 +380,7 @@ audit::Violations run_case(const FuzzCase& c) {
                          std::to_string(spaced.traffic.data_traffic) +
                          " != analytic D " + std::to_string(analytic)});
     }
-    sim::ReplayOptions spaced_opt = replay_opt;
-    spaced_opt.inter_arrival = spacing;
+    spaced_opt.faults = replay_opt.faults;
     const sim::ReplayResult faulty_spaced =
         sim::replay_trace(sra.scheme, trace, spaced_opt);
     note(out, "replay/spaced/faulty",
