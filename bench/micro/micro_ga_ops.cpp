@@ -2,7 +2,11 @@
 // solver itself.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "algo/adr.hpp"
+#include "algo/gra.hpp"
 #include "algo/sra.hpp"
 #include "ga/crossover.hpp"
 #include "ga/mutation.hpp"
@@ -46,6 +50,51 @@ void BM_StochasticRemainder(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StochasticRemainder)->Arg(150)->Arg(600);
+
+/// Two valid GRA chromosomes of a generated sites × objects instance (the
+/// paper's 5% update, 15% capacity shape), whichever gene density its
+/// capacity allows.
+struct GaFixture {
+  core::Problem problem;
+  std::vector<ga::Chromosome> genes;
+};
+
+GaFixture ga_fixture(const benchmark::State& state) {
+  workload::GeneratorConfig config;
+  config.sites = static_cast<std::size_t>(state.range(0));
+  config.objects = static_cast<std::size_t>(state.range(1));
+  config.update_ratio_percent = 5.0;
+  config.capacity_percent = 15.0;
+  util::Rng rng(7);
+  core::Problem problem = workload::generate(config, rng);
+  auto genes = algo::random_population(problem, 2, rng);
+  return {std::move(problem), std::move(genes)};
+}
+
+void BM_ChromosomeLoads(benchmark::State& state) {
+  const GaFixture fixture = ga_fixture(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        algo::chromosome_loads(fixture.problem, fixture.genes[0]));
+  }
+  state.SetLabel("per-site storage loads of one M*N chromosome");
+}
+BENCHMARK(BM_ChromosomeLoads)->Args({50, 200})->Args({200, 1000});
+
+void BM_DifferingColumns(benchmark::State& state) {
+  const GaFixture fixture = ga_fixture(state);
+  ga::Chromosome child = fixture.genes[0];
+  ga::Chromosome other = fixture.genes[1];
+  util::Rng rng(8);
+  (void)ga::two_point_crossover(child, other, rng);
+  const std::size_t objects = fixture.problem.objects();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ga::differing_columns(child, fixture.genes[0], objects));
+  }
+  state.SetLabel("touched objects of a crossover child against its parent");
+}
+BENCHMARK(BM_DifferingColumns)->Args({50, 200})->Args({200, 1000});
 
 void BM_AdrSolve(benchmark::State& state) {
   workload::GeneratorConfig config;

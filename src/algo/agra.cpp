@@ -20,9 +20,9 @@ namespace drep::algo {
 void AgraConfig::validate() const {
   if (population < 2)
     throw std::invalid_argument("AgraConfig: population must be >= 2");
-  if (crossover_rate < 0.0 || crossover_rate > 1.0)
+  if (!(0.0 <= crossover_rate && crossover_rate <= 1.0))
     throw std::invalid_argument("AgraConfig: crossover_rate outside [0,1]");
-  if (mutation_rate < 0.0 || mutation_rate > 1.0)
+  if (!(0.0 <= mutation_rate && mutation_rate <= 1.0))
     throw std::invalid_argument("AgraConfig: mutation_rate outside [0,1]");
   if (elite_interval == 0)
     throw std::invalid_argument("AgraConfig: elite_interval must be >= 1");

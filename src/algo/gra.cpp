@@ -21,13 +21,13 @@ namespace drep::algo {
 void GraConfig::validate() const {
   if (population < 2)
     throw std::invalid_argument("GraConfig: population must be >= 2");
-  if (crossover_rate < 0.0 || crossover_rate > 1.0)
+  if (!(0.0 <= crossover_rate && crossover_rate <= 1.0))
     throw std::invalid_argument("GraConfig: crossover_rate outside [0,1]");
-  if (mutation_rate < 0.0 || mutation_rate > 1.0)
+  if (!(0.0 <= mutation_rate && mutation_rate <= 1.0))
     throw std::invalid_argument("GraConfig: mutation_rate outside [0,1]");
   if (elite_interval == 0)
     throw std::invalid_argument("GraConfig: elite_interval must be >= 1");
-  if (perturb_fraction < 0.0 || perturb_fraction > 1.0)
+  if (!(0.0 <= perturb_fraction && perturb_fraction <= 1.0))
     throw std::invalid_argument("GraConfig: perturb_fraction outside [0,1]");
   if (tournament_arity == 0)
     throw std::invalid_argument("GraConfig: tournament_arity must be >= 1");
@@ -61,14 +61,9 @@ std::vector<double> chromosome_loads(const core::Problem& problem,
   if (genes.size() != problem.sites() * n)
     throw std::invalid_argument("chromosome_loads: length mismatch");
   std::vector<double> loads(problem.sites(), 0.0);
-  for (core::SiteId i = 0; i < problem.sites(); ++i) {
-    double load = 0.0;
-    const std::uint8_t* gene = genes.data() + static_cast<std::size_t>(i) * n;
-    for (core::ObjectId k = 0; k < n; ++k) {
-      if (gene[k] != 0) load += problem.object_size(k);
-    }
-    loads[i] = load;
-  }
+  for (core::SiteId i = 0; i < problem.sites(); ++i)
+    loads[i] = ga::gene_load(genes.subspan(static_cast<std::size_t>(i) * n, n),
+                             problem.object_sizes());
   return loads;
 }
 

@@ -174,9 +174,15 @@ class GraEngine {
   /// Builds the result from the current state; audits the winner's V_k
   /// cache (per island when used by the island driver).
   GraResult finish() {
-    double full_equivalents = 0.0;
+    // One division of the summed counts: which lane evaluated which
+    // individual varies from run to run, the total does not.
+    std::size_t recomputed = 0;
     for (const auto& evaluator : evaluators_)
-      full_equivalents += evaluator.full_equivalents();
+      recomputed += evaluator.objects_recomputed();
+    const std::size_t n = problem_.objects();
+    const double full_equivalents =
+        n == 0 ? 0.0
+               : static_cast<double>(recomputed) / static_cast<double>(n);
     std::vector<Individual> final_population;
     final_population.reserve(population_.size());
     for (auto& e : population_) final_population.push_back(std::move(e.ind));
@@ -254,16 +260,18 @@ class GraEngine {
   /// the primary-only allocation with f = 0 (paper Section 4). Individuals
   /// with an inherited V_k cache and few touched objects take the delta
   /// path; everything else pays one full evaluation. Both paths produce
-  /// bit-identical totals and neither depends on the block id, so the
-  /// outcome is the same for any pool size, serial included.
+  /// bit-identical totals and neither depends on the lane, so the outcome
+  /// is the same for any pool size and any claim order, serial included.
+  /// Each lane owns one CostEvaluator; lanes claim individuals one at a
+  /// time, so a cluster of full evaluations does not load one lane.
   void evaluate(std::vector<EvalIndividual>& population) {
     DREP_SPAN("gra/evaluate");
     evaluations_ += population.size();
     DREP_COUNT("drep_gra_evaluations_total", population.size());
     const std::size_t n = problem_.objects();
-    const auto body = [this, &population, n](std::size_t block, std::size_t p) {
+    const auto body = [this, &population, n](std::size_t lane, std::size_t p) {
       EvalIndividual& e = population[p];
-      core::CostEvaluator& evaluator = evaluators_[block];
+      core::CostEvaluator& evaluator = evaluators_[lane];
       double cost;
       if (!e.v.empty()) {
         std::sort(e.touched.begin(), e.touched.end());
@@ -324,13 +332,8 @@ class GraEngine {
     const std::size_t gene_end = gene_begin + n;
     const auto site = static_cast<core::SiteId>(gene);
     const auto gene_load = [&](const ga::Chromosome& genes) {
-      double load = 0.0;
-      for (std::size_t pos = gene_begin; pos < gene_end; ++pos) {
-        if (genes[pos] != 0)
-          load += problem_.object_size(
-              static_cast<core::ObjectId>(pos - gene_begin));
-      }
-      return load;
+      return ga::gene_load(std::span(genes).subspan(gene_begin, n),
+                           problem_.object_sizes());
     };
     const double capacity = problem_.capacity(site);
     const bool invalid =

@@ -221,6 +221,11 @@ int cmd_generate(const Args& args) {
     config.objects = args.integer<std::size_t>("objects", 200);
     config.update_ratio_percent = args.number("update", 5.0);
     config.capacity_percent = args.number("capacity", 15.0);
+    try {
+      config.validate();
+    } catch (const std::invalid_argument& error) {
+      throw UsageError(error.what());
+    }
     return workload::generate(config, rng);
   }();
   io::save_problem(args.require("out"), problem);
@@ -237,7 +242,7 @@ algo::OnlineOptions online_options_from(const Args& args) {
   options.window = args.integer<std::size_t>("window", 128);
   if (options.window == 0) throw UsageError("--window must be >= 1");
   options.trust = args.number("trust", 0.5);
-  if (options.trust < 0.0 || options.trust > 1.0)
+  if (!(0.0 <= options.trust && options.trust <= 1.0))
     throw UsageError("--trust must be in [0, 1]");
   const std::string source = args.get("predictions", "ewma");
   if (source == "ewma") {

@@ -286,10 +286,4 @@ double CostEvaluator::fitness(std::span<const std::uint8_t> matrix) {
   return (d_prime_ - total_cost(matrix)) / d_prime_;
 }
 
-double CostEvaluator::full_equivalents() const noexcept {
-  const std::size_t n = problem_->objects();
-  if (n == 0) return 0.0;
-  return static_cast<double>(objects_recomputed_) / static_cast<double>(n);
-}
-
 }  // namespace drep::core

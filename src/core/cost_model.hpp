@@ -123,13 +123,11 @@ class CostEvaluator {
   [[nodiscard]] double fitness(std::span<const std::uint8_t> matrix);
 
   /// Evaluation-work accounting: single-object kernel runs since
-  /// construction (a full evaluation counts N). full_equivalents()
-  /// converts to whole-matrix evaluation units for honest `evaluations`
-  /// reporting.
+  /// construction (a full evaluation counts N). Divided by N it gives
+  /// whole-matrix evaluation units for honest `evaluations` reporting.
   [[nodiscard]] std::size_t objects_recomputed() const noexcept {
     return objects_recomputed_;
   }
-  [[nodiscard]] double full_equivalents() const noexcept;
 
  private:
   /// V_k of the M bits bits[0], bits[stride], ..., the primary counted as

@@ -79,6 +79,10 @@ class Problem {
 
   /// Object size o_k in data units.
   [[nodiscard]] double object_size(ObjectId k) const { return sizes_.at(k); }
+  /// Every o_k, indexed by object id.
+  [[nodiscard]] std::span<const double> object_sizes() const noexcept {
+    return sizes_;
+  }
   /// Primary site SP_k.
   [[nodiscard]] SiteId primary(ObjectId k) const { return primaries_.at(k); }
   /// Storage capacity s(i) in data units.

@@ -1,6 +1,8 @@
 #include "ga/chromosome.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -20,6 +22,40 @@ std::size_t hamming_distance(std::span<const std::uint8_t> a,
   for (std::size_t i = 0; i < a.size(); ++i)
     distance += ((a[i] != 0) != (b[i] != 0));
   return distance;
+}
+
+double gene_load(std::span<const std::uint8_t> row,
+                 std::span<const double> sizes) {
+  if (sizes.size() < row.size())
+    throw std::invalid_argument("gene_load: fewer sizes than genes");
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  double load = 0.0;
+  std::size_t k = 0;
+  for (; k + 8 <= row.size(); k += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, row.data() + k, sizeof word);
+    // Bit 7 of every nonzero byte: adding 0x7f carries into bit 7 from the
+    // low seven bits, the OR keeps bit 7 itself, and no byte carries over.
+    std::uint64_t nonzero = (((word & kLow7) + kLow7) | word) & kHigh;
+    while (nonzero != 0) {
+      // Lowest address first, whichever end of the word it loaded into.
+      std::size_t byte = 0;
+      if constexpr (std::endian::native == std::endian::little) {
+        byte = static_cast<std::size_t>(std::countr_zero(nonzero)) / 8;
+        nonzero &= nonzero - 1;
+      } else {
+        const int bit = 63 - std::countl_zero(nonzero);
+        byte = 7 - static_cast<std::size_t>(bit) / 8;
+        nonzero &= ~(std::uint64_t{1} << bit);
+      }
+      load += sizes[k + byte];
+    }
+  }
+  for (; k < row.size(); ++k) {
+    if (row[k] != 0) load += sizes[k];
+  }
+  return load;
 }
 
 void swap_range(Chromosome& a, Chromosome& b, std::size_t begin,

@@ -28,6 +28,14 @@ using Chromosome = std::vector<std::uint8_t>;
 [[nodiscard]] std::size_t hamming_distance(std::span<const std::uint8_t> a,
                                            std::span<const std::uint8_t> b);
 
+/// Σ sizes[k] over the genes with row[k] != 0, k ascending: the storage
+/// load of one site's gene row. The row is read 8 genes per word and only
+/// nonzero bytes add, so the additions and their order are a byte loop's
+/// and the sum is bit-identical to one. Throws std::invalid_argument when
+/// sizes is shorter than row.
+[[nodiscard]] double gene_load(std::span<const std::uint8_t> row,
+                               std::span<const double> sizes);
+
 /// Swaps genes [begin, end) between two equal-length chromosomes. Throws
 /// std::invalid_argument on length mismatch or an out-of-range window.
 void swap_range(Chromosome& a, Chromosome& b, std::size_t begin,

@@ -35,7 +35,7 @@ Graph random_connected_graph(std::size_t sites, double edge_prob,
                              std::uint64_t cost_lo, std::uint64_t cost_hi,
                              util::Rng& rng) {
   require_sites(sites, 1, "random_connected_graph");
-  if (edge_prob < 0.0 || edge_prob > 1.0)
+  if (!(0.0 <= edge_prob && edge_prob <= 1.0))
     throw std::invalid_argument("random_connected_graph: edge_prob outside [0,1]");
   Graph graph(sites);
   // Random spanning tree: attach each vertex to a random earlier one after a

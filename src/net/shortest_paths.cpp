@@ -1,5 +1,6 @@
 #include "net/shortest_paths.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <queue>
 #include <stdexcept>
@@ -108,14 +109,18 @@ Graph minimum_spanning_tree(const CostMatrix& costs) {
 CostMatrix metric_closure(const CostMatrix& costs) {
   const std::size_t m = costs.sites();
   CostMatrix closed = costs;
-  for (SiteId k = 0; k < m; ++k) {
-    for (SiteId i = 0; i < m; ++i) {
-      const double ik = closed.at(i, k);
+  double* const cells = closed.cells_.data();
+  // Floyd–Warshall over raw rows. Round k reads row k, which it cannot
+  // change (d_kk = 0), and the matrix stays symmetric without mirrored
+  // writes: d_ik + d_kj and d_jk + d_ki are the same sum.
+  for (std::size_t k = 0; k < m; ++k) {
+    const double* const row_k = cells + k * m;
+    for (std::size_t i = 0; i < m; ++i) {
+      double* const row_i = cells + i * m;
+      const double ik = row_i[k];
       if (!std::isfinite(ik)) continue;
-      for (SiteId j = 0; j < m; ++j) {
-        const double via = ik + closed.at(k, j);
-        if (via < closed.at(i, j)) closed.set(i, j, via);
-      }
+      for (std::size_t j = 0; j < m; ++j)
+        row_i[j] = std::min(row_i[j], ik + row_k[j]);
     }
   }
   return closed;

@@ -1,6 +1,7 @@
 #include "net/topology.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace drep::net {
@@ -53,18 +54,26 @@ bool CostMatrix::is_metric(double* max_violation) const {
       }
     }
   }
+  // Tolerate tiny floating-point slack from summed path weights.
+  constexpr double kSlack = 1e-9;
   if (metric) {
-    for (std::size_t k = 0; k < sites_; ++k) {
-      for (std::size_t i = 0; i < sites_; ++i) {
-        const double ik = cells_[i * sites_ + k];
-        for (std::size_t j = 0; j < sites_; ++j) {
-          const double excess = cells_[i * sites_ + j] - (ik + cells_[k * sites_ + j]);
+    // The entries are symmetric (checked above), so triangle (j, i, k)
+    // computes the same excess as (i, j, k): j >= i covers every triangle.
+    // Without max_violation only the verdict is wanted, so the scan stops at
+    // the first excess past the slack.
+    for (std::size_t i = 0; i < sites_; ++i) {
+      const double* const row_i = cells_.data() + i * sites_;
+      for (std::size_t k = 0; k < sites_; ++k) {
+        const double* const row_k = cells_.data() + k * sites_;
+        const double ik = row_i[k];
+        for (std::size_t j = i; j < sites_; ++j) {
+          const double excess = row_i[j] - (ik + row_k[j]);
           if (excess > worst) worst = excess;
         }
+        if (max_violation == nullptr && worst > kSlack) return false;
       }
     }
-    // Tolerate tiny floating-point slack from summed path weights.
-    metric = worst <= 1e-9;
+    metric = worst <= kSlack;
   }
   if (max_violation != nullptr) *max_violation = worst;
   return metric;

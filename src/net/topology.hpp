@@ -53,12 +53,17 @@ class CostMatrix {
   [[nodiscard]] double mean_row_sum() const;
 
   /// True when every entry is finite, symmetric, zero-diagonal, and the
-  /// triangle inequality holds. If `max_violation` is non-null it receives
-  /// the largest C(i,j) - (C(i,k)+C(k,j)) excess found (0 when metric).
+  /// triangle inequality holds (within 1e-9). If `max_violation` is non-null
+  /// it receives the largest C(i,j) - (C(i,k)+C(k,j)) excess (0 when none
+  /// is positive, +inf when an entry fails the first three checks); without
+  /// it the triangle scan stops at the first violation.
   [[nodiscard]] bool is_metric(double* max_violation = nullptr) const;
 
  private:
   void check(SiteId i) const;
+
+  // Runs Floyd–Warshall over the raw rows (net/shortest_paths.hpp).
+  friend CostMatrix metric_closure(const CostMatrix& costs);
 
   std::size_t sites_;
   std::vector<double> cells_;

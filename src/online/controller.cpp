@@ -19,9 +19,9 @@ void ControllerConfig::validate() const {
     throw std::invalid_argument("ControllerConfig: break_even must be > 0");
   if (evict_factor <= 0.0)
     throw std::invalid_argument("ControllerConfig: evict_factor must be > 0");
-  if (trust < 0.0 || trust > 1.0)
+  if (!(0.0 <= trust && trust <= 1.0))
     throw std::invalid_argument("ControllerConfig: trust must be in [0, 1]");
-  if (hot_boost < 0.0 || hot_boost > 1.0)
+  if (!(0.0 <= hot_boost && hot_boost <= 1.0))
     throw std::invalid_argument("ControllerConfig: hot_boost must be in [0, 1]");
   if (cold_damp < 1.0)
     throw std::invalid_argument("ControllerConfig: cold_damp must be >= 1");

@@ -11,7 +11,7 @@ void PredictorConfig::validate() const {
     throw std::invalid_argument("PredictorConfig: alpha must be in (0, 1]");
   if (hot_factor < 1.0)
     throw std::invalid_argument("PredictorConfig: hot_factor must be >= 1");
-  if (cold_factor < 0.0 || cold_factor > 1.0)
+  if (!(0.0 <= cold_factor && cold_factor <= 1.0))
     throw std::invalid_argument(
         "PredictorConfig: cold_factor must be in [0, 1]");
 }

@@ -114,7 +114,7 @@ void ServeConfig::validate() const {
         "ServeConfig: retune_interval_seconds must be finite and >= 0");
   if (load.ring_size == 0)
     throw std::invalid_argument("ServeConfig: ring_size must be >= 1");
-  if (load.write_fraction < 0.0 || load.write_fraction > 1.0)
+  if (!(0.0 <= load.write_fraction && load.write_fraction <= 1.0))
     throw std::invalid_argument(
         "ServeConfig: write_fraction must be in [0, 1]");
 }

@@ -18,7 +18,7 @@ std::vector<workload::Request> make_request_ring(std::size_t sites,
     throw std::invalid_argument("make_request_ring: empty instance");
   if (config.ring_size == 0)
     throw std::invalid_argument("make_request_ring: ring_size must be >= 1");
-  if (config.write_fraction < 0.0 || config.write_fraction > 1.0)
+  if (!(0.0 <= config.write_fraction && config.write_fraction <= 1.0))
     throw std::invalid_argument(
         "make_request_ring: write_fraction must be in [0, 1]");
   const std::size_t size = round_up_pow2(config.ring_size);

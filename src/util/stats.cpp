@@ -51,7 +51,7 @@ double RunningStats::max() const noexcept { return count_ == 0 ? 0.0 : max_; }
 
 double quantile(std::span<const double> values, double q) {
   if (values.empty()) throw std::invalid_argument("quantile: empty sample");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
+  if (!(0.0 <= q && q <= 1.0)) throw std::invalid_argument("quantile: q outside [0,1]");
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
   const double pos = q * static_cast<double>(sorted.size() - 1);

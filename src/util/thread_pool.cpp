@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -93,42 +94,49 @@ void ThreadPool::parallel_for_blocked(
   if (begin >= end) return;
   DREP_GAUGE_SET("drep_pool_workers", size());
   const std::size_t count = end - begin;
-  const std::size_t blocks =
+  const std::size_t lanes =
       g_inside_pool_worker ? 1 : std::min(count, size());
-  if (blocks <= 1) {
+  if (lanes <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(0, i);
     return;
   }
 
   struct State {
+    std::atomic<std::size_t> next{0};  // offset of the next unclaimed index
     std::mutex mutex;
     std::condition_variable done_cv;
-    std::size_t remaining;
+    std::size_t remaining = 0;
     std::exception_ptr first_error;
   } state;
-  state.remaining = blocks;
+  state.remaining = lanes;
 
-  const std::size_t chunk = (count + blocks - 1) / blocks;
-  const auto run_block = [&state, &body](std::size_t block, std::size_t lo,
-                                         std::size_t hi) {
+  // A lane claims one index at a time until the range is exhausted, so a
+  // slow index holds back only the lane running it. A lane stops at its
+  // first exception; the others keep claiming.
+  const auto run_lane = [&state, &body, begin, count](std::size_t lane) {
     std::exception_ptr error;
     try {
-      for (std::size_t i = lo; i < hi; ++i) body(block, i);
+      for (;;) {
+        const std::size_t offset =
+            state.next.fetch_add(1, std::memory_order_relaxed);
+        if (offset >= count) break;
+        body(lane, begin + offset);
+      }
     } catch (...) {
       error = std::current_exception();
     }
     std::lock_guard lock(state.mutex);
-    if (error && !state.first_error) state.first_error = error;
+    // Hand the exception over instead of sharing it: once the count reaches
+    // zero the caller may rethrow and free it, and this lane must not touch
+    // its reference count after the unlock.
+    if (error && !state.first_error) state.first_error = std::move(error);
     if (--state.remaining == 0) state.done_cv.notify_one();
   };
-  // Blocks 1..n-1 go to the pool; the caller runs block 0 itself so that a
+  // Lanes 1..n-1 go to the pool; the caller runs lane 0 itself so that a
   // fully busy pool can never stall the loop indefinitely.
-  for (std::size_t block = 1; block < blocks; ++block) {
-    const std::size_t lo = begin + block * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    submit([run_block, block, lo, hi] { run_block(block, lo, hi); });
-  }
-  run_block(0, begin, std::min(end, begin + chunk));
+  for (std::size_t lane = 1; lane < lanes; ++lane)
+    submit([run_lane, lane] { run_lane(lane); });
+  run_lane(0);
 
   std::unique_lock lock(state.mutex);
   state.done_cv.wait(lock, [&state] { return state.remaining == 0; });
@@ -186,7 +194,7 @@ void WaitGroup::submit(std::function<void()> task) {
     } catch (...) {
       error = std::current_exception();
     }
-    finish(error);
+    finish(std::move(error));
   });
 }
 
@@ -202,7 +210,7 @@ void WaitGroup::run_inline(const std::function<void()>& task) {
   } catch (...) {
     error = std::current_exception();
   }
-  finish(error);
+  finish(std::move(error));
 }
 
 void WaitGroup::wait() {
@@ -233,7 +241,8 @@ void WaitGroup::finish(std::exception_ptr error) {
   std::lock_guard lock(mutex_);
   if (error) {
     ++failed_;
-    if (!first_error_) first_error_ = error;
+    // Moved, for the same reason as in parallel_for_blocked.
+    if (!first_error_) first_error_ = std::move(error);
   }
   if (--pending_ == 0) done_cv_.notify_all();
 }

@@ -3,9 +3,12 @@
 //
 // The experiment harnesses average over many independent random networks and
 // the genetic algorithms evaluate whole populations; both are embarrassingly
-// parallel. The pool is created once and reused; parallel_for partitions the
-// index range into contiguous blocks (one per worker) so callers can keep
-// per-block deterministic RNG streams.
+// parallel. The pool is created once and reused. parallel_for runs one lane
+// per worker, the caller being lane 0, and each lane claims the next index
+// from a shared counter until the range is exhausted, so uneven iterations
+// spread over the lanes. Which lane runs which index depends on timing:
+// bodies must not depend on it beyond using the lane id for private
+// scratch.
 
 #include <condition_variable>
 #include <cstddef>
@@ -33,20 +36,23 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void submit(std::function<void()> task);
 
-  /// Runs body(i) for every i in [begin, end), partitioned into contiguous
-  /// blocks, and blocks until all iterations finish. If any iteration throws,
-  /// the first captured exception is rethrown on the caller after all blocks
-  /// complete. Executes inline when the range is small or the pool has a
-  /// single worker.
+  /// Runs body(i) exactly once for every i in [begin, end) and blocks until
+  /// all iterations finish. Lanes claim indices one at a time; a lane stops
+  /// at its first exception while the others keep claiming, and the first
+  /// captured exception is rethrown on the caller after every lane has
+  /// finished. Executes inline, in index order, when the range has one
+  /// index, the pool has a single worker, or the caller is a pool worker.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
-  /// Like parallel_for but hands the body the block id as well, so callers
-  /// can maintain one RNG / accumulator per block:
-  ///   body(block, i). Blocks are numbered 0..blocks-1.
+  /// Like parallel_for but hands the body the lane id as well:
+  ///   body(lane, i), lane in [0, min(end - begin, size())).
+  /// Lane 0 is the calling thread, and each lane id runs on one thread at a
+  /// time, so a caller can keep one accumulator or scratch object per lane
+  /// without locking. Which indices a lane gets varies from run to run.
   void parallel_for_blocked(
       std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t block, std::size_t i)>& body);
+      const std::function<void(std::size_t lane, std::size_t i)>& body);
 
   /// Process-wide shared pool (lazily constructed, sized to the hardware or
   /// to the last configure_shared() call that preceded first use).

@@ -11,10 +11,13 @@ namespace drep::workload {
 void GeneratorConfig::validate() const {
   if (sites == 0) throw std::invalid_argument("GeneratorConfig: sites == 0");
   if (objects == 0) throw std::invalid_argument("GeneratorConfig: objects == 0");
-  if (update_ratio_percent < 0.0)
-    throw std::invalid_argument("GeneratorConfig: negative update ratio");
-  if (capacity_percent < 0.0)
-    throw std::invalid_argument("GeneratorConfig: negative capacity ratio");
+  // A non-finite ratio would reach scatter_requests as a request count.
+  if (!std::isfinite(update_ratio_percent) || update_ratio_percent < 0.0)
+    throw std::invalid_argument(
+        "GeneratorConfig: update ratio must be finite and >= 0");
+  if (!std::isfinite(capacity_percent) || capacity_percent < 0.0)
+    throw std::invalid_argument(
+        "GeneratorConfig: capacity ratio must be finite and >= 0");
   if (reads_lo > reads_hi)
     throw std::invalid_argument("GeneratorConfig: reads_lo > reads_hi");
   if (link_cost_lo == 0 || link_cost_lo > link_cost_hi)

@@ -11,10 +11,10 @@ namespace drep::workload {
 void PatternChangeConfig::validate() const {
   if (change_percent < 0.0)
     throw std::invalid_argument("PatternChangeConfig: negative change_percent");
-  if (objects_percent < 0.0 || objects_percent > 100.0)
+  if (!(0.0 <= objects_percent && objects_percent <= 100.0))
     throw std::invalid_argument(
         "PatternChangeConfig: objects_percent outside [0,100]");
-  if (read_share_percent < 0.0 || read_share_percent > 100.0)
+  if (!(0.0 <= read_share_percent && read_share_percent <= 100.0))
     throw std::invalid_argument(
         "PatternChangeConfig: read_share_percent outside [0,100]");
   if (!(cluster_stddev_divisor > 0.0))

@@ -67,7 +67,7 @@ void TreeInstanceConfig::validate() const {
   if (sites == 0) throw std::invalid_argument("TreeInstanceConfig: sites == 0");
   if (objects == 0)
     throw std::invalid_argument("TreeInstanceConfig: objects == 0");
-  if (depth_skew < -1.0 || depth_skew > 1.0)
+  if (!(-1.0 <= depth_skew && depth_skew <= 1.0))
     throw std::invalid_argument(
         "TreeInstanceConfig: depth_skew outside [-1, 1]");
   if (link_cost_lo == 0 || link_cost_lo > link_cost_hi)
@@ -76,13 +76,15 @@ void TreeInstanceConfig::validate() const {
     throw std::invalid_argument("TreeInstanceConfig: bad object size range");
   if (reads_lo > reads_hi)
     throw std::invalid_argument("TreeInstanceConfig: reads_lo > reads_hi");
-  if (update_ratio_percent < 0.0)
-    throw std::invalid_argument("TreeInstanceConfig: negative update ratio");
+  if (!std::isfinite(update_ratio_percent) || update_ratio_percent < 0.0)
+    throw std::invalid_argument(
+        "TreeInstanceConfig: update ratio must be finite and >= 0");
   if (clients_per_object > sites)
     throw std::invalid_argument(
         "TreeInstanceConfig: clients_per_object > sites");
-  if (capacity_percent < 0.0)
-    throw std::invalid_argument("TreeInstanceConfig: negative capacity ratio");
+  if (!std::isfinite(capacity_percent) || capacity_percent < 0.0)
+    throw std::invalid_argument(
+        "TreeInstanceConfig: capacity ratio must be finite and >= 0");
 }
 
 core::Problem generate_tree(const TreeInstanceConfig& config, util::Rng& rng) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "algo/sra.hpp"
 #include "core/benefit.hpp"
 #include "core/cost_model.hpp"
@@ -34,6 +36,12 @@ TEST(AgraConfig, Validation) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = AgraConfig{};
   config.elite_interval = 0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config = AgraConfig{};
+  config.crossover_rate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config = AgraConfig{};
+  config.mutation_rate = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "algo/sra.hpp"
 #include "core/cost_model.hpp"
 #include "testing/builders.hpp"
+#include "util/thread_pool.hpp"
 
 namespace drep::algo {
 namespace {
@@ -33,6 +38,14 @@ TEST(GraConfig, Validation) {
   config = GraConfig{};
   config.perturb_fraction = 2.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  // NaN passes `x < lo || x > hi`; the range checks are written so it fails.
+  for (double GraConfig::*rate :
+       {&GraConfig::crossover_rate, &GraConfig::mutation_rate,
+        &GraConfig::perturb_fraction}) {
+    config = GraConfig{};
+    config.*rate = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+  }
 }
 
 TEST(PrimaryChromosome, HasExactlyThePrimaryBits) {
@@ -56,6 +69,39 @@ TEST(ChromosomeLoads, MatchesSchemeAccounting) {
   for (core::SiteId i = 0; i < p.sites(); ++i)
     EXPECT_DOUBLE_EQ(loads[i], scheme.used(i));
   EXPECT_TRUE(chromosome_valid(p, scheme.matrix()) == scheme.is_valid());
+}
+
+TEST(ChromosomeLoads, EqualsByteLoopReference) {
+  util::Rng rng(4);
+  for (const std::size_t objects : {1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 17, 200}) {
+    const std::size_t sites = 6;
+    // Fractional sizes across several decades, so a different order of the
+    // additions would show in the last bits.
+    std::vector<double> sizes(objects);
+    for (double& size : sizes)
+      size = 0.001 + rng.uniform01() * std::pow(10.0, rng.uniform_real(0, 4));
+    std::vector<core::SiteId> primaries(objects);
+    for (auto& primary : primaries)
+      primary = static_cast<core::SiteId>(rng.index(sites));
+    const core::Problem p(net::CostMatrix(sites, 1.0), sizes, primaries,
+                          std::vector<double>(sites, 1e9));
+    for (int trial = 0; trial < 20; ++trial) {
+      ga::Chromosome genes(sites * objects);
+      for (auto& gene : genes)
+        gene = rng.bernoulli(0.3)
+                   ? static_cast<std::uint8_t>(1 + rng.index(255))
+                   : 0;
+      const auto loads = chromosome_loads(p, genes);
+      ASSERT_EQ(loads.size(), sites);
+      for (core::SiteId i = 0; i < sites; ++i) {
+        double reference = 0.0;
+        for (core::ObjectId k = 0; k < objects; ++k) {
+          if (genes[i * objects + k] != 0) reference += p.object_size(k);
+        }
+        EXPECT_EQ(loads[i], reference) << objects << " objects, site " << i;
+      }
+    }
+  }
 }
 
 TEST(SraSeededPopulation, AllValidAndDiverse) {
@@ -145,18 +191,30 @@ TEST(Gra, DeterministicGivenSeed) {
 TEST(Gra, ParallelAndSerialEvaluationAgree) {
   const core::Problem p = testing::small_random_problem(15);
   GraConfig config = fast_config();
-  config.parallel_evaluation = true;
-  util::Rng rng_a(16);
-  const GraResult parallel = solve_gra(p, config, rng_a);
   config.parallel_evaluation = false;
-  util::Rng rng_b(16);
-  const GraResult serial = solve_gra(p, config, rng_b);
-  EXPECT_EQ(parallel.best.scheme.matrix(), serial.best.scheme.matrix());
-  // Fitness is computed per individual with no cross-individual FP
-  // accumulation, so the full history must match exactly as well.
-  EXPECT_EQ(parallel.best_fitness_history, serial.best_fitness_history);
-  EXPECT_DOUBLE_EQ(parallel.full_equivalent_evaluations,
-                   serial.full_equivalent_evaluations);
+  util::Rng rng_serial(16);
+  const GraResult serial = solve_gra(p, config, rng_serial);
+  config.parallel_evaluation = true;
+  const std::size_t pool_before = util::ThreadPool::shared().size();
+  // One lane per worker; lanes claim individuals in whatever order they
+  // wake, so each pool size runs a different split of the same work.
+  for (const std::size_t workers : {1, 2, 3, 8}) {
+    util::ThreadPool::configure_shared(workers);
+    util::Rng rng(16);
+    const GraResult parallel = solve_gra(p, config, rng);
+    EXPECT_EQ(parallel.best.scheme.matrix(), serial.best.scheme.matrix())
+        << workers << " workers";
+    // Fitness is computed per individual with no cross-individual FP
+    // accumulation, so the full history must match exactly as well.
+    EXPECT_EQ(parallel.best_fitness_history, serial.best_fitness_history)
+        << workers << " workers";
+    // The work total is one quotient of summed counts, whatever the split.
+    EXPECT_EQ(parallel.full_equivalent_evaluations,
+              serial.full_equivalent_evaluations)
+        << workers << " workers";
+    EXPECT_EQ(parallel.evaluations, serial.evaluations);
+  }
+  util::ThreadPool::configure_shared(pool_before);
 }
 
 TEST(Gra, IncrementalEvaluationSavesWork) {

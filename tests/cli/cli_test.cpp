@@ -417,6 +417,35 @@ TEST_F(CliTest, MalformedOnlineFlagsExitTwo) {
             2);
 }
 
+// Double flags take finite values in range: NaN passes a check written
+// `x < lo || x > hi`, and a non-finite update ratio used to loop about 2^63
+// times in the request scatter.
+TEST_F(CliTest, NonFiniteDoubleFlagsExitTwo) {
+  const std::string out = dir_ + "_nonfinite.drp";
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    EXPECT_EQ(run_cli({"generate", "--sites=6", "--objects=8",
+                       "--update=" + bad, "-o", out}),
+              2)
+        << bad;
+    EXPECT_EQ(run_cli({"generate", "--sites=6", "--objects=8",
+                       "--capacity=" + bad, "-o", out}),
+              2)
+        << bad;
+    EXPECT_EQ(run_cli({"generate", "--topology=tree", "--sites=6",
+                       "--objects=8", "--skew=" + bad, "-o", out}),
+              2)
+        << bad;
+    EXPECT_EQ(run_cli({"replay", "-i", problem_, "--online", "--trust=" + bad}),
+              2)
+        << bad;
+    EXPECT_EQ(run_cli({"serve", "-i", problem_, "--duration=0.1",
+                       "--write-fraction=" + bad}),
+              2)
+        << bad;
+  }
+  EXPECT_FALSE(std::ifstream(out).good());  // no instance was written
+}
+
 TEST_F(CliTest, MalformedFaultSpecExitsTwo) {
   EXPECT_EQ(run_cli({"replay", "-i", problem_, "--faults=bogus"}), 2);
   EXPECT_EQ(run_cli({"replay", "-i", problem_, "--faults=drop=2"}), 2);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace drep::ga {
 namespace {
@@ -20,6 +23,51 @@ TEST(HammingDistance, BasicAndValidation) {
   EXPECT_EQ(hamming_distance(Chromosome{1, 0}, Chromosome{1, 0}), 0u);
   EXPECT_THROW((void)hamming_distance(Chromosome{1}, Chromosome{1, 0}),
                std::invalid_argument);
+}
+
+/// The byte loop gene_load replaces: one addition per nonzero gene, in
+/// ascending gene order.
+double byte_loop_load(std::span<const std::uint8_t> row,
+                      std::span<const double> sizes) {
+  double load = 0.0;
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    if (row[k] != 0) load += sizes[k];
+  }
+  return load;
+}
+
+TEST(GeneLoad, EqualsByteLoopBitForBit) {
+  util::Rng rng(11);
+  for (std::size_t length : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                             std::size_t{7}, std::size_t{8}, std::size_t{9},
+                             std::size_t{15}, std::size_t{16}, std::size_t{17},
+                             std::size_t{200}}) {
+    // Sizes across nine decades, so the order of the additions shows in
+    // the last bits.
+    std::vector<double> sizes(length);
+    for (double& size : sizes)
+      size = rng.uniform01() * std::pow(10.0, rng.uniform_real(-4.0, 5.0));
+    for (int trial = 0; trial < 40; ++trial) {
+      // Any nonzero byte counts as a set gene, not only 1; the row starts
+      // at every offset of a word.
+      const std::size_t offset = static_cast<std::size_t>(trial) % 8;
+      std::vector<std::uint8_t> buffer(offset + length);
+      const double density = 0.1 * static_cast<double>(trial % 10);
+      for (auto& gene : buffer)
+        gene = rng.bernoulli(density)
+                   ? static_cast<std::uint8_t>(1 + rng.index(255))
+                   : 0;
+      const std::span<const std::uint8_t> row(buffer.data() + offset, length);
+      EXPECT_EQ(gene_load(row, sizes), byte_loop_load(row, sizes))
+          << "length " << length << " trial " << trial;
+    }
+  }
+}
+
+TEST(GeneLoad, RejectsTooFewSizes) {
+  const std::vector<std::uint8_t> row(9, 1);
+  const std::vector<double> sizes(8, 1.0);
+  EXPECT_THROW((void)gene_load(row, sizes), std::invalid_argument);
 }
 
 TEST(SwapRange, SwapsWindowOnly) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
 namespace drep::ga {
 namespace {
 
@@ -145,6 +149,55 @@ TEST(Crossover, Validation) {
   EXPECT_THROW((void)uniform_crossover(a, b, rng), std::invalid_argument);
   EXPECT_THROW((void)two_point_crossover(empty_a, empty_b, rng),
                std::invalid_argument);
+}
+
+/// The per-position reference differing_columns replaces: one modulo per
+/// gene.
+std::vector<std::size_t> modulo_columns(const Chromosome& a,
+                                        const Chromosome& b,
+                                        std::size_t stride) {
+  std::vector<std::uint8_t> hit(std::min(stride, a.size()), 0);
+  for (std::size_t pos = 0; pos < a.size(); ++pos) {
+    if (a[pos] != b[pos]) hit[pos % stride] = 1;
+  }
+  std::vector<std::size_t> columns;
+  for (std::size_t c = 0; c < hit.size(); ++c) {
+    if (hit[c] != 0) columns.push_back(c);
+  }
+  return columns;
+}
+
+TEST(DifferingColumns, EqualsModuloReference) {
+  util::Rng rng(7);
+  // Strides that divide the length, strides that leave a partial last row,
+  // and strides longer than the whole string.
+  for (const std::size_t length : {1, 7, 8, 17, 64, 200, 1000}) {
+    for (const std::size_t stride : {1, 2, 3, 8, 13, 17, 200, 1001, 5000}) {
+      for (int trial = 0; trial < 10; ++trial) {
+        Chromosome a(length), b(length);
+        for (auto& gene : a) gene = static_cast<std::uint8_t>(rng.index(3));
+        b = a;
+        // Sparse and dense differences, and bytes other than 0 and 1.
+        const double rate = trial < 5 ? 0.01 : 0.3;
+        for (auto& gene : b) {
+          if (rng.bernoulli(rate))
+            gene = static_cast<std::uint8_t>(gene + 1 + rng.index(254));
+        }
+        const auto columns = differing_columns(a, b, stride);
+        EXPECT_EQ(columns, modulo_columns(a, b, stride))
+            << "length " << length << " stride " << stride;
+        EXPECT_TRUE(std::is_sorted(columns.begin(), columns.end()));
+      }
+    }
+  }
+}
+
+TEST(DifferingColumns, IdenticalStringsAndValidation) {
+  const Chromosome a(30, 1);
+  EXPECT_TRUE(differing_columns(a, a, 7).empty());
+  const Chromosome shorter(29, 1);
+  EXPECT_THROW((void)differing_columns(a, shorter, 7), std::invalid_argument);
+  EXPECT_THROW((void)differing_columns(a, a, 0), std::invalid_argument);
 }
 
 }  // namespace

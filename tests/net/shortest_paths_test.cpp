@@ -151,5 +151,52 @@ TEST(MetricClosure, NeverIncreasesCosts) {
   }
 }
 
+/// metric_closure as it was before it ran over raw rows: bounds-checked
+/// at()/set(), every improvement written to both (i,j) and (j,i). Kept as
+/// the differential oracle.
+CostMatrix checked_closure(const CostMatrix& costs) {
+  const std::size_t m = costs.sites();
+  CostMatrix closed = costs;
+  for (SiteId k = 0; k < m; ++k) {
+    for (SiteId i = 0; i < m; ++i) {
+      const double ik = closed.at(i, k);
+      if (!std::isfinite(ik)) continue;
+      for (SiteId j = 0; j < m; ++j) {
+        const double via = ik + closed.at(k, j);
+        if (via < closed.at(i, j)) closed.set(i, j, via);
+      }
+    }
+  }
+  return closed;
+}
+
+TEST(MetricClosure, EqualsCheckedReferenceBitForBit) {
+  util::Rng rng(31);
+  for (std::size_t m = 1; m <= 64; ++m) {
+    // Fractional link costs, some links missing (+inf), the sparsest
+    // graphs left disconnected.
+    const double missing = m % 3 == 0 ? 0.9 : 0.3;
+    CostMatrix raw(m);
+    for (SiteId i = 0; i < m; ++i) {
+      for (SiteId j = i + 1; j < m; ++j) {
+        if (!rng.bernoulli(missing)) raw.set(i, j, rng.uniform_real(0.01, 50.0));
+      }
+    }
+    const CostMatrix closed = metric_closure(raw);
+    const CostMatrix reference = checked_closure(raw);
+    std::size_t mismatches = 0;
+    for (SiteId i = 0; i < m; ++i) {
+      for (SiteId j = 0; j < m; ++j) {
+        const double got = closed.at(i, j);
+        const double want = reference.at(i, j);
+        // Bitwise equal, +inf included.
+        if (!(got == want || (std::isinf(got) && std::isinf(want))))
+          ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "m = " << m;
+  }
+}
+
 }  // namespace
 }  // namespace drep::net

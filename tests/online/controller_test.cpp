@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace drep::online {
 namespace {
 
@@ -21,6 +23,12 @@ TEST(ControllerConfig, ValidateRejectsOutOfRangeFields) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = {};
   config.cold_damp = 0.5;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config = {};
+  config.trust = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config = {};
+  config.hot_boost = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 

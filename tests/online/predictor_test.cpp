@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "testing/builders.hpp"
@@ -28,6 +29,8 @@ TEST(PredictorConfig, ValidateRejectsOutOfRangeFields) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = {};
   config.cold_factor = 1.5;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.cold_factor = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -132,6 +133,13 @@ TEST(ServeConfig, ValidateRejectsOutOfRangeFields) {
   config.batch = 256;
   config.load.write_fraction = 1.5;
   EXPECT_THROW((void)serve::serve_timed(problem, config),
+               std::invalid_argument);
+  config.load.write_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)serve::serve_timed(problem, config),
+               std::invalid_argument);
+  EXPECT_THROW((void)serve::make_request_ring(problem.sites(),
+                                              problem.objects(), config.load,
+                                              util::Rng(1)),
                std::invalid_argument);
   config.load.write_fraction = 0.05;
   config.algo = "no-such-solver";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace drep::util {
@@ -94,6 +95,8 @@ TEST(Quantile, Validation) {
   EXPECT_THROW((void)quantile(empty, 0.5), std::invalid_argument);
   EXPECT_THROW((void)quantile(one, -0.1), std::invalid_argument);
   EXPECT_THROW((void)quantile(one, 1.1), std::invalid_argument);
+  EXPECT_THROW((void)quantile(one, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
   EXPECT_DOUBLE_EQ(quantile(one, 0.99), 1.0);
 }
 

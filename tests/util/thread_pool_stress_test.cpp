@@ -21,7 +21,7 @@ TEST(ThreadPoolStress, ConcurrentParallelForBlockedCallers) {
   ThreadPool pool(4);
   constexpr std::size_t kCallers = 6;
   constexpr std::size_t kRounds = 40;
-  constexpr std::size_t kRange = 257;  // not a multiple of the block count
+  constexpr std::size_t kRange = 257;  // not a multiple of the lane count
   std::vector<std::thread> callers;
   std::vector<std::atomic<std::size_t>> sums(kCallers);
   for (auto& sum : sums) sum = 0;
@@ -44,7 +44,7 @@ TEST(ThreadPoolStress, FirstExceptionPropagatesAndPoolSurvives) {
   ThreadPool pool(3);
   std::atomic<std::size_t> completed{0};
   // Several iterations throw; exactly one exception must reach the caller,
-  // after every block has finished (no detached work left behind).
+  // after every lane has finished (no detached work left behind).
   EXPECT_THROW(
       pool.parallel_for_blocked(0, 300,
                                 [&completed](std::size_t, std::size_t i) {
@@ -94,7 +94,7 @@ TEST(ThreadPoolStress, NestedParallelForRunsInlineWithoutDeadlock) {
   std::atomic<std::size_t> inner_total{0};
   // Each outer iteration runs a nested loop. Inside a pool worker the nested
   // call executes inline (a queued nested loop could deadlock once every
-  // worker blocks on its own children); on the caller thread (block 0) it
+  // worker blocks on its own children); on the caller thread (lane 0) it
   // may use the pool. Either way all iterations must run exactly once.
   pool.parallel_for_blocked(0, 40, [&pool, &inner_total](std::size_t,
                                                          std::size_t) {

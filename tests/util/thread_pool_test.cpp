@@ -10,6 +10,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace drep::util {
@@ -37,21 +38,62 @@ TEST(ThreadPool, SingleWorkerRunsInline) {
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, BlockedVariantPartitionsContiguously) {
-  ThreadPool pool(4);
-  std::vector<std::size_t> block_of(100, 999);
-  std::mutex mutex;
-  pool.parallel_for_blocked(0, 100, [&](std::size_t block, std::size_t i) {
-    std::lock_guard lock(mutex);
-    block_of[i] = block;
-  });
-  // Each block owns one contiguous range.
-  for (std::size_t i = 1; i < 100; ++i) {
-    if (block_of[i] != block_of[i - 1]) {
-      EXPECT_GT(block_of[i], block_of[i - 1]);
-    }
+TEST(ThreadPool, BlockedVariantLanesClaimEveryIndexOnce) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kRange = 500;
+  ThreadPool pool(kWorkers);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> hits(kRange);
+    std::vector<std::atomic<int>> active(kWorkers);
+    std::atomic<int> bad_lane{0};
+    std::atomic<int> overlapping{0};
+    std::atomic<int> lane0_elsewhere{0};
+    std::atomic<int> other_lane_on_caller{0};
+    pool.parallel_for_blocked(0, kRange, [&](std::size_t lane, std::size_t i) {
+      hits[i]++;
+      if (lane >= kWorkers) {
+        bad_lane++;
+        return;
+      }
+      // A lane id is held by one thread at a time: entering a lane that is
+      // already active means two threads share it.
+      if (active[lane].fetch_add(1) != 0) overlapping++;
+      const bool on_caller = std::this_thread::get_id() == caller;
+      if (lane == 0 && !on_caller) lane0_elsewhere++;
+      if (lane != 0 && on_caller) other_lane_on_caller++;
+      volatile double sink = 0.0;  // a little work, so lanes overlap in time
+      for (std::size_t w = 0; w < (i % 7) * 200; ++w) sink = sink + 1.0;
+      active[lane].fetch_sub(1);
+    });
+    for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+    EXPECT_EQ(bad_lane.load(), 0);
+    EXPECT_EQ(overlapping.load(), 0);
+    EXPECT_EQ(lane0_elsewhere.load(), 0);
+    EXPECT_EQ(other_lane_on_caller.load(), 0);
   }
-  for (std::size_t b : block_of) EXPECT_LT(b, 4u);
+}
+
+TEST(ThreadPool, SlowIndexDoesNotHoldBackTheRest) {
+  // Index 0 waits until every other index has run. Under fixed contiguous
+  // blocks its neighbours would queue behind it in its own block and the
+  // wait would time out; claiming lanes take them instead.
+  constexpr std::size_t kRange = 64;
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  bool others_finished = false;
+  pool.parallel_for_blocked(0, kRange, [&](std::size_t, std::size_t i) {
+    std::unique_lock lock(mutex);
+    if (i == 0) {
+      others_finished = cv.wait_for(lock, std::chrono::seconds(30),
+                                    [&] { return done == kRange - 1; });
+      return;
+    }
+    if (++done == kRange - 1) cv.notify_all();
+  });
+  EXPECT_TRUE(others_finished);
 }
 
 TEST(ThreadPool, PropagatesException) {
@@ -75,8 +117,10 @@ TEST(ThreadPool, AllIterationsRunDespiteException) {
     FAIL() << "expected exception";
   } catch (const std::runtime_error&) {
   }
-  // Iterations in blocks after a thrown one are skipped, but every block ran.
+  // A lane stops at its first throw and the others keep claiming, so some
+  // iterations ran and none twice.
   EXPECT_GT(count.load(), 0);
+  EXPECT_LE(count.load(), 100);
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline) {
@@ -290,8 +334,8 @@ TEST(ThreadPool, ParallelSumMatchesSequential) {
   std::iota(values.begin(), values.end(), 0.0);
   std::vector<double> partial(8, 0.0);
   pool.parallel_for_blocked(0, values.size(),
-                            [&](std::size_t block, std::size_t i) {
-                              partial[block] += values[i];
+                            [&](std::size_t lane, std::size_t i) {
+                              partial[lane] += values[i];
                             });
   const double total = std::accumulate(partial.begin(), partial.end(), 0.0);
   EXPECT_DOUBLE_EQ(total, std::accumulate(values.begin(), values.end(), 0.0));

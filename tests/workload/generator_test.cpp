@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace drep::workload {
 namespace {
@@ -37,6 +38,18 @@ TEST(GeneratorConfig, Validation) {
   config = small_config();
   config.link_cost_lo = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  // Non-finite ratios: NaN passes a `< 0` check, and either one would reach
+  // scatter_requests as a request count.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    config = small_config();
+    config.update_ratio_percent = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+    config = small_config();
+    config.capacity_percent = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Generator, ShapesAndRanges) {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "workload/generator.hpp"
@@ -35,6 +35,12 @@ TEST(PatternChangeConfig, Validation) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = PatternChangeConfig{};
   config.cluster_stddev_divisor = 0.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config = PatternChangeConfig{};
+  config.objects_percent = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config = PatternChangeConfig{};
+  config.read_share_percent = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "net/tree_metric.hpp"
 #include "util/rng.hpp"
@@ -182,6 +183,19 @@ TEST(TreeInstance, RejectsBadConfigs) {
   config = {};
   config.clients_per_object = config.sites + 1;
   EXPECT_THROW(generate_tree(config, rng), std::invalid_argument);
+  // NaN passes `x < lo || x > hi`; every double knob rejects it and inf.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    config = {};
+    config.depth_skew = bad;
+    EXPECT_THROW(generate_tree(config, rng), std::invalid_argument) << bad;
+    config = {};
+    config.update_ratio_percent = bad;
+    EXPECT_THROW(generate_tree(config, rng), std::invalid_argument) << bad;
+    config = {};
+    config.capacity_percent = bad;
+    EXPECT_THROW(generate_tree(config, rng), std::invalid_argument) << bad;
+  }
 }
 
 }  // namespace
