@@ -4,10 +4,12 @@
 // must match bit-for-bit across worker counts).
 //
 // Artifact: BENCH_serve.json (schema_version 1) in the repo root, via the
-// shared bench harness. Table 1 measures the timed mode (open-loop seeded
-// request rings); Table 2 replays one fixed trace with retunes pinned to
-// trace positions and reports each worker count's outcome hash next to a
-// match column against the single-worker reference.
+// shared bench harness. Both tables serve the instance's own shuffled
+// trace (workload::build_trace), built once. Table 1 measures the timed
+// mode (each worker cycles over its slice of the trace; latencies are
+// per-request samples); Table 2 replays the trace once with retunes pinned
+// to trace positions and reports each worker count's outcome hash next to
+// a match column against the single-worker reference.
 
 #include <cstddef>
 #include <iomanip>
@@ -43,6 +45,10 @@ int main(int argc, char** argv) {
   util::Rng gen_rng(options.seed);
   const core::Problem problem = workload::generate(gen, gen_rng);
 
+  util::Rng trace_rng(options.seed + 1);
+  const std::vector<workload::Request> trace =
+      workload::build_trace(problem, trace_rng);
+
   serve::ServeConfig config;
   config.seed = options.seed;
   config.algo = "sra";
@@ -56,7 +62,8 @@ int main(int argc, char** argv) {
       config.workers = workers;
       config.duration_seconds = duration;
       config.retune_interval_seconds = retune ? duration / 5.0 : 0.0;
-      const serve::ServeReport report = serve::serve_timed(problem, config);
+      const serve::ServeReport report =
+          serve::serve_timed(problem, trace, config);
       timed.row(3)
           .cell(workers)
           .cell(retune ? "on" : "off")
@@ -74,11 +81,6 @@ int main(int argc, char** argv) {
               timed, options);
 
   // --- Table 2: trace-mode determinism across worker counts --------------
-  util::Rng trace_rng(options.seed + 1);
-  const std::vector<workload::Request> trace =
-      workload::build_trace(problem, trace_rng);
-  config.duration_seconds = 1.0;
-  config.retune_interval_seconds = 0.0;
   config.retune_every = trace.size() / 4;
 
   util::Table determinism({"workers", "outcome hash", "served cost",

@@ -675,11 +675,11 @@ int cmd_adapt(const Args& args) {
   return 0;
 }
 
-/// The serving front-end: `serve --mode=timed` measures throughput and tail
-/// latency against wall clock with a concurrent retune thread; `serve
-/// --mode=trace` replays the problem's shuffled trace with retunes pinned to
-/// trace positions and prints the outcome hash that must be bit-identical
-/// across --workers values.
+/// The serving front-end over the problem's shuffled trace: `serve
+/// --mode=timed` replays it against wall clock with a concurrent retune
+/// thread and measures throughput and tail latency; `serve --mode=trace`
+/// replays it once with retunes pinned to trace positions and prints the
+/// outcome hash that must be bit-identical across --workers values.
 int cmd_serve(const Args& args) {
   const core::Problem problem = io::load_problem(args.require("in"));
   const std::string algo_name = args.get("algo", "sra");
@@ -696,7 +696,6 @@ int cmd_serve(const Args& args) {
   config.duration_seconds = args.number("duration", 1.0);
   config.retune_interval_seconds = args.number("retune-interval", 0.0);
   config.retune_every = args.integer<std::size_t>("retune-every", 0);
-  config.load.write_fraction = args.number("write-fraction", 0.05);
   try {
     config.validate();
   } catch (const std::invalid_argument& error) {
@@ -708,8 +707,7 @@ int cmd_serve(const Args& args) {
     if (args.has("retune-every"))
       throw UsageError("--retune-every requires --mode=trace");
   } else if (mode == "trace") {
-    for (const char* timed_only :
-         {"duration", "retune-interval", "write-fraction"}) {
+    for (const char* timed_only : {"duration", "retune-interval"}) {
       if (args.has(timed_only))
         throw UsageError("--" + std::string(timed_only) +
                          " requires --mode=timed");
@@ -718,16 +716,14 @@ int cmd_serve(const Args& args) {
     throw UsageError("--mode expects timed|trace, got '" + mode + "'");
   }
 
+  util::Rng rng(config.seed);
+  const std::vector<workload::Request> trace =
+      workload::build_trace(problem, rng);
   serve::ServeReport report;
-  if (mode == "trace") {
-    util::Rng rng(config.seed);
-    const std::vector<workload::Request> trace =
-        workload::build_trace(problem, rng);
+  {
     DREP_SPAN("cli/serve");
-    report = serve::serve_trace(problem, trace, config);
-  } else {
-    DREP_SPAN("cli/serve");
-    report = serve::serve_timed(problem, config);
+    report = mode == "trace" ? serve::serve_trace(problem, trace, config)
+                             : serve::serve_timed(problem, trace, config);
   }
 
   std::ostringstream hash_hex;
@@ -794,7 +790,7 @@ void usage(std::ostream& out) {
          "           [--trace-seed=N] [--window=N] [--latency=F]\n"
          "  serve    -i FILE [--mode=timed|trace] [--workers=W] [--algo=NAME] [--seed=N]\n"
          "           [--batch=N] [--audit] [--duration=S] [--retune-interval=S]\n"
-         "           [--write-fraction=F] [--retune-every=N]\n"
+         "           [--retune-every=N]\n"
          "  help\n"
          "--threads=N sizes the shared worker pool (0 = all cores, 1 = serial);\n"
          "--islands=N runs GRA as N parallel islands with ring migration. Results\n"
@@ -842,14 +838,16 @@ void usage(std::ostream& out) {
          "trace. --window=N sets the predictor window, --trust=F in [0,1] how far\n"
          "hot/warm/cold predictions bend the break-even thresholds, and\n"
          "--predictions picks their source (ewma|oracle|adversarial).\n"
-         "serve routes simulated requests against RCU-published scheme snapshots\n"
-         "(DESIGN.md Section 14). --mode=timed (default) drives seeded per-worker\n"
-         "request rings for --duration=S seconds while a retune thread re-solves on\n"
-         "the observed counts every --retune-interval=S and publishes without ever\n"
-         "blocking a reader; reports requests/sec and p50/p99/p999 latency.\n"
-         "--mode=trace replays the problem's shuffled trace with a retune pinned\n"
-         "after every --retune-every requests; the printed outcome_hash is\n"
-         "bit-identical for every --workers value (CI pins workers=1/2/4).\n"
+         "serve routes the problem's shuffled request trace (seeded by --seed)\n"
+         "against RCU-published scheme snapshots (DESIGN.md Section 14).\n"
+         "--mode=timed (default) has each worker cycle over its slice of the trace\n"
+         "for --duration=S seconds while a retune thread re-solves the problem\n"
+         "every --retune-interval=S and publishes without ever blocking a reader;\n"
+         "reports requests/sec and p50/p99/p999 per-request latency.\n"
+         "--mode=trace replays the trace once with a retune on the counts served\n"
+         "so far pinned after every --retune-every requests; the printed\n"
+         "outcome_hash is bit-identical for every --workers value (CI pins\n"
+         "workers=1/2/4).\n"
          "--audit cross-checks every snapshot against its source scheme before\n"
          "publication.\n";
 }
@@ -873,9 +871,9 @@ const std::set<std::string> kAdaptFlags = {
     "seed", "threads", "report", "prom", "faults",
     "decentralized", "drift", "trace-seed", "window", "latency"};
 const std::set<std::string> kServeFlags = {
-    "in",    "mode",  "workers", "algo",           "seed",
-    "batch", "audit", "duration", "retune-interval", "write-fraction",
-    "retune-every", "report", "prom"};
+    "in",    "mode",  "workers",  "algo",           "seed",
+    "batch", "audit", "duration", "retune-interval", "retune-every",
+    "report", "prom"};
 
 }  // namespace
 

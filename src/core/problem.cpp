@@ -135,6 +135,13 @@ void Problem::add_writes(SiteId i, ObjectId k, double delta) {
   writes_[z] = count;
 }
 
+void Problem::clear_demand() {
+  std::fill(reads_.begin(), reads_.end(), 0.0);
+  std::fill(writes_.begin(), writes_.end(), 0.0);
+  std::fill(total_reads_.begin(), total_reads_.end(), 0.0);
+  std::fill(total_writes_.begin(), total_writes_.end(), 0.0);
+}
+
 double Problem::total_requests() const {
   double total = 0.0;
   for (ObjectId k = 0; k < objects(); ++k)

@@ -151,6 +151,9 @@ class Problem {
   void set_writes(SiteId i, ObjectId k, double count);
   void add_reads(SiteId i, ObjectId k, double delta);
   void add_writes(SiteId i, ObjectId k, double delta);
+  /// Zeroes every stored cell and both per-object totals; the row shapes
+  /// stay as they are.
+  void clear_demand();
 
   /// Sum over all objects of reads+writes; used for sanity reporting.
   [[nodiscard]] double total_requests() const;

@@ -1,5 +1,6 @@
 #include "online/controller.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace drep::online {
@@ -15,16 +16,19 @@ double blend(double trust, double target) {
 }  // namespace
 
 void ControllerConfig::validate() const {
-  if (break_even <= 0.0)
-    throw std::invalid_argument("ControllerConfig: break_even must be > 0");
-  if (evict_factor <= 0.0)
-    throw std::invalid_argument("ControllerConfig: evict_factor must be > 0");
+  if (!std::isfinite(break_even) || break_even <= 0.0)
+    throw std::invalid_argument(
+        "ControllerConfig: break_even must be finite and > 0");
+  if (!std::isfinite(evict_factor) || evict_factor <= 0.0)
+    throw std::invalid_argument(
+        "ControllerConfig: evict_factor must be finite and > 0");
   if (!(0.0 <= trust && trust <= 1.0))
     throw std::invalid_argument("ControllerConfig: trust must be in [0, 1]");
   if (!(0.0 <= hot_boost && hot_boost <= 1.0))
     throw std::invalid_argument("ControllerConfig: hot_boost must be in [0, 1]");
-  if (cold_damp < 1.0)
-    throw std::invalid_argument("ControllerConfig: cold_damp must be >= 1");
+  if (!std::isfinite(cold_damp) || cold_damp < 1.0)
+    throw std::invalid_argument(
+        "ControllerConfig: cold_damp must be finite and >= 1");
 }
 
 BreakEvenController::BreakEvenController(const ControllerConfig& config,

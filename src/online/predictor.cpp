@@ -1,5 +1,6 @@
 #include "online/predictor.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace drep::online {
@@ -9,8 +10,9 @@ void PredictorConfig::validate() const {
     throw std::invalid_argument("PredictorConfig: window must be > 0");
   if (!(alpha > 0.0) || alpha > 1.0)
     throw std::invalid_argument("PredictorConfig: alpha must be in (0, 1]");
-  if (hot_factor < 1.0)
-    throw std::invalid_argument("PredictorConfig: hot_factor must be >= 1");
+  if (!std::isfinite(hot_factor) || hot_factor < 1.0)
+    throw std::invalid_argument(
+        "PredictorConfig: hot_factor must be finite and >= 1");
   if (!(0.0 <= cold_factor && cold_factor <= 1.0))
     throw std::invalid_argument(
         "PredictorConfig: cold_factor must be in [0, 1]");

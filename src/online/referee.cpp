@@ -49,21 +49,10 @@ RefereeReport hindsight_cost(const core::Problem& problem,
   const std::size_t windows =
       trace.empty() ? 0 : (trace.size() + window - 1) / window;
   for (std::size_t w = 0; w < windows; ++w) {
-    for (SiteId i = 0; i < sites; ++i) {
-      for (ObjectId k = 0; k < objects; ++k) {
-        local.set_reads(i, k, 0.0);
-        local.set_writes(i, k, 0.0);
-      }
-    }
     const std::size_t begin = w * window;
     const std::size_t end = std::min(trace.size(), begin + window);
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      const workload::Request& request = trace[idx];
-      if (request.is_write)
-        local.add_writes(request.site, request.object, 1.0);
-      else
-        local.add_reads(request.site, request.object, 1.0);
-    }
+    local.clear_demand();
+    workload::count_requests(trace.subspan(begin, end - begin), local);
     evaluator.refresh();
     for (ObjectId k = 0; k < objects; ++k)
       v[k] = evaluator.object_cost_with_replicas(k, current.replicas(k));

@@ -9,8 +9,9 @@
 namespace drep::workload {
 
 void PatternChangeConfig::validate() const {
-  if (change_percent < 0.0)
-    throw std::invalid_argument("PatternChangeConfig: negative change_percent");
+  if (!std::isfinite(change_percent) || change_percent < 0.0)
+    throw std::invalid_argument(
+        "PatternChangeConfig: change_percent must be finite and >= 0");
   if (!(0.0 <= objects_percent && objects_percent <= 100.0))
     throw std::invalid_argument(
         "PatternChangeConfig: objects_percent outside [0,100]");

@@ -70,4 +70,13 @@ std::size_t trace_size(const core::Problem& problem) {
   return static_cast<std::size_t>(total);
 }
 
+void count_requests(std::span<const Request> trace, core::Problem& problem) {
+  for (const Request& request : trace) {
+    if (request.is_write)
+      problem.add_writes(request.site, request.object, 1.0);
+    else
+      problem.add_reads(request.site, request.object, 1.0);
+  }
+}
+
 }  // namespace drep::workload

@@ -6,6 +6,7 @@
 // replayed traffic of any scheme must equal the analytic cost model's D —
 // the core validation property of this reproduction.
 
+#include <span>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -27,5 +28,12 @@ struct Request {
 
 /// Total number of requests a trace of `problem` would contain.
 [[nodiscard]] std::size_t trace_size(const core::Problem& problem);
+
+/// Adds one read or one write per request to `problem`'s counts through
+/// its checked add path, in trace order: into a problem after
+/// clear_demand(), build_trace's output counts back to the matrices it was
+/// built from. Throws like Problem::add_reads on an out-of-range id or a
+/// cell absent from a partial row.
+void count_requests(std::span<const Request> trace, core::Problem& problem);
 
 }  // namespace drep::workload

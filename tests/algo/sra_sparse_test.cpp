@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "audit/invariants.hpp"
 #include "core/cost_model.hpp"
 #include "testing/row_shapes.hpp"
@@ -21,6 +23,15 @@ struct Case {
   std::uint64_t seed;
   SraConfig::SiteOrder order;
 };
+
+/// Prints a case as "seed61_round_robin". gtest prints a struct without a
+/// PrintTo as its raw bytes, padding included, and ctest names each case
+/// after that print, so the ids would change from build to build.
+void PrintTo(const Case& c, std::ostream* out) {
+  *out << "seed" << c.seed
+       << (c.order == SraConfig::SiteOrder::kRoundRobin ? "_round_robin"
+                                                        : "_random");
+}
 
 class SparseSraDifferential : public ::testing::TestWithParam<Case> {};
 

@@ -80,6 +80,26 @@ TEST(Problem, SettersRejectBadCounts) {
   EXPECT_THROW(p.set_reads(0, 1, 1.0), std::out_of_range);
 }
 
+TEST(Problem, ClearDemandZeroesCellsAndTotalsOnBothRowShapes) {
+  // Object 0's row is full, object 1's lists sites 0 and 2 only.
+  Problem p = testing::partial_row_problem(
+      unit_costs(3), {1.0, 2.0}, {0, 1}, {10.0, 10.0, 10.0},
+      {{{0, 1.5, 2.0}, {1, 3.0, 0.0}, {2, 0.25, 4.0}},
+       {{0, 7.0, 1.0}, {2, 0.0, 9.5}}});
+  p.clear_demand();
+  EXPECT_EQ(p.demand_cells(), 5u);  // the row shapes stay
+  for (const double count : p.demand_reads()) EXPECT_EQ(count, 0.0);
+  for (const double count : p.demand_writes()) EXPECT_EQ(count, 0.0);
+  for (ObjectId k = 0; k < 2; ++k) {
+    EXPECT_EQ(p.total_reads(k), 0.0);
+    EXPECT_EQ(p.total_writes(k), 0.0);
+  }
+  EXPECT_EQ(p.total_requests(), 0.0);
+  p.add_reads(2, 1, 1.0);  // a stored cell still takes counts
+  EXPECT_EQ(p.total_reads(1), 1.0);
+  EXPECT_THROW(p.add_reads(1, 1, 1.0), std::invalid_argument);  // absent
+}
+
 TEST(Problem, ValidateChecksPinnedPrimaries) {
   // Two objects of size 6 pinned at site 0 with capacity 10: infeasible.
   Problem p(unit_costs(2), {6.0, 6.0}, {0, 0}, {10.0, 10.0});

@@ -30,6 +30,18 @@ TEST(ControllerConfig, ValidateRejectsOutOfRangeFields) {
   config = {};
   config.hot_boost = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    config = {};
+    config.break_even = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+    config = {};
+    config.evict_factor = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+    config = {};
+    config.cold_damp = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(BreakEvenController, ReplicatesWhenThePenaltyReachesBreakEven) {

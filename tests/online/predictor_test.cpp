@@ -32,6 +32,12 @@ TEST(PredictorConfig, ValidateRejectsOutOfRangeFields) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.cold_factor = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    config = {};
+    config.hot_factor = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(ClassifyRates, ThresholdsAgainstTheMean) {

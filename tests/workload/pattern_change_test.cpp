@@ -42,6 +42,12 @@ TEST(PatternChangeConfig, Validation) {
   config = PatternChangeConfig{};
   config.read_share_percent = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    config = PatternChangeConfig{};
+    config.change_percent = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(PatternChange, ChangesTheRequestedObjectCount) {
