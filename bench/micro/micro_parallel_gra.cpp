@@ -61,7 +61,6 @@ void BM_GraSerial(benchmark::State& state) {
                    static_cast<std::size_t>(state.range(1)));
   algo::GraConfig config = base_config();
   config.common.threads = 1;
-  config.parallel_evaluation = false;
   run_gra(state, problem, config);
   state.SetLabel("islands=1 threads=1 serial eval");
 }
@@ -76,7 +75,7 @@ void BM_GraParallelEval(benchmark::State& state) {
       make_problem(static_cast<std::size_t>(state.range(0)),
                    static_cast<std::size_t>(state.range(1)));
   algo::GraConfig config = base_config();
-  config.parallel_evaluation = true;
+  config.common.threads = 0;
   run_gra(state, problem, config);
   state.SetLabel("islands=1 parallel eval");
 }

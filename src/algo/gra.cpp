@@ -95,7 +95,7 @@ std::vector<GraConfig> island_plan_configs(const GraConfig& config) {
   for (std::size_t i = 0; i < k; ++i) {
     configs[i].islands = 1;
     configs[i].population = base + (i < extra ? 1 : 0);
-    configs[i].parallel_evaluation = false;
+    configs[i].common.threads = 1;
     configs[i].common.time_limit_seconds = 0.0;
   }
   return configs;

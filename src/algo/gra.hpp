@@ -47,7 +47,13 @@ namespace drep::algo {
 struct GraConfig {
   /// Uniform solver knobs (seed/threads/audit/time limit); see
   /// algo/common.hpp. `common.seed` is only consulted by the Solver
-  /// registry path.
+  /// registry path. A single population is evaluated on the shared thread
+  /// pool unless `common.threads == 1`. Fitness is computed per individual
+  /// with no cross-individual floating-point accumulation and no per-block
+  /// state that can affect results, so for a fixed seed serial and pooled
+  /// evaluation, at any pool size, produce identical populations and an
+  /// identical best_fitness_history (regression-tested in
+  /// tests/algo/gra_test.cpp).
   CommonOptions common{};
 
   std::size_t population = 50;   // Np, totalled across all islands
@@ -86,17 +92,8 @@ struct GraConfig {
   /// then evolve fully independently until the final merge).
   std::size_t migration_count = 2;
 
-  /// Evaluate populations on the shared thread pool. Fitness is computed
-  /// per individual with no cross-individual floating-point accumulation
-  /// and no per-block state that can affect results, so for a fixed seed
-  /// the run is deterministic regardless of this flag or the pool size:
-  /// parallel and serial evaluation produce identical populations and
-  /// identical best_fitness_history (regression-tested in
-  /// tests/algo/gra_test.cpp).
-  bool parallel_evaluation = true;
-
   /// Checks field ranges only; no field choice affects determinism (see
-  /// parallel_evaluation above).
+  /// `common` above).
   void validate() const;
 };
 

@@ -53,7 +53,7 @@ inline constexpr std::uint64_t kIslandStreamBase = 0x15;
 
 /// Per-island configs derived from an islands=K config: the population
 /// share (near-equal split, earlier islands take the remainder), islands=1,
-/// internally serial evaluation (the island is the unit of parallelism),
+/// threads=1 (serial evaluation: the island is the unit of parallelism),
 /// and no per-island time limit — drivers enforce the budget at epoch
 /// barriers so the island histories stay aligned.
 [[nodiscard]] std::vector<GraConfig> island_plan_configs(
@@ -80,7 +80,7 @@ class GraEngine {
         rng_(rng),
         primary_(primary_chromosome(problem)) {
     const std::size_t workers =
-        config.parallel_evaluation ? util::ThreadPool::shared().size() : 1;
+        config.common.threads == 1 ? 1 : util::ThreadPool::shared().size();
     evaluators_.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w)
       evaluators_.emplace_back(problem);
@@ -299,7 +299,7 @@ class GraEngine {
         e.v = primary_v_;
       }
     };
-    if (config_.parallel_evaluation && population.size() > 1) {
+    if (config_.common.threads != 1 && population.size() > 1) {
       util::ThreadPool::shared().parallel_for_blocked(0, population.size(),
                                                       body);
     } else {

@@ -41,28 +41,21 @@ void expect_eq(Violations& violations, const char* invariant,
 
 Violations check_snapshot_coherence(const SchemeSnapshot& snapshot) {
   Violations violations;
-  const std::size_t cells = snapshot.demand_cells();
-  // Shape: every routing array covers exactly the demand cells. The
-  // accessors are bounds-checked, so probing the last entry verifies length.
-  if (snapshot.objects() > 0) {
+  // Shape: every array covers its cells. The lookups are bounds-checked,
+  // so reading the last entry of each verifies its length.
+  if (snapshot.sites() > 0 && snapshot.objects() > 0) {
+    const auto last_site = static_cast<core::SiteId>(snapshot.sites() - 1);
     const auto last_object =
         static_cast<core::ObjectId>(snapshot.objects() - 1);
     try {
-      if (cells > 0) {
-        (void)snapshot.nearest_cost_at(cells - 1);
-        (void)snapshot.primary_cost_at(cells - 1);
-        (void)snapshot.demand_site(cells - 1);
-      }
-      expect_eq(violations, "snapshot.shape", "demand_end(last object)",
-                cells, snapshot.demand_end(last_object));
-      if (snapshot.full_rows())
-        expect_eq(violations, "snapshot.shape", "full-row cell count",
-                  snapshot.sites() * snapshot.objects(), cells);
+      (void)snapshot.nearest(last_site, last_object);
+      (void)snapshot.nearest_cost(last_site, last_object);
+      (void)snapshot.cost(last_site, last_site);
       (void)snapshot.primary(last_object);
       (void)snapshot.write_surcharge(last_object);
     } catch (const std::out_of_range&) {
       add(violations, "snapshot.shape",
-          "routing arrays shorter than the demand cell count");
+          "routing arrays shorter than the snapshot's shape");
     }
   }
   const std::uint64_t recomputed = snapshot.compute_checksum();
@@ -80,18 +73,25 @@ Violations check_snapshot_coherence(const SchemeSnapshot& snapshot,
                                     const core::ReplicationScheme& scheme) {
   Violations violations = check_snapshot_coherence(snapshot);
   const core::Problem& problem = scheme.problem();
-  expect_eq(violations, "snapshot.shape", "sites", problem.sites(),
-            snapshot.sites());
+  const std::size_t sites = problem.sites();
+  expect_eq(violations, "snapshot.shape", "sites", sites, snapshot.sites());
   expect_eq(violations, "snapshot.shape", "objects", problem.objects(),
             snapshot.objects());
   expect_eq(violations, "snapshot.shape", "demand cells",
-            problem.demand_cells(), snapshot.demand_cells());
-  if (snapshot.sites() != problem.sites() ||
-      snapshot.objects() != problem.objects() ||
-      snapshot.demand_cells() != problem.demand_cells())
+            snapshot.sites() * snapshot.objects(), problem.demand_cells());
+  if (snapshot.sites() != sites || snapshot.objects() != problem.objects() ||
+      problem.demand_cells() != sites * problem.objects())
     return violations;
   expect_eq(violations, "snapshot.replicas", "total_replicas",
             scheme.total_replicas(), snapshot.total_replicas());
+  for (core::SiteId i = 0; i < sites; ++i)
+    for (core::SiteId j = 0; j < sites; ++j)
+      expect_eq(violations, "snapshot.cost",
+                [&] {
+                  return "C(" + std::to_string(i) + ", " + std::to_string(j) +
+                         ")";
+                },
+                problem.cost(i, j), snapshot.cost(i, j));
   for (core::ObjectId k = 0; k < problem.objects(); ++k) {
     const core::SiteId sp = problem.primary(k);
     expect_eq(violations, "snapshot.primary",
@@ -103,25 +103,15 @@ Violations check_snapshot_coherence(const SchemeSnapshot& snapshot,
     expect_eq(violations, "snapshot.write_surcharge",
               [k] { return "W of object " + std::to_string(k); }, surcharge,
               snapshot.write_surcharge(k));
-    expect_eq(violations, "snapshot.shape",
-              [k] { return "demand_begin of object " + std::to_string(k); },
-              problem.demand_begin(k), snapshot.demand_begin(k));
-    const auto sites = problem.demand_sites(k);
-    for (std::size_t j = 0; j < sites.size(); ++j) {
-      const std::size_t z = problem.demand_begin(k) + j;
-      const core::SiteId i = sites[j];
-      expect_eq(violations, "snapshot.shape",
-                [&] { return "site of " + at_cell(i, k); }, i,
-                snapshot.demand_site(z));
+    // On full rows the scheme's cache holds cell (i, k) at k·M + i.
+    for (core::SiteId i = 0; i < sites; ++i) {
+      const std::size_t z = static_cast<std::size_t>(k) * sites + i;
       expect_eq(violations, "snapshot.nearest",
                 [&] { return "nearest " + at_cell(i, k); },
-                scheme.nearest_site_at(z), snapshot.nearest_at(z));
+                scheme.nearest_site_at(z), snapshot.nearest(i, k));
       expect_eq(violations, "snapshot.nearest",
                 [&] { return "nearest cost " + at_cell(i, k); },
-                scheme.nearest_cost_at(z), snapshot.nearest_cost_at(z));
-      expect_eq(violations, "snapshot.primary_cost",
-                [&] { return "primary cost " + at_cell(i, k); },
-                problem.cost(i, sp), snapshot.primary_cost_at(z));
+                scheme.nearest_cost_at(z), snapshot.nearest_cost(i, k));
     }
   }
   return violations;

@@ -28,15 +28,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kSeedMix = 0x9e3779b97f4a7c15ULL;
 
-/// SchemeSnapshot::serve indexes cell k·M + i, which only a full-row
-/// instance's table has.
-void require_full_rows(const core::Problem& problem) {
-  if (problem.demand_cells() != problem.sites() * problem.objects())
-    throw std::invalid_argument(
-        "serve: the problem has partial demand rows; serving needs every "
-        "(site, object) cell");
-}
-
 /// Solve → freeze → (optionally) audit: the retune pipeline's construction
 /// side, always off the reader hot path. threads = 1 keeps the solver
 /// strictly serial — the serving workers own the cores, and a deterministic
@@ -183,7 +174,6 @@ ServeReport serve_trace(const core::Problem& problem,
                         std::span<const workload::Request> trace,
                         const ServeConfig& config) {
   config.validate();
-  require_full_rows(problem);
   const std::size_t total = trace.size();
   const std::size_t per_generation =
       config.retune_every == 0 ? std::max<std::size_t>(total, 1)
@@ -247,7 +237,6 @@ ServeReport serve_timed(const core::Problem& problem,
                         std::span<const workload::Request> trace,
                         const ServeConfig& config) {
   config.validate();
-  require_full_rows(problem);
   const std::size_t workers = config.workers;
 
   RcuDomain domain(solve_and_freeze(problem, config, 0));

@@ -26,8 +26,9 @@
 //     Outcomes here depend on publish timing by design; determinism is the
 //     trace mode's contract.
 //
-// Both modes serve full-row instances only (std::invalid_argument on a
-// partial row): SchemeSnapshot::serve indexes cell k·M + i.
+// Both modes serve full-row instances only: each freezes its first
+// snapshot before it serves anything, and SchemeSnapshot::freeze throws
+// std::invalid_argument on a partial row.
 
 #include <cstddef>
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "obs/span.hpp"
 
@@ -65,14 +64,11 @@ std::uint64_t SchemeSnapshot::compute_checksum() const noexcept {
   const std::uint64_t words[] = {generation_,
                                  sites_,
                                  objects_,
-                                 full_rows_ ? 1u : 0u,
                                  digest_of(nearest_site_),
                                  digest_of(nearest_cost_),
-                                 digest_of(primary_cost_),
+                                 digest_of(costs_),
                                  digest_of(primary_),
-                                 digest_of(write_surcharge_),
-                                 digest_of(demand_offsets_),
-                                 digest_of(demand_sites_)};
+                                 digest_of(write_surcharge_)};
   return word_hash(words, sizeof(words));
 }
 
@@ -80,80 +76,60 @@ SchemeSnapshot SchemeSnapshot::freeze(const core::ReplicationScheme& scheme,
                                       std::uint64_t generation) {
   DREP_SPAN("serve/freeze");
   const core::Problem& problem = scheme.problem();
+  const std::size_t sites = problem.sites();
   const std::size_t objects = problem.objects();
-  const std::size_t cells = problem.demand_cells();
+  if (problem.demand_cells() != sites * objects)
+    throw std::invalid_argument(
+        "SchemeSnapshot::freeze: the problem has partial demand rows; a "
+        "snapshot needs every (site, object) cell");
 
   SchemeSnapshot snapshot;
   snapshot.generation_ = generation;
-  snapshot.sites_ = problem.sites();
+  snapshot.sites_ = sites;
   snapshot.objects_ = objects;
   snapshot.total_replicas_ = scheme.total_replicas();
-  snapshot.full_rows_ = cells == problem.sites() * objects;
 
   // Every array is filled by appends, never by resize() and overwrite,
-  // which would write the table twice. The nearest entries are the
-  // scheme's demand-cell cache, in the same CSR order.
+  // which would write the table twice. On full rows the scheme's nearest
+  // caches are already in cell order k·M + i.
   const auto nearest_sites = scheme.nearest_sites();
   snapshot.nearest_site_.assign(nearest_sites.begin(), nearest_sites.end());
   snapshot.nearest_cost_.assign(scheme.nearest_cost_data(),
-                                scheme.nearest_cost_data() + cells);
+                                scheme.nearest_cost_data() + sites * objects);
+  snapshot.costs_.reserve(sites * sites);
+  for (core::SiteId i = 0; i < sites; ++i) {
+    const auto row = problem.costs().row(i);
+    snapshot.costs_.insert(snapshot.costs_.end(), row.begin(), row.end());
+  }
 
-  snapshot.primary_cost_.reserve(cells);
-  if (!snapshot.full_rows_) snapshot.demand_sites_.reserve(cells);
   snapshot.primary_.reserve(objects);
   snapshot.write_surcharge_.reserve(objects);
-  snapshot.demand_offsets_.reserve(objects + 1);
   for (core::ObjectId k = 0; k < objects; ++k) {
     const core::SiteId sp = problem.primary(k);
     snapshot.primary_.push_back(sp);
-    const auto sp_row = problem.costs().row(sp);  // symmetric C
+    const auto sp_row = problem.costs().row(sp);
     // Ascending replica order: the same deterministic accumulation order no
     // matter what add/remove history produced the scheme.
     double surcharge = 0.0;
     for (const core::SiteId r : scheme.replicas(k)) surcharge += sp_row[r];
     snapshot.write_surcharge_.push_back(surcharge);
-    snapshot.demand_offsets_.push_back(problem.demand_begin(k));
-
-    const auto sites = problem.demand_sites(k);
-    std::vector<double>& primary_cost = snapshot.primary_cost_;
-    if (sites.size() == snapshot.sites_) {
-      // A full row: C(i, SP_k) for i = 0..M-1.
-      primary_cost.insert(primary_cost.end(), sp_row.begin(), sp_row.end());
-    } else {
-      for (const core::SiteId i : sites) primary_cost.push_back(sp_row[i]);
-    }
-    std::vector<core::SiteId>& demand_sites = snapshot.demand_sites_;
-    if (!snapshot.full_rows_)
-      demand_sites.insert(demand_sites.end(), sites.begin(), sites.end());
   }
-  snapshot.demand_offsets_.push_back(cells);
 
   snapshot.checksum_ = snapshot.compute_checksum();
   return snapshot;
 }
 
-core::SiteId SchemeSnapshot::demand_site(std::size_t z) const {
-  if (!full_rows_) return demand_sites_.at(z);
-  if (z >= demand_cells())
-    throw std::out_of_range("SchemeSnapshot: demand cell out of range");
-  return static_cast<core::SiteId>(z % sites_);
+double SchemeSnapshot::cost(core::SiteId i, core::SiteId j) const {
+  if (i >= sites_ || j >= sites_)
+    throw std::out_of_range("SchemeSnapshot: site index out of range");
+  return costs_.at(static_cast<std::size_t>(i) * sites_ + j);
 }
 
 std::size_t SchemeSnapshot::cell(core::SiteId site,
                                  core::ObjectId object) const {
   if (site >= sites_ || object >= objects_)
     throw std::out_of_range("SchemeSnapshot: site/object index out of range");
-  if (full_rows_) return static_cast<std::size_t>(object) * sites_ + site;
-  const std::size_t begin = demand_offsets_[object];
-  const std::size_t end = demand_offsets_[static_cast<std::size_t>(object) + 1];
-  const auto first = demand_sites_.begin() + static_cast<std::ptrdiff_t>(begin);
-  const auto last = demand_sites_.begin() + static_cast<std::ptrdiff_t>(end);
-  const auto it = std::lower_bound(first, last, site);
-  if (it == last || *it != site)
-    throw std::out_of_range("SchemeSnapshot: cell (" + std::to_string(site) +
-                            ", " + std::to_string(object) +
-                            ") was not frozen (absent from its demand row)");
-  return static_cast<std::size_t>(it - demand_sites_.begin());
+  return static_cast<std::size_t>(object) * sites_ + site;
 }
 
 void SchemeSnapshot::debug_corrupt(std::size_t cell) {

@@ -19,28 +19,24 @@
 //                       W_k = Σ_{r ∈ R_k} C(SP_k, r) is the frozen
 //                       propagation surcharge of object k's replica set.
 //
-// Layout: one routing entry per demand cell of the Problem, in its CSR
-// order (core/problem.hpp), with a copy of the row offsets. On a full-row
-// instance that is every (site, object) cell, the site of cell z is
-// z mod M, and serve(i, k) indexes cell k·M + i in O(1) (the serving hot
-// path); on a partial-row instance it is the cells any workload over that
-// instance can hit, with their sites copied too, addressed by demand-cell
-// index through serve_cell().
+// Layout: one routing table of the full-row shape, cell k·M + i for site i
+// and object k, holding SN_k(i) and C(i, SN_k(i)) copied verbatim from the
+// scheme's nearest caches, so a read is two independent loads. Beside it
+// sit one copy of the M×M cost matrix and, per object, SP_k and W_k: a
+// write at (i, k) costs C[SP_k·M + i] + W_k. freeze() refuses a scheme
+// whose problem has partial demand rows (std::invalid_argument); that is
+// the only full-row check serving needs.
 //
 // Every snapshot carries its generation (the publish version) and a
 // checksum over all frozen arrays, so audit::check_snapshot_coherence can
 // certify both internal integrity (no torn/corrupted table) and fidelity to
 // the scheme it was frozen from. The checksum is one word_hash digest per
 // array, folded with the header in a fixed field order. freeze() bulk-
-// copies each array (the nearest entries are the scheme's demand-cell
-// cache verbatim; a full row's primary costs are row SP_k of the symmetric
-// C) and then stamps compute_checksum(), so a freeze costs about two
-// passes over the table's memory.
+// copies each array and then stamps compute_checksum(), so a freeze costs
+// about two passes over the table's memory.
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/replication.hpp"
@@ -69,8 +65,9 @@ struct Outcome {
 class SchemeSnapshot {
  public:
   /// Freezes a scheme's routing table, stamped with `generation`. The
-  /// snapshot is self-contained (costs and row addressing are copied out of
-  /// the problem), so it outlives scheme and problem alike.
+  /// snapshot is self-contained (the costs are copied out of the problem),
+  /// so it outlives scheme and problem alike. Throws std::invalid_argument
+  /// when the problem has partial demand rows.
   [[nodiscard]] static SchemeSnapshot freeze(
       const core::ReplicationScheme& scheme, std::uint64_t generation);
 
@@ -90,67 +87,38 @@ class SchemeSnapshot {
 
   // --- routing by (site, object) ------------------------------------------
 
-  /// True when every row is full: the table covers every (site, object)
-  /// cell, at index k·M + i.
-  [[nodiscard]] bool full_rows() const noexcept { return full_rows_; }
-
   /// Serves one request. Pure function of (snapshot, request): the engine's
-  /// cross-worker determinism rests on exactly this. The hot path: requires
-  /// full_rows() and in-range ids (unchecked); a partial-row snapshot is
-  /// served by demand cell through serve_cell().
+  /// cross-worker determinism rests on exactly this. The hot path: ids are
+  /// not checked.
   [[nodiscard]] Outcome serve(core::SiteId site, core::ObjectId object,
                               bool is_write) const noexcept {
-    assert(full_rows_);
-    return serve_cell(static_cast<std::size_t>(object) * sites_ + site,
-                      object, is_write);
+    if (is_write) {
+      const core::SiteId sp = primary_[object];
+      return {sp, costs_[static_cast<std::size_t>(sp) * sites_ + site] +
+                      write_surcharge_[object]};
+    }
+    const std::size_t z = static_cast<std::size_t>(object) * sites_ + site;
+    return {nearest_site_[z], nearest_cost_[z]};
   }
-  /// Checked lookups by (site, object): O(1) on full rows, a binary search
-  /// of the row otherwise; std::out_of_range for a cell never frozen.
+  /// Checked lookups (std::out_of_range for an id out of range).
   [[nodiscard]] core::SiteId nearest(core::SiteId i, core::ObjectId k) const {
     return nearest_site_.at(cell(i, k));
   }
   [[nodiscard]] double nearest_cost(core::SiteId i, core::ObjectId k) const {
     return nearest_cost_.at(cell(i, k));
   }
+  /// C(i, j) as frozen.
+  [[nodiscard]] double cost(core::SiteId i, core::SiteId j) const;
+  /// C(SP_k, i): the forwarding term of a write at (i, k).
   [[nodiscard]] double primary_cost(core::SiteId i, core::ObjectId k) const {
-    return primary_cost_.at(cell(i, k));
+    return cost(primary(k), i);
   }
-
   [[nodiscard]] core::SiteId primary(core::ObjectId k) const {
     return primary_.at(k);
   }
   /// W_k: Σ_{r ∈ R_k} C(SP_k, r), frozen in ascending replica order.
   [[nodiscard]] double write_surcharge(core::ObjectId k) const {
     return write_surcharge_.at(k);
-  }
-
-  // --- routing by demand cell ----------------------------------------------
-
-  [[nodiscard]] std::size_t demand_cells() const noexcept {
-    return nearest_site_.size();
-  }
-  [[nodiscard]] std::size_t demand_begin(core::ObjectId k) const {
-    return demand_offsets_.at(k);
-  }
-  [[nodiscard]] std::size_t demand_end(core::ObjectId k) const {
-    return demand_offsets_.at(static_cast<std::size_t>(k) + 1);
-  }
-  [[nodiscard]] core::SiteId demand_site(std::size_t z) const;
-  /// Serves a request issued from demand cell z of object k (unchecked).
-  [[nodiscard]] Outcome serve_cell(std::size_t z, core::ObjectId object,
-                                   bool is_write) const noexcept {
-    if (is_write)
-      return {primary_[object], primary_cost_[z] + write_surcharge_[object]};
-    return {nearest_site_[z], nearest_cost_[z]};
-  }
-  [[nodiscard]] core::SiteId nearest_at(std::size_t z) const {
-    return nearest_site_.at(z);
-  }
-  [[nodiscard]] double nearest_cost_at(std::size_t z) const {
-    return nearest_cost_.at(z);
-  }
-  [[nodiscard]] double primary_cost_at(std::size_t z) const {
-    return primary_cost_.at(z);
   }
 
   /// Negative-testing / fuzz hook: flips one bit of the routing table
@@ -162,7 +130,7 @@ class SchemeSnapshot {
  private:
   SchemeSnapshot() = default;
 
-  /// Demand-cell index of (site, object) for the checked lookups.
+  /// Index k·M + i of a routing cell, for the checked lookups.
   [[nodiscard]] std::size_t cell(core::SiteId site,
                                  core::ObjectId object) const;
 
@@ -171,17 +139,12 @@ class SchemeSnapshot {
   std::size_t objects_ = 0;
   std::size_t total_replicas_ = 0;
   std::uint64_t checksum_ = 0;
-  bool full_rows_ = false;  // every row lists all sites: cell = k·M + i
 
-  // One entry per demand cell, in the problem's CSR order.
-  std::vector<core::SiteId> nearest_site_;
-  std::vector<double> nearest_cost_;
-  std::vector<double> primary_cost_;  // C(cell site, SP_k)
-  std::vector<core::SiteId> primary_;        // per object
-  std::vector<double> write_surcharge_;      // per object
-  // Copy of the problem's row addressing; the sites only for partial rows.
-  std::vector<std::size_t> demand_offsets_;  // N+1
-  std::vector<core::SiteId> demand_sites_;   // per demand cell, or empty
+  std::vector<core::SiteId> nearest_site_;  // M·N, cell k·M + i
+  std::vector<double> nearest_cost_;        // M·N
+  std::vector<double> costs_;               // M×M, row-major: C(i, j)
+  std::vector<core::SiteId> primary_;       // per object
+  std::vector<double> write_surcharge_;     // per object
 };
 
 }  // namespace drep::serve

@@ -8,6 +8,7 @@
 
 #include "algo/sra.hpp"
 #include "core/cost_model.hpp"
+#include "obs/metrics.hpp"
 #include "testing/builders.hpp"
 #include "util/thread_pool.hpp"
 
@@ -180,7 +181,7 @@ TEST(Gra, DeterministicGivenSeed) {
   const GraResult b = solve_gra(p, fast_config(), rng_b);
   EXPECT_EQ(a.best.scheme.matrix(), b.best.scheme.matrix());
   EXPECT_DOUBLE_EQ(a.best.cost, b.best.cost);
-  // The documented parallel_evaluation determinism guarantee: same seed and
+  // The documented pooled-evaluation determinism guarantee: same seed and
   // pool ⇒ bit-identical trajectory, not just the same final scheme.
   ASSERT_EQ(a.best_fitness_history.size(), b.best_fitness_history.size());
   EXPECT_EQ(a.best_fitness_history, b.best_fitness_history);
@@ -191,10 +192,10 @@ TEST(Gra, DeterministicGivenSeed) {
 TEST(Gra, ParallelAndSerialEvaluationAgree) {
   const core::Problem p = testing::small_random_problem(15);
   GraConfig config = fast_config();
-  config.parallel_evaluation = false;
+  config.common.threads = 1;
   util::Rng rng_serial(16);
   const GraResult serial = solve_gra(p, config, rng_serial);
-  config.parallel_evaluation = true;
+  config.common.threads = 0;
   const std::size_t pool_before = util::ThreadPool::shared().size();
   // One lane per worker; lanes claim individuals in whatever order they
   // wake, so each pool size runs a different split of the same work.
@@ -215,6 +216,35 @@ TEST(Gra, ParallelAndSerialEvaluationAgree) {
     EXPECT_EQ(parallel.evaluations, serial.evaluations);
   }
   util::ThreadPool::configure_shared(pool_before);
+}
+
+TEST(Gra, OneThreadSubmitsNoPoolTask) {
+  // common.threads = 1 is strictly serial: a single-population solve
+  // evaluates on the calling thread even when the shared pool has workers.
+#if defined(DREP_OBS_DISABLED)
+  GTEST_SKIP() << "pool tasks are counted by the obs metrics";
+#else
+  const auto pool_tasks = [] {
+    const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
+    const obs::MetricSample* sample = snapshot.find("drep_pool_tasks_total");
+    return sample != nullptr ? sample->value : 0.0;
+  };
+  const core::Problem p = testing::small_random_problem(15);
+  const std::size_t pool_before = util::ThreadPool::shared().size();
+  util::ThreadPool::configure_shared(4);
+  GraConfig config = fast_config();
+  config.common.threads = 1;
+  const double before = pool_tasks();
+  util::Rng serial_rng(16);
+  (void)solve_gra(p, config, serial_rng);
+  EXPECT_EQ(pool_tasks(), before);
+  // The counter does see a pooled solve.
+  config.common.threads = 0;
+  util::Rng pooled_rng(16);
+  (void)solve_gra(p, config, pooled_rng);
+  EXPECT_GT(pool_tasks(), before);
+  util::ThreadPool::configure_shared(pool_before);
+#endif
 }
 
 TEST(Gra, IncrementalEvaluationSavesWork) {

@@ -1,6 +1,6 @@
-// SchemeSnapshot freeze fidelity, the serving cost model, checksum
-// determinism, the word hash's bit-flip guarantees, and the
-// coherence validators' corruption detection.
+// SchemeSnapshot freeze fidelity, the serving cost model, the refusal of
+// partial rows, checksum determinism, the word hash's bit-flip guarantees,
+// and the coherence validators' corruption detection.
 
 #include "serve/snapshot.hpp"
 
@@ -36,6 +36,28 @@ core::Problem tiny_sparse_instance() {
   return instance;
 }
 
+/// Every link costs 1, so every read away from a replica ties among all
+/// replicas and the lex (cost, id) contract decides.
+core::Problem uniform_cost_problem(std::size_t sites, std::size_t objects) {
+  std::vector<core::SiteId> primaries(objects);
+  for (core::ObjectId k = 0; k < objects; ++k)
+    primaries[k] = static_cast<core::SiteId>(k % sites);
+  return core::Problem(net::CostMatrix(sites, 1.0),
+                       std::vector<double>(objects, 1.0), std::move(primaries),
+                       std::vector<double>(sites, static_cast<double>(objects)));
+}
+
+/// Adds up to 60 random non-primary replicas.
+void add_random_replicas(core::ReplicationScheme& scheme, std::uint64_t seed) {
+  const core::Problem& problem = scheme.problem();
+  util::Rng rng(seed);
+  for (int step = 0; step < 60; ++step) {
+    const auto i = static_cast<core::SiteId>(rng.index(problem.sites()));
+    const auto k = static_cast<core::ObjectId>(rng.index(problem.objects()));
+    if (problem.primary(k) != i && !scheme.has_replica(i, k)) scheme.add(i, k);
+  }
+}
+
 TEST(SchemeSnapshot, ServeMatchesHandComputedCosts) {
   // Line of 3 sites, one object with primary at site 0, replica at site 2.
   const core::Problem problem = testing::line3_problem();
@@ -43,7 +65,6 @@ TEST(SchemeSnapshot, ServeMatchesHandComputedCosts) {
   scheme.add(2, 0);
   const SchemeSnapshot snapshot = SchemeSnapshot::freeze(scheme, 7);
 
-  EXPECT_EQ(snapshot.demand_cells(), 3u);
   EXPECT_EQ(snapshot.generation(), 7u);
   EXPECT_EQ(snapshot.sites(), 3u);
   EXPECT_EQ(snapshot.objects(), 1u);
@@ -60,47 +81,58 @@ TEST(SchemeSnapshot, ServeMatchesHandComputedCosts) {
   // Write at site 1: served by SP_0 = 0 at C(1,0) = 1 plus the frozen
   // surcharge W_0 = C(0,0) + C(0,2) = 2.
   EXPECT_DOUBLE_EQ(snapshot.write_surcharge(0), 2.0);
+  EXPECT_DOUBLE_EQ(snapshot.primary_cost(1, 0), 1.0);
   const Outcome write = snapshot.serve(1, 0, true);
   EXPECT_EQ(write.served_by, 0u);
   EXPECT_DOUBLE_EQ(write.cost, 3.0);
 }
 
 TEST(SchemeSnapshot, DenseFreezeMatchesSchemeCellForCell) {
-  const core::Problem problem = testing::small_random_problem(11);
-  core::ReplicationScheme scheme(problem);
-  util::Rng rng(3);
-  for (int step = 0; step < 60; ++step) {
-    const auto i = static_cast<core::SiteId>(rng.index(problem.sites()));
-    const auto k = static_cast<core::ObjectId>(rng.index(problem.objects()));
-    if (problem.primary(k) != i && !scheme.has_replica(i, k)) scheme.add(i, k);
-  }
-  const SchemeSnapshot snapshot = SchemeSnapshot::freeze(scheme, 1);
-  for (core::SiteId i = 0; i < problem.sites(); ++i) {
+  const core::Problem problems[] = {testing::small_random_problem(11),
+                                    uniform_cost_problem(9, 14)};
+  for (const core::Problem& problem : problems) {
+    core::ReplicationScheme scheme(problem);
+    add_random_replicas(scheme, 3);
+    const SchemeSnapshot snapshot = SchemeSnapshot::freeze(scheme, 1);
     for (core::ObjectId k = 0; k < problem.objects(); ++k) {
-      EXPECT_EQ(snapshot.nearest(i, k), scheme.nearest(i, k));
-      EXPECT_EQ(snapshot.nearest_cost(i, k), scheme.nearest_cost(i, k));
-      EXPECT_EQ(snapshot.primary_cost(i, k),
-                problem.cost(i, problem.primary(k)));
+      const core::SiteId sp = problem.primary(k);
+      // Eq. 4's propagation term, in ascending replica order.
+      double surcharge = 0.0;
+      for (const core::SiteId r : scheme.replicas(k))
+        surcharge += problem.cost(sp, r);
+      for (core::SiteId i = 0; i < problem.sites(); ++i) {
+        EXPECT_EQ(snapshot.nearest(i, k), scheme.nearest(i, k));
+        EXPECT_EQ(snapshot.nearest_cost(i, k), scheme.nearest_cost(i, k));
+        EXPECT_EQ(snapshot.primary_cost(i, k), problem.cost(i, sp));
+        const Outcome read = snapshot.serve(i, k, false);
+        EXPECT_EQ(read.served_by, scheme.nearest(i, k));
+        EXPECT_EQ(read.cost, scheme.nearest_cost(i, k));
+        const Outcome write = snapshot.serve(i, k, true);
+        EXPECT_EQ(write.served_by, sp);
+        EXPECT_EQ(write.cost, problem.cost(i, sp) + surcharge);
+      }
     }
+    // And the cross-checking validator agrees with the loop above.
+    EXPECT_TRUE(audit::check_snapshot_coherence(snapshot, scheme).empty());
   }
-  // And the cross-checking validator agrees with the loop above.
-  EXPECT_TRUE(audit::check_snapshot_coherence(snapshot, scheme).empty());
+}
+
+TEST(SchemeSnapshot, FreezeRejectsPartialRows) {
+  // serve(i, k) indexes cell k·M + i, which a partial-row problem lacks.
+  const core::Problem instance = tiny_sparse_instance();
+  const core::ReplicationScheme scheme(instance);
+  EXPECT_THROW((void)SchemeSnapshot::freeze(scheme, 1), std::invalid_argument);
 }
 
 TEST(SchemeSnapshot, ChecksumIsDeterministicAndGenerationSensitive) {
-  struct Shape {
-    core::Problem problem;
-    bool full_rows;
-  };
-  const Shape shapes[] = {{testing::small_random_problem(4), true},
-                          {tiny_sparse_instance(), false}};
-  for (const Shape& shape : shapes) {
-    core::ReplicationScheme scheme(shape.problem);
+  const core::Problem problems[] = {testing::small_random_problem(4),
+                                    uniform_cost_problem(5, 3)};
+  for (const core::Problem& problem : problems) {
+    core::ReplicationScheme scheme(problem);
     scheme.add(1, 0);
     const SchemeSnapshot a = SchemeSnapshot::freeze(scheme, 5);
     const SchemeSnapshot b = SchemeSnapshot::freeze(scheme, 5);
     const SchemeSnapshot c = SchemeSnapshot::freeze(scheme, 6);
-    EXPECT_EQ(a.full_rows(), shape.full_rows);
     EXPECT_EQ(a.checksum(), a.compute_checksum());
     EXPECT_EQ(a.checksum(), b.checksum());
     EXPECT_NE(a.checksum(), c.checksum());
@@ -172,51 +204,6 @@ TEST(SchemeSnapshot, WordHashCatchesTheSameBitFlippedInTwoWords) {
       }
 }
 
-TEST(SchemeSnapshot, SparseFreezeAgreesWithDenseOnMaterializedInstance) {
-  const core::Problem instance = tiny_sparse_instance();
-  const core::Problem full_problem = instance.materialize();
-
-  core::ReplicationScheme partial(instance);
-  core::ReplicationScheme full(full_problem);
-  partial.add(2, 0);
-  full.add(2, 0);
-  partial.add(1, 1);
-  full.add(1, 1);
-
-  const SchemeSnapshot partial_snap = SchemeSnapshot::freeze(partial, 9);
-  const SchemeSnapshot full_snap = SchemeSnapshot::freeze(full, 9);
-  EXPECT_EQ(partial_snap.demand_cells(), instance.demand_cells());
-  EXPECT_EQ(full_snap.demand_cells(), full_problem.sites() * 2);
-  EXPECT_FALSE(partial_snap.full_rows());
-  EXPECT_TRUE(full_snap.full_rows());
-  EXPECT_EQ(partial_snap.total_replicas(), full_snap.total_replicas());
-
-  for (core::ObjectId k = 0; k < instance.objects(); ++k) {
-    EXPECT_EQ(partial_snap.primary(k), full_snap.primary(k));
-    EXPECT_EQ(partial_snap.write_surcharge(k), full_snap.write_surcharge(k));
-    for (std::size_t z = partial_snap.demand_begin(k);
-         z < partial_snap.demand_end(k); ++z) {
-      const core::SiteId site = partial_snap.demand_site(z);
-      for (const bool is_write : {false, true}) {
-        const Outcome via_cell = partial_snap.serve_cell(z, k, is_write);
-        const Outcome via_full = full_snap.serve(site, k, is_write);
-        EXPECT_EQ(via_cell.served_by, via_full.served_by);
-        EXPECT_EQ(via_cell.cost, via_full.cost);
-      }
-      // The checked (site, object) lookups find the same cell.
-      EXPECT_EQ(partial_snap.nearest(site, k), full_snap.nearest(site, k));
-      EXPECT_EQ(partial_snap.nearest_cost(site, k),
-                full_snap.nearest_cost(site, k));
-      EXPECT_EQ(partial_snap.primary_cost(site, k),
-                full_snap.primary_cost(site, k));
-    }
-  }
-  // A cell the partial rows omit was never frozen.
-  EXPECT_THROW((void)partial_snap.nearest(2, 0), std::out_of_range);
-  EXPECT_TRUE(audit::check_snapshot_coherence(partial_snap, partial).empty());
-  EXPECT_TRUE(audit::check_snapshot_coherence(full_snap, full).empty());
-}
-
 TEST(SnapshotCoherence, DebugCorruptTripsTheChecksum) {
   const core::Problem problem = testing::small_random_problem(8);
   core::ReplicationScheme scheme(problem);
@@ -263,6 +250,37 @@ TEST(SnapshotCoherence, CrossCheckCatchesSchemeDrift) {
     detail_pinned |= violation.invariant == "snapshot.nearest" &&
                      violation.detail == expected;
   EXPECT_TRUE(detail_pinned) << expected;
+}
+
+TEST(SnapshotCoherence, CrossCheckCatchesAChangedLinkCost) {
+  // Two problems of one shape that differ in C(2, 3) only. No primary or
+  // replica sits at site 2 or 3, so every routing entry agrees and the
+  // copied cost matrix alone tells them apart.
+  const auto line4 = [](double cost_2_3) {
+    net::CostMatrix costs(4);
+    for (net::SiteId i = 0; i < 4; ++i)
+      for (auto j = static_cast<net::SiteId>(i + 1); j < 4; ++j)
+        costs.set(i, j, static_cast<double>(j - i));
+    costs.set(2, 3, cost_2_3);
+    return core::Problem(std::move(costs), {1.0, 1.0}, {0, 1},
+                         {10.0, 10.0, 10.0, 10.0});
+  };
+  const core::Problem frozen_problem = line4(1.0);
+  const core::Problem changed_problem = line4(1.5);
+  const SchemeSnapshot snapshot =
+      SchemeSnapshot::freeze(core::ReplicationScheme(frozen_problem), 0);
+  const core::ReplicationScheme changed(changed_problem);
+  ASSERT_TRUE(audit::check_snapshot_coherence(
+                  snapshot, core::ReplicationScheme(frozen_problem))
+                  .empty());
+
+  const audit::Violations violations =
+      audit::check_snapshot_coherence(snapshot, changed);
+  ASSERT_EQ(violations.size(), 2u);
+  for (const audit::Violation& violation : violations)
+    EXPECT_EQ(violation.invariant, "snapshot.cost") << violation.detail;
+  EXPECT_EQ(violations[0].detail, "C(2, 3): expected 1.5, found 1");
+  EXPECT_EQ(violations[1].detail, "C(3, 2): expected 1.5, found 1");
 }
 
 }  // namespace

@@ -211,11 +211,10 @@ audit::Violations run_case(const FuzzCase& c) {
     note(out, "churn", audit::check_scheme(churn));
     note(out, "churn", audit::check_object_cost_cache(problem, genes, v));
 
-    // --- partial rows: streamed instance, SRA trajectory, churn, freeze --
+    // --- partial rows: streamed instance, SRA trajectory, churn ----------
     // One kernel, two row shapes: the partial rows of the streamed instance
-    // and its full-row copy must give the same SRA decisions/stats/cost,
-    // the same top-2/used state through an identical add/remove history,
-    // and the same routing answers once frozen.
+    // and its full-row copy must give the same SRA decisions/stats/cost and
+    // the same top-2/used state through an identical add/remove history.
     workload::StreamConfig stream_cfg;
     stream_cfg.sites = c.sites;
     stream_cfg.objects = c.objects;
@@ -271,31 +270,6 @@ audit::Violations run_case(const FuzzCase& c) {
     note(out, "sparse/churn", audit::check_scheme(sparse_churn));
     note(out, "sparse/churn",
          testing::compare_row_shapes(sparse_churn, dense_churn));
-
-    // Freeze both churned schemes: every demand cell of the partial-row
-    // snapshot must route exactly as the full-row snapshot does.
-    const serve::SchemeSnapshot sparse_snap =
-        serve::SchemeSnapshot::freeze(sparse_churn, 1);
-    const serve::SchemeSnapshot dense_snap =
-        serve::SchemeSnapshot::freeze(dense_churn, 1);
-    note(out, "sparse/freeze",
-         audit::check_snapshot_coherence(sparse_snap, sparse_churn));
-    for (core::ObjectId k = 0; k < c.objects; ++k) {
-      for (std::size_t z = sparse_snap.demand_begin(k);
-           z < sparse_snap.demand_end(k); ++z) {
-        const core::SiteId i = sparse_snap.demand_site(z);
-        for (const bool is_write : {false, true}) {
-          const serve::Outcome a = sparse_snap.serve_cell(z, k, is_write);
-          const serve::Outcome b = dense_snap.serve(i, k, is_write);
-          if (a.served_by != b.served_by || a.cost != b.cost) {
-            out.push_back({"sparse/freeze: routing.equivalence",
-                           "cell (" + std::to_string(i) + "," +
-                               std::to_string(k) +
-                               ") routes differently on partial rows"});
-          }
-        }
-      }
-    }
 
     // --- epochs (drift + adaptation, all three policies) ----------------
     sim::EpochConfig epoch_cfg;
