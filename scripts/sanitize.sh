@@ -24,9 +24,9 @@ for sanitizer in address undefined; do
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
 done
 
-# ThreadSanitizer: the suites that exercise real concurrency (thread pool +
-# WaitGroup, parallel GRA evaluation, the island-model GRA and batched AGRA
-# determinism suites, sharded metrics, span registry) plus the
+# ThreadSanitizer: the suites that exercise real concurrency (the thread
+# pool's fork-join loop, parallel GRA evaluation, the island-model GRA and
+# batched AGRA determinism suites, sharded metrics, span registry) plus the
 # fault-injection suite, whose retune rounds run GA solves on the shared
 # pool. The rest of the tests are single-threaded and already covered
 # above; running them under TSan's ~10x slowdown buys nothing.
@@ -35,6 +35,6 @@ configure_and_build thread "$dir"
 echo "== ctest under thread sanitizer (pool + parallel/island GRA + obs + faults) =="
 TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
   ctest --test-dir "$dir" --output-on-failure \
-    -R 'ThreadPool|WaitGroup|Gra\.|IslandGra|AgraBatch|EvolvePopulation|Metrics\.|SpanTest|Fault'
+    -R 'ThreadPool|Gra\.|IslandGra|AgraBatch|EvolvePopulation|Metrics\.|SpanTest|Fault'
 
 echo "sanitize: all jobs passed"

@@ -12,7 +12,6 @@
 #include "ga/selection.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace drep::algo {
@@ -314,7 +313,13 @@ AgraResult solve_agra(const core::Problem& problem,
   // The parent advances exactly once so back-to-back calls see fresh streams.
   if (!tasks.empty()) (void)rng.next();
 
-  const auto run_task = [&](MicroTask& task) {
+  // One micro-GA per task, through the solvers' one fork-join loop. The
+  // time budget is checked as each task starts; objects past the cut keep
+  // their current columns.
+  const double limit = config.common.time_limit_seconds;
+  for_each_task(config.common, tasks.size(), [&](std::size_t, std::size_t j) {
+    if (limit > 0.0 && total_watch.seconds() >= limit) return;
+    MicroTask& task = tasks[j];
     // CostEvaluator is not thread-safe; every task owns one.
     core::CostEvaluator task_evaluator(problem);
     std::vector<ga::Chromosome> seeds;
@@ -329,34 +334,7 @@ AgraResult solve_agra(const core::Problem& problem,
     for (std::size_t p = half; p < working.size(); ++p)
       task.picks.push_back(task.rng.index(task.micro.population.size()));
     task.ran = true;
-  };
-
-  // Dispatch: strictly serial with threads==1, otherwise waves of at most
-  // `threads` tasks on the shared pool (0 = one wave with everything). The
-  // time budget is checked between tasks/waves; objects past the cut keep
-  // their current columns.
-  const double limit = config.common.time_limit_seconds;
-  if (config.common.threads == 1 || tasks.size() <= 1) {
-    for (auto& task : tasks) {
-      if (limit > 0.0 && total_watch.seconds() >= limit) break;
-      run_task(task);
-    }
-  } else {
-    util::ThreadPool& pool = util::ThreadPool::shared();
-    const std::size_t wave = config.common.threads == 0
-                                 ? tasks.size()
-                                 : std::min(config.common.threads, tasks.size());
-    for (std::size_t lo = 0; lo < tasks.size(); lo += wave) {
-      if (limit > 0.0 && total_watch.seconds() >= limit) break;
-      DREP_COUNT("drep_agra_parallel_batches_total", 1);
-      const std::size_t hi = std::min(tasks.size(), lo + wave);
-      util::WaitGroup group(pool);
-      for (std::size_t j = lo + 1; j < hi; ++j)
-        group.submit([&run_task, &tasks, j] { run_task(tasks[j]); });
-      group.run_inline([&run_task, &tasks, lo] { run_task(tasks[lo]); });
-      group.wait();
-    }
-  }
+  });
 
   // Deterministic commit, in changed-object order: best mask into the first
   // half (slot 0 = elite included); the task's picked final-population
@@ -383,6 +361,7 @@ AgraResult solve_agra(const core::Problem& problem,
     DREP_SPAN("agra/mini_gra");
     util::Stopwatch mini_watch;
     GraConfig mini = config.mini_gra;
+    mini.common.threads = config.common.threads;
     mini.generations = config.mini_gra_generations;
     mini.population = working.size();
     GraResult polished = evolve_population(problem, std::move(working), mini, rng);

@@ -19,12 +19,13 @@
 // independent of one another — transcription of object j only writes column
 // j of the working chromosomes, so object k's seed extracts (column k) do
 // not depend on any other object's outcome. solve_agra therefore runs each
-// changed object as its own task on a snapshot of the working population,
-// with a per-object forked RNG stream and a per-task CostEvaluator, and
-// commits the transcriptions serially in changed-object order. Parallel and
-// serial execution are bit-identical by construction; capacity repair runs
-// after all commits, in population order, as the deterministic resolution
-// of the per-object capacity claims.
+// changed object as its own task through for_each_task (algo/common.hpp) on
+// a snapshot of the working population, with a per-object forked RNG
+// stream and a per-task CostEvaluator, and commits the transcriptions
+// serially in changed-object order. Parallel and serial execution are
+// bit-identical by construction; capacity repair runs after all commits,
+// in population order, as the deterministic resolution of the per-object
+// capacity claims.
 
 #include <span>
 
@@ -36,9 +37,9 @@ namespace drep::algo {
 
 struct AgraConfig {
   /// Uniform solver knobs (seed/threads/audit/time limit); see
-  /// algo/common.hpp. `common.threads == 1` keeps the micro-GA batch on the
-  /// calling thread; any other value schedules it on the shared pool. The
-  /// result is identical either way.
+  /// algo/common.hpp. `common.threads == 1` keeps the micro-GA batch and
+  /// the mini-GRA polish on the calling thread; any other value runs both
+  /// on the shared pool's lanes. The result is identical either way.
   CommonOptions common{};
 
   std::size_t population = 10;   // Ap
@@ -52,7 +53,8 @@ struct AgraConfig {
   /// evaluated with 5 and 10 in Section 6.3).
   std::size_t mini_gra_generations = 0;
   /// GA parameters for the mini-GRA polish (its `generations` field is
-  /// overridden by mini_gra_generations; its `init` is ignored).
+  /// overridden by mini_gra_generations and its `common.threads` by
+  /// `common.threads` above; its `init` is ignored).
   GraConfig mini_gra{};
 
   /// Transcription repair strategy (ablation bench abl_agra_repair).

@@ -4,12 +4,17 @@
 // Each algorithm config (SraConfig, GraConfig, AgraConfig, AdrConfig …)
 // embeds a CommonOptions so that the uniform knobs — seed, threads, audit,
 // time limit — spell the same everywhere and the drep::Solver registry can
-// forward them without per-algorithm special cases.
+// forward them without per-algorithm special cases. Beside it sits
+// for_each_task, the one place that decides from `threads` whether a
+// solver's parallel section runs serially or on the shared pool.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
+
+#include "util/thread_pool.hpp"
 
 namespace drep::algo {
 
@@ -28,11 +33,12 @@ struct CommonOptions {
   /// util::Rng and ignore this field.
   std::uint64_t seed = 1;
 
-  /// Worker-thread budget. 0 = use the shared pool at its configured size;
-  /// 1 = run strictly serially (no pool hand-off at all); K > 1 = cap this
-  /// solve to at most K concurrent tasks. Results never depend on this value
-  /// — every parallel path in the solvers is scheduled so that the output is
-  /// a pure function of (problem, config, seed).
+  /// 1 = run strictly serially (no pool hand-off at all); any other value =
+  /// run the parallel sections on the lanes of the shared pool, whose size
+  /// util::ThreadPool::configure_shared sets (the CLI's --threads calls
+  /// it). Results never depend on this value: every parallel section is
+  /// scheduled so that the output is a pure function of (problem, config,
+  /// seed). See for_each_task.
   std::size_t threads = 0;
 
   /// Run the always-built audit validators (audit/invariants.hpp) on the
@@ -41,10 +47,10 @@ struct CommonOptions {
   /// mid-run state as well; both can be on at once.
   bool audit = false;
 
-  /// Wall-clock budget in seconds; 0 = unlimited. Iterative solvers (GRA,
-  /// AGRA) stop early at the next generation/batch boundary once exceeded.
-  /// A nonzero limit makes results timing-dependent, so leave it 0 whenever
-  /// determinism matters.
+  /// Wall-clock budget in seconds; 0 = unlimited. Once it is exceeded GRA
+  /// stops at the next generation (island GRA: epoch) boundary and AGRA
+  /// starts no further micro-GA. A nonzero limit makes results
+  /// timing-dependent, so leave it 0 whenever determinism matters.
   double time_limit_seconds = 0.0;
 
   void validate() const {
@@ -53,6 +59,23 @@ struct CommonOptions {
           "CommonOptions: time_limit_seconds must be >= 0");
   }
 };
+
+/// Every solver's one fork-join loop: runs body(lane, i) once for every i
+/// in [0, count). `common.threads == 1` runs the tasks on the calling
+/// thread, in index order, on lane 0, without touching the shared pool;
+/// any other value hands them to util::ThreadPool::shared().parallel_for,
+/// whose min(count, workers) lanes claim indices from one counter. A task's
+/// exception reaches the caller: serially at once, on the pool once every
+/// lane has finished.
+inline void for_each_task(
+    const CommonOptions& common, std::size_t count,
+    const std::function<void(std::size_t lane, std::size_t i)>& body) {
+  if (common.threads == 1) {
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
+    return;
+  }
+  util::ThreadPool::shared().parallel_for(0, count, body);
+}
 
 /// Where the online engine's hot/warm/cold classification comes from
 /// (DESIGN.md Section 12). kEwma is the deployable predictor; the oracle

@@ -1,7 +1,6 @@
 #include "algo/gra.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 
@@ -13,7 +12,6 @@
 #include "ga/selection.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace drep::algo {
@@ -215,30 +213,8 @@ GraResult solve_gra_islands(const core::Problem& problem,
 
   std::vector<std::optional<GraEngine>> engines(k);
 
-  // One task per island; common.threads==1 keeps everything on this thread,
-  // K>1 caps each wave, 0 lets the shared pool take all islands at once.
-  // WaitGroup already degrades to inline execution on a single-worker pool.
-  const std::size_t threads = config.common.threads;
-  const auto for_each_island =
-      [&](const std::function<void(std::size_t)>& body) {
-        if (threads == 1 || k == 1) {
-          for (std::size_t i = 0; i < k; ++i) body(i);
-          return;
-        }
-        util::ThreadPool& pool = util::ThreadPool::shared();
-        const std::size_t wave = threads == 0 ? k : std::min(threads, k);
-        for (std::size_t lo = 0; lo < k; lo += wave) {
-          const std::size_t hi = std::min(k, lo + wave);
-          util::WaitGroup group(pool);
-          for (std::size_t i = lo + 1; i < hi; ++i)
-            group.submit([&body, i] { body(i); });
-          group.run_inline([&body, lo] { body(lo); });
-          group.wait();
-        }
-      };
-
   // Seed + evaluate generation 0, one task per island.
-  for_each_island([&](std::size_t i) {
+  for_each_task(config.common, k, [&](std::size_t, std::size_t i) {
     std::vector<ga::Chromosome> seed = std::move(initials[i]);
     if (seed.empty()) {
       DREP_SPAN("gra/seed");
@@ -259,7 +235,9 @@ GraResult solve_gra_islands(const core::Problem& problem,
     if (limit > 0.0 && watch.seconds() >= limit) break;
     const std::size_t step =
         std::min(config.migration_interval, config.generations - done);
-    for_each_island([&](std::size_t i) { (void)engines[i]->advance(step); });
+    for_each_task(config.common, k, [&](std::size_t, std::size_t i) {
+      (void)engines[i]->advance(step);
+    });
     done += step;
     DREP_COUNT("drep_gra_island_generations_total", step * k);
     if (done >= config.generations || config.migration_count == 0) continue;
@@ -276,7 +254,9 @@ GraResult solve_gra_islands(const core::Problem& problem,
   // Merge: winner by lowest cost (ties to the lowest island id), populations
   // concatenated in island order, history entrywise max across islands.
   std::vector<std::optional<GraResult>> results(k);
-  for_each_island([&](std::size_t i) { results[i] = engines[i]->finish(); });
+  for_each_task(config.common, k, [&](std::size_t, std::size_t i) {
+    results[i] = engines[i]->finish();
+  });
   std::size_t winner = 0;
   for (std::size_t i = 1; i < k; ++i) {
     if (results[i]->best.cost < results[winner]->best.cost) winner = i;

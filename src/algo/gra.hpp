@@ -30,8 +30,9 @@
 // fork keyed by island id) with its own CostEvaluator. Every
 // `migration_interval` generations the islands synchronize and exchange
 // their `migration_count` fittest individuals along a ring (island i's
-// elites replace the worst of island (i+1) mod K). Islands are scheduled
-// as one task each on util::ThreadPool, so the run scales with cores while
+// elites replace the worst of island (i+1) mod K). Seeding, each epoch's
+// advance and the closing finish run one task per island through
+// for_each_task (algo/common.hpp), so the run scales with cores while
 // staying a pure function of (problem, config, seed): islands=1 reproduces
 // the single-population GRA bit-for-bit, and islands=K is bit-identical
 // across runs and across any thread count.
@@ -47,13 +48,13 @@ namespace drep::algo {
 struct GraConfig {
   /// Uniform solver knobs (seed/threads/audit/time limit); see
   /// algo/common.hpp. `common.seed` is only consulted by the Solver
-  /// registry path. A single population is evaluated on the shared thread
-  /// pool unless `common.threads == 1`. Fitness is computed per individual
-  /// with no cross-individual floating-point accumulation and no per-block
-  /// state that can affect results, so for a fixed seed serial and pooled
-  /// evaluation, at any pool size, produce identical populations and an
-  /// identical best_fitness_history (regression-tested in
-  /// tests/algo/gra_test.cpp).
+  /// registry path. A single population is evaluated through
+  /// for_each_task: on the shared pool's lanes unless `common.threads == 1`.
+  /// Fitness is computed per individual with no cross-individual
+  /// floating-point accumulation and no per-lane state that can affect
+  /// results, so for a fixed seed serial and pooled evaluation, at any pool
+  /// size, produce identical populations and an identical
+  /// best_fitness_history (regression-tested in tests/algo/gra_test.cpp).
   CommonOptions common{};
 
   std::size_t population = 50;   // Np, totalled across all islands

@@ -299,12 +299,7 @@ class GraEngine {
         e.v = primary_v_;
       }
     };
-    if (config_.common.threads != 1 && population.size() > 1) {
-      util::ThreadPool::shared().parallel_for_blocked(0, population.size(),
-                                                      body);
-    } else {
-      for (std::size_t p = 0; p < population.size(); ++p) body(0, p);
-    }
+    for_each_task(config_.common, population.size(), body);
   }
 
   /// Exchanges, within gene [gene_begin, gene_end), the portion that the

@@ -70,16 +70,6 @@ void apply_availability(const SolveRequest& request, SolveResponse& response,
   (void)where;
 }
 
-/// Execution-context annotation: a per-DES-node solve (dist/) records which
-/// site's local view it represents and the simulated time it ran at, so
-/// run-report rows distinguish central from decentralized scopes. A default
-/// context adds nothing — the central path's details stay byte-identical.
-void annotate_context(const SolveRequest& request, SolveResponse& response) {
-  if (!request.context.local()) return;
-  response.details["locality"] = obs::Json(*request.context.locality);
-  response.details["sim_time"] = obs::Json(request.context.now());
-}
-
 class SraSolver final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const override { return "sra"; }
@@ -95,7 +85,6 @@ class SraSolver final : public Solver {
         obs::Json(stats.benefit_evaluations);
     response.details["replicas_created"] = obs::Json(stats.replicas_created);
     apply_availability(request, response, "solver/sra");
-    annotate_context(request, response);
     maybe_audit(request, response.result, "solver/sra");
     return response;
   }
@@ -119,7 +108,6 @@ class GraSolver final : public Solver {
       history.push_back(obs::Json(fitness));
     response.details["best_fitness_history"] = std::move(history);
     apply_availability(request, response, "solver/gra");
-    annotate_context(request, response);
     maybe_audit(request, response.result, "solver/gra");
     return response;
   }
@@ -157,7 +145,6 @@ class AgraSolver final : public Solver {
     response.details["micro_ga_seconds"] = obs::Json(agra.micro_ga_seconds);
     response.details["mini_gra_seconds"] = obs::Json(agra.mini_gra_seconds);
     apply_availability(request, response, "solver/agra");
-    annotate_context(request, response);
     maybe_audit(request, response.result, "solver/agra");
     return response;
   }
@@ -174,7 +161,6 @@ class AdrSolver final : public Solver {
     response.details["contractions"] = obs::Json(stats.contractions);
     response.details["rounds"] = obs::Json(stats.rounds);
     apply_availability(request, response, "solver/adr");
-    annotate_context(request, response);
     maybe_audit(request, response.result, "solver/adr");
     return response;
   }
@@ -192,7 +178,6 @@ class HillClimbSolver final : public Solver {
     response.details["removals"] = obs::Json(stats.removals);
     response.details["delta_evaluations"] = obs::Json(stats.delta_evaluations);
     apply_availability(request, response, "solver/hillclimb");
-    annotate_context(request, response);
     maybe_audit(request, response.result, "solver/hillclimb");
     return response;
   }
@@ -224,7 +209,6 @@ class ExhaustiveSolver final : public Solver {
       response.details["availability_target"] =
           obs::Json(availability->target);
     }
-    annotate_context(request, response);
     maybe_audit(request, response.result, "solver/exhaustive");
     return response;
   }
@@ -255,7 +239,6 @@ class TreeDpSolver final : public Solver {
     response.details["dp_runs"] = obs::Json(stats.dp_runs);
     response.details["refined_objects"] = obs::Json(stats.refined_objects);
     response.details["lex_smallest"] = obs::Json(config.lex_smallest);
-    annotate_context(request, response);
     maybe_audit(request, response.result, "solver/treedp");
     return response;
   }
@@ -276,7 +259,6 @@ class ConstClientsSolver final : public Solver {
     response.details["partitions_evaluated"] =
         obs::Json(stats.partitions_evaluated);
     response.details["max_clients_seen"] = obs::Json(stats.max_clients_seen);
-    annotate_context(request, response);
     maybe_audit(request, response.result, "solver/constclients");
     return response;
   }

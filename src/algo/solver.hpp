@@ -22,7 +22,6 @@
 // via online::register_online_solver() (called by the CLI and the tools),
 // because its adapter lives above sim in the module layering.
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -86,31 +85,6 @@ struct SolverOptions {
   util::Rng* rng = nullptr;
 };
 
-/// Where a solve runs — the API seam that lets the same registry adapters
-/// be driven centrally (CLI, monitor, fuzzer) or per-DES-node (src/dist/)
-/// without parallel code paths. An in-process caller leaves it default; a
-/// decentralized driver fills it per site:
-///
-///   clock     simulated-time source (DES clock); unset = wall clock only
-///   locality  the site whose local view this solve represents; unset =
-///             global (centralized) scope
-///
-/// Adapters never *depend* on the hooks for correctness — a solve with a
-/// context produces the same scheme as one without (the decentralized
-/// equivalence argument in DESIGN.md §15 rests on this). They annotate
-/// `details` ("locality", "sim_time") so reports distinguish the scopes.
-/// Type-erased (std::function hooks) so algo stays below sim in the module
-/// layering.
-struct ExecutionContext {
-  std::function<double()> clock{};
-  std::optional<core::SiteId> locality{};
-
-  /// True when this solve represents one site's local view.
-  [[nodiscard]] bool local() const noexcept { return locality.has_value(); }
-  /// Simulated time when a clock is wired, 0.0 otherwise.
-  [[nodiscard]] double now() const { return clock ? clock() : 0.0; }
-};
-
 /// Adaptive-solve context (consumed by "agra"): what the network currently
 /// runs and what drifted. Static solvers ignore it.
 struct AdaptContext {
@@ -130,9 +104,6 @@ struct SolveRequest {
   /// Absent = solve from scratch ("agra" then re-optimizes every object
   /// starting from the primary-only allocation).
   std::optional<AdaptContext> adapt{};
-  /// Where the solve runs (central vs per-DES-node); default = in-process
-  /// central caller, which preserves the pre-redesign behavior.
-  ExecutionContext context{};
 };
 
 struct SolveResponse {

@@ -517,9 +517,8 @@ int cmd_replay(const Args& args) {
 
 /// adapt --decentralized: every site runs its own EWMA drift detector over
 /// the observed trace; triggered sites micro-retune their local view
-/// through the registry "agra" adapter (ExecutionContext = their DES node)
-/// and disseminate the changed columns as sequenced envelopes. See
-/// DESIGN.md Section 15.
+/// through the registry "agra" adapter and disseminate the changed columns
+/// as sequenced envelopes. See DESIGN.md Section 15.
 int cmd_adapt_decentralized(const Args& args) {
   const core::Problem old_problem = io::load_problem(args.require("in"));
   const core::Problem new_problem = io::load_problem(args.require("new"));

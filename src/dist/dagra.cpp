@@ -167,8 +167,8 @@ class DriftNode final : public sim::Node,
   void run_retune() {
     if (!network_.site_up(self_)) return;  // crashed before retuning: skip
     DREP_SPAN("dist/retune");
-    // The redesigned registry path, driven per-DES-node: the same "agra"
-    // adapter the central monitor uses, scoped to this site's local view.
+    // The same registry "agra" adapter the central monitor uses, run on
+    // this site's local view.
     algo::SolverOptions solver_options;
     solver_options.agra = options_.agra;
     solver_options.common = options_.agra.common;
@@ -176,8 +176,6 @@ class DriftNode final : public sim::Node,
     algo::SolveRequest request{*local_problem_, std::move(solver_options)};
     request.adapt = algo::AdaptContext{&options_.current_scheme,
                                        options_.retained_population, changed_};
-    request.context.locality = self_;
-    request.context.clock = [this] { return network_.queue().now(); };
     const algo::SolveResponse response =
         algo::solver_registry().at("agra").solve(request);
     const ga::Chromosome& genes = response.result.scheme.matrix();

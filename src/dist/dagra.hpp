@@ -8,9 +8,8 @@
 // observed per-object rates deviate from the baseline expectation beyond
 // the trigger threshold runs a *local micro-AGRA retune*: the registry
 // "agra" solver over its local view of the problem (baseline rows for every
-// other site, its own observed row for itself), driven per-DES-node through
-// the redesigned ExecutionContext (locality = the site, clock = the DES
-// clock).
+// other site, its own observed row for itself), called from the site's DES
+// node.
 //
 // The retuned columns of the changed objects then disseminate as
 // kDriftColumnUpdate envelopes to every site; each receiver applies only

@@ -65,11 +65,6 @@ class DgraSolver final : public algo::Solver {
     response.details["retries"] = obs::Json(dist.retry_stats.retries);
     response.details["give_ups"] = obs::Json(dist.retry_stats.give_ups);
 
-    if (request.context.locality.has_value()) {
-      response.details["locality"] = obs::Json(*request.context.locality);
-      response.details["sim_time"] = obs::Json(request.context.now());
-    }
-
     if (request.options.common.audit) {
       // The centralized comparator: the same registry-equivalent free
       // function, same config, identically-seeded stream.

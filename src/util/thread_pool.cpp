@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -67,7 +68,7 @@ void ThreadPool::worker_loop() {
       DREP_GAUGE_SET("drep_pool_queue_depth", queue_.size());
     }
     InsidePoolGuard guard;
-    // parallel_for wraps its blocks and rethrows in the caller; a bare
+    // parallel_for catches in its lanes and rethrows in the caller; a bare
     // submit() has no caller to rethrow into, and an exception escaping a
     // worker thread is std::terminate. Park it: count, log, keep serving.
     try {
@@ -82,13 +83,7 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  parallel_for_blocked(begin, end,
-                       [&body](std::size_t, std::size_t i) { body(i); });
-}
-
-void ThreadPool::parallel_for_blocked(
+void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body) {
   if (begin >= end) return;
@@ -168,83 +163,6 @@ void ThreadPool::configure_shared(std::size_t threads) {
           : threads;
   // Rebuild lazily: the destructor drains the queue and joins the workers.
   if (g_shared_pool->size() != target) g_shared_pool.reset();
-}
-
-WaitGroup::~WaitGroup() {
-  // A destroyed-while-pending WaitGroup would leave tasks referencing freed
-  // state; block (without rethrowing) until they finish.
-  std::unique_lock lock(mutex_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-void WaitGroup::submit(std::function<void()> task) {
-  if (g_inside_pool_worker || pool_.size() <= 1) {
-    run_inline(task);
-    return;
-  }
-  {
-    std::lock_guard lock(mutex_);
-    wave_open_ = true;
-    ++pending_;
-  }
-  pool_.submit([this, task = std::move(task)] {
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    finish(std::move(error));
-  });
-}
-
-void WaitGroup::run_inline(const std::function<void()>& task) {
-  {
-    std::lock_guard lock(mutex_);
-    wave_open_ = true;
-    ++pending_;
-  }
-  std::exception_ptr error;
-  try {
-    task();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  finish(std::move(error));
-}
-
-void WaitGroup::wait() {
-  std::unique_lock lock(mutex_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-  // Harvest: close the wave exactly once. Pre-fix, failed_ accumulated
-  // forever and a first_error_ left by an unwaited wave was rethrown against
-  // whatever wave happened to wait() next; now each wave's outcome is
-  // latched here and the counters start clean for the next wave.
-  if (!wave_open_) return;  // idempotent second wait(): nothing new finished
-  wave_open_ = false;
-  last_wave_failed_ = failed_;
-  failed_ = 0;
-  std::exception_ptr error = first_error_;
-  first_error_ = nullptr;  // rethrow once; later wait() calls return clean
-  if (error) {
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-std::size_t WaitGroup::failed() const noexcept {
-  std::lock_guard lock(mutex_);
-  return last_wave_failed_;
-}
-
-void WaitGroup::finish(std::exception_ptr error) {
-  std::lock_guard lock(mutex_);
-  if (error) {
-    ++failed_;
-    // Moved, for the same reason as in parallel_for_blocked.
-    if (!first_error_) first_error_ = std::move(error);
-  }
-  if (--pending_ == 0) done_cv_.notify_all();
 }
 
 }  // namespace drep::util

@@ -13,7 +13,9 @@
 
 #include "algo/agra.hpp"
 #include "algo/gra.hpp"
+#include "obs/metrics.hpp"
 #include "testing/builders.hpp"
+#include "util/thread_pool.hpp"
 
 namespace drep::algo {
 namespace {
@@ -89,27 +91,36 @@ TEST(IslandGra, SameSeedIsBitIdenticalAcrossRuns) {
   EXPECT_EQ(rng_a.next(), rng_b.next());
 }
 
-// The thread count is pure scheduling: serial (threads=1), capped waves
-// (threads=2), and the full pool (threads=0) all produce the same bits.
+// The thread count and the pool size are pure scheduling: serial
+// (threads=1) and the shared pool's lanes (any other value, here 2 and 0),
+// on pools with fewer, as many and more workers than islands, produce the
+// same bits.
 TEST(IslandGra, ThreadCountDoesNotChangeResults) {
   const core::Problem problem = testing::small_random_problem(13);
-  std::vector<GraResult> results;
-  for (const std::size_t threads : {1u, 2u, 0u}) {
-    GraConfig config = island_config();
-    config.common.threads = threads;
-    util::Rng rng(14);
-    results.push_back(solve_gra(problem, config, rng));
+  GraConfig config = island_config();
+  config.common.threads = 1;
+  util::Rng serial_rng(14);
+  const GraResult serial = solve_gra(problem, config, serial_rng);
+  const std::size_t pool_before = util::ThreadPool::shared().size();
+  for (const std::size_t workers : {1u, 2u, 3u, 4u, 8u}) {
+    util::ThreadPool::configure_shared(workers);
+    for (const std::size_t threads : {2u, 0u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << workers << " workers, threads " << threads);
+      config.common.threads = threads;
+      util::Rng rng(14);
+      const GraResult pooled = solve_gra(problem, config, rng);
+      EXPECT_DOUBLE_EQ(pooled.best.cost, serial.best.cost);
+      EXPECT_EQ(pooled.best.scheme.matrix(), serial.best.scheme.matrix());
+      EXPECT_EQ(pooled.evaluations, serial.evaluations);
+      EXPECT_EQ(pooled.full_equivalent_evaluations,
+                serial.full_equivalent_evaluations);
+      EXPECT_EQ(pooled.best_fitness_history, serial.best_fitness_history);
+      EXPECT_EQ(population_hash(pooled.population),
+                population_hash(serial.population));
+    }
   }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(results[i].best.cost, results[0].best.cost);
-    EXPECT_EQ(results[i].best.scheme.matrix(),
-              results[0].best.scheme.matrix());
-    EXPECT_EQ(results[i].evaluations, results[0].evaluations);
-    EXPECT_EQ(results[i].best_fitness_history,
-              results[0].best_fitness_history);
-    EXPECT_EQ(population_hash(results[i].population),
-              population_hash(results[0].population));
-  }
+  util::ThreadPool::configure_shared(pool_before);
 }
 
 // The merged result must carry the full population (all islands, in island
@@ -198,49 +209,64 @@ TEST(IslandGra, EvolvePopulationIslandsDeterministic) {
             population_hash(results[1].population));
 }
 
-// Batched AGRA: the parallel micro-GA batch (threads=0/2) must be
-// bit-identical to the sequential pass (threads=1) on a capacity-tight
-// problem where transcription repairs actually fire.
-TEST(AgraBatch, ThreadCountDoesNotChangeResults) {
-  const core::Problem problem = testing::small_random_problem(
-      21, /*sites=*/10, /*objects=*/12, /*update_percent=*/5.0,
-      /*capacity_percent=*/12.0);
-  const ga::Chromosome current = primary_chromosome(problem);
+// A capacity-tight problem where transcription repairs fire; the AGRA
+// tests change every object.
+core::Problem tight_problem() {
+  return testing::small_random_problem(21, /*sites=*/10, /*objects=*/12,
+                                       /*update_percent=*/5.0,
+                                       /*capacity_percent=*/12.0);
+}
+
+std::vector<core::ObjectId> every_object(const core::Problem& problem) {
   std::vector<core::ObjectId> changed(problem.objects());
   std::iota(changed.begin(), changed.end(), core::ObjectId{0});
+  return changed;
+}
+
+// Batched AGRA: the micro-GA batch on the shared pool's lanes (threads=0/2),
+// at every pool size, must be bit-identical to the sequential pass
+// (threads=1) on a capacity-tight problem where transcription repairs
+// actually fire.
+TEST(AgraBatch, ThreadCountDoesNotChangeResults) {
+  const core::Problem problem = tight_problem();
+  const ga::Chromosome current = primary_chromosome(problem);
+  const std::vector<core::ObjectId> changed = every_object(problem);
 
   AgraConfig config;
   config.population = 6;
   config.generations = 8;
-
-  std::vector<AgraResult> results;
-  for (const std::size_t threads : {1u, 0u, 2u}) {
-    config.common.threads = threads;
-    util::Rng rng(7);
-    results.push_back(
-        solve_agra(problem, current, {}, changed, config, rng));
+  config.common.threads = 1;
+  util::Rng serial_rng(7);
+  const AgraResult serial =
+      solve_agra(problem, current, {}, changed, config, serial_rng);
+  ASSERT_GT(serial.repairs, 0u) << "problem not tight enough to repair";
+  const std::size_t pool_before = util::ThreadPool::shared().size();
+  for (const std::size_t workers : {1u, 2u, 3u, 4u, 8u}) {
+    util::ThreadPool::configure_shared(workers);
+    for (const std::size_t threads : {0u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << workers << " workers, threads " << threads);
+      config.common.threads = threads;
+      util::Rng rng(7);
+      const AgraResult pooled =
+          solve_agra(problem, current, {}, changed, config, rng);
+      EXPECT_DOUBLE_EQ(pooled.best.cost, serial.best.cost);
+      EXPECT_EQ(pooled.best.scheme.matrix(), serial.best.scheme.matrix());
+      EXPECT_EQ(pooled.repairs, serial.repairs);
+      EXPECT_EQ(pooled.best.iterations, serial.best.iterations);
+      EXPECT_EQ(population_hash(pooled.population),
+                population_hash(serial.population));
+    }
   }
-  ASSERT_GT(results[0].repairs, 0u) << "problem not tight enough to repair";
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(results[i].best.cost, results[0].best.cost);
-    EXPECT_EQ(results[i].best.scheme.matrix(),
-              results[0].best.scheme.matrix());
-    EXPECT_EQ(results[i].repairs, results[0].repairs);
-    EXPECT_EQ(results[i].best.iterations, results[0].best.iterations);
-    EXPECT_EQ(population_hash(results[i].population),
-              population_hash(results[0].population));
-  }
+  util::ThreadPool::configure_shared(pool_before);
 }
 
 // The caller's RNG stream must advance identically regardless of threads —
 // otherwise downstream draws (the monitor's next adapt) would diverge.
 TEST(AgraBatch, CallerStreamAdvancesIdentically) {
-  const core::Problem problem = testing::small_random_problem(
-      21, /*sites=*/10, /*objects=*/12, /*update_percent=*/5.0,
-      /*capacity_percent=*/12.0);
+  const core::Problem problem = tight_problem();
   const ga::Chromosome current = primary_chromosome(problem);
-  std::vector<core::ObjectId> changed(problem.objects());
-  std::iota(changed.begin(), changed.end(), core::ObjectId{0});
+  const std::vector<core::ObjectId> changed = every_object(problem);
 
   AgraConfig config;
   config.population = 6;
@@ -254,6 +280,66 @@ TEST(AgraBatch, CallerStreamAdvancesIdentically) {
     next_draws.push_back(rng.next());
   }
   EXPECT_EQ(next_draws[0], next_draws[1]);
+}
+
+// The budget is checked as each micro-GA starts: one already spent adapts
+// no object, serially or on the pool, and both return the same result.
+TEST(AgraBatch, SpentBudgetAdaptsNoObject) {
+  const core::Problem problem = tight_problem();
+  const ga::Chromosome current = primary_chromosome(problem);
+  const std::vector<core::ObjectId> changed = every_object(problem);
+  AgraConfig config;
+  config.population = 6;
+  config.generations = 8;
+  config.common.time_limit_seconds = 1e-12;
+  std::vector<AgraResult> results;
+  for (const std::size_t threads : {1u, 0u}) {
+    config.common.threads = threads;
+    util::Rng rng(7);
+    results.push_back(solve_agra(problem, current, {}, changed, config, rng));
+    EXPECT_EQ(results.back().best.iterations, 0u) << threads << " threads";
+  }
+  EXPECT_EQ(results[1].best.scheme.matrix(), results[0].best.scheme.matrix());
+  EXPECT_EQ(population_hash(results[1].population),
+            population_hash(results[0].population));
+}
+
+// common.threads = 1 is strictly serial for the whole pass, the mini-GRA
+// polish included: it submits no task to the shared pool even when the pool
+// has workers.
+TEST(AgraBatch, OneThreadSubmitsNoPoolTask) {
+#if defined(DREP_OBS_DISABLED)
+  GTEST_SKIP() << "pool tasks are counted by the obs metrics";
+#else
+  const auto pool_tasks = [] {
+    const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
+    const obs::MetricSample* sample = snapshot.find("drep_pool_tasks_total");
+    return sample != nullptr ? sample->value : 0.0;
+  };
+  const core::Problem problem = testing::small_random_problem(23);  // 12×15
+  const ga::Chromosome current = primary_chromosome(problem);
+  const std::vector<core::ObjectId> changed = {0, 2, 3, 5, 7, 8, 11, 14};
+  const std::size_t pool_before = util::ThreadPool::shared().size();
+  util::ThreadPool::configure_shared(4);
+  AgraConfig config;
+  config.population = 6;
+  config.generations = 8;
+  config.mini_gra_generations = 5;
+  config.common.threads = 1;
+  const double before = pool_tasks();
+  util::Rng serial_rng(7);
+  const AgraResult serial =
+      solve_agra(problem, current, {}, changed, config, serial_rng);
+  EXPECT_EQ(pool_tasks(), before);
+  // The counter does see a pooled pass, and it returns the same scheme.
+  config.common.threads = 0;
+  util::Rng pooled_rng(7);
+  const AgraResult pooled =
+      solve_agra(problem, current, {}, changed, config, pooled_rng);
+  EXPECT_GT(pool_tasks(), before);
+  EXPECT_EQ(pooled.best.scheme.matrix(), serial.best.scheme.matrix());
+  util::ThreadPool::configure_shared(pool_before);
+#endif
 }
 
 }  // namespace

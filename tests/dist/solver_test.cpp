@@ -1,6 +1,6 @@
 // The "dgra" registry adapter: registration, the audit-gated centralized
 // comparator, and parity with the built-in "gra" adapter through the
-// uniform Solver interface (the redesigned ExecutionContext included).
+// uniform Solver interface.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -76,19 +76,6 @@ TEST_F(DistSolverTest, FaultSpecRoutesThroughDistOptions) {
       algo::solver_registry().at("dgra").solve({problem, options});
   EXPECT_GT(response.details.find("dropped_messages")->as_number(), 0.0);
   EXPECT_GT(response.details.find("retries")->as_number(), 0.0);
-}
-
-// The redesigned ExecutionContext flows through the adapter: a localized
-// request annotates its response with the locality and the context clock.
-TEST_F(DistSolverTest, ExecutionContextAnnotatesResponse) {
-  const core::Problem problem = testing::small_random_problem(13);
-  algo::SolveRequest request{problem, island_options(14)};
-  request.context.locality = core::SiteId{5};
-  request.context.clock = [] { return 42.5; };
-  const algo::SolveResponse response =
-      algo::solver_registry().at("dgra").solve(request);
-  EXPECT_EQ(response.details.find("locality")->as_number(), 5.0);
-  EXPECT_DOUBLE_EQ(response.details.find("sim_time")->as_number(), 42.5);
 }
 
 }  // namespace

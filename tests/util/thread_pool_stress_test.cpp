@@ -1,6 +1,6 @@
 // Stress tests for ThreadPool beyond the basic unit tests: many threads
-// driving parallel_for_blocked on one pool at once, bodies that throw,
-// nested submits and nested parallel loops. Every test doubles as a
+// driving parallel_for on one pool at once, bodies that throw, nested
+// submits and nested parallel loops. Every test doubles as a
 // deadlock check (it must simply finish) and the whole file is part of the
 // TSan job in scripts/sanitize.sh.
 #include "util/thread_pool.hpp"
@@ -28,10 +28,10 @@ TEST(ThreadPoolStress, ConcurrentParallelForBlockedCallers) {
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&pool, &sums, c] {
       for (std::size_t round = 0; round < kRounds; ++round) {
-        pool.parallel_for_blocked(1, kRange + 1,
-                                  [&sums, c](std::size_t, std::size_t i) {
-                                    sums[c].fetch_add(i);
-                                  });
+        pool.parallel_for(1, kRange + 1,
+                          [&sums, c](std::size_t, std::size_t i) {
+                            sums[c].fetch_add(i);
+                          });
       }
     });
   }
@@ -46,21 +46,21 @@ TEST(ThreadPoolStress, FirstExceptionPropagatesAndPoolSurvives) {
   // Several iterations throw; exactly one exception must reach the caller,
   // after every lane has finished (no detached work left behind).
   EXPECT_THROW(
-      pool.parallel_for_blocked(0, 300,
-                                [&completed](std::size_t, std::size_t i) {
-                                  if (i % 50 == 49) {
-                                    throw std::runtime_error(
-                                        "iteration " + std::to_string(i));
-                                  }
-                                  completed.fetch_add(1);
-                                }),
+      pool.parallel_for(0, 300,
+                        [&completed](std::size_t, std::size_t i) {
+                          if (i % 50 == 49) {
+                            throw std::runtime_error("iteration " +
+                                                     std::to_string(i));
+                          }
+                          completed.fetch_add(1);
+                        }),
       std::runtime_error);
   EXPECT_GT(completed.load(), 0u);
   EXPECT_LT(completed.load(), 300u);
   // The pool must stay fully usable after an exceptional loop.
   std::atomic<std::size_t> after{0};
-  pool.parallel_for(0, 100,
-                    [&after](std::size_t) { after.fetch_add(1); });
+  pool.parallel_for(
+      0, 100, [&after](std::size_t, std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 100u);
 }
 
@@ -73,7 +73,7 @@ TEST(ThreadPoolStress, ConcurrentThrowingCallersEachGetAnException) {
     callers.emplace_back([&pool, &caught, c] {
       for (int round = 0; round < 20; ++round) {
         try {
-          pool.parallel_for_blocked(
+          pool.parallel_for(
               0, 64, [c](std::size_t, std::size_t i) {
                 if (i == 17) throw std::invalid_argument(std::to_string(c));
               });
@@ -96,9 +96,8 @@ TEST(ThreadPoolStress, NestedParallelForRunsInlineWithoutDeadlock) {
   // call executes inline (a queued nested loop could deadlock once every
   // worker blocks on its own children); on the caller thread (lane 0) it
   // may use the pool. Either way all iterations must run exactly once.
-  pool.parallel_for_blocked(0, 40, [&pool, &inner_total](std::size_t,
-                                                         std::size_t) {
-    pool.parallel_for_blocked(
+  pool.parallel_for(0, 40, [&pool, &inner_total](std::size_t, std::size_t) {
+    pool.parallel_for(
         0, 25,
         [&inner_total](std::size_t, std::size_t) { inner_total.fetch_add(1); });
   });
@@ -108,15 +107,12 @@ TEST(ThreadPoolStress, NestedParallelForRunsInlineWithoutDeadlock) {
 TEST(ThreadPoolStress, NestedExceptionPropagatesThroughOuterLoop) {
   ThreadPool pool(3);
   EXPECT_THROW(
-      pool.parallel_for_blocked(
+      pool.parallel_for(
           0, 12,
           [&pool](std::size_t, std::size_t outer) {
-            pool.parallel_for_blocked(0, 8,
-                                      [outer](std::size_t, std::size_t inner) {
-                                        if (outer == 7 && inner == 3) {
-                                          throw std::logic_error("nested");
-                                        }
-                                      });
+            pool.parallel_for(0, 8, [outer](std::size_t, std::size_t inner) {
+              if (outer == 7 && inner == 3) throw std::logic_error("nested");
+            });
           }),
       std::logic_error);
 }
@@ -126,8 +122,8 @@ TEST(ThreadPoolStress, SubmitsFromInsideBodiesDrainBeforeDestruction) {
   std::atomic<std::size_t> iterations{0};
   {
     ThreadPool pool(3);
-    pool.parallel_for_blocked(0, 60, [&pool, &side_tasks, &iterations](
-                                         std::size_t, std::size_t) {
+    pool.parallel_for(0, 60, [&pool, &side_tasks, &iterations](
+                                 std::size_t, std::size_t) {
       iterations.fetch_add(1);
       pool.submit([&side_tasks] { side_tasks.fetch_add(1); });
     });
@@ -149,7 +145,7 @@ TEST(ThreadPoolStress, SharedPoolHandlesConcurrentMixedLoad) {
         const bool throwing = (static_cast<std::size_t>(round) + c) % 3 == 0;
         try {
           ThreadPool::shared().parallel_for(
-              0, 128, [throwing](std::size_t i) {
+              0, 128, [throwing](std::size_t, std::size_t i) {
                 if (throwing && i == 64) throw std::runtime_error("boom");
               });
           ok.fetch_add(1);

@@ -19,22 +19,24 @@ namespace {
 TEST(ThreadPool, RunsEveryIteration) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; });
+  pool.parallel_for(0, hits.size(),
+                    [&](std::size_t, std::size_t i) { hits[i]++; });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 TEST(ThreadPool, EmptyRangeIsNoOp) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.parallel_for(5, 5, [&](std::size_t) { ++calls; });
-  pool.parallel_for(7, 3, [&](std::size_t) { ++calls; });
+  pool.parallel_for(5, 5, [&](std::size_t, std::size_t) { ++calls; });
+  pool.parallel_for(7, 3, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPool, SingleWorkerRunsInline) {
   ThreadPool pool(1);
   std::vector<std::size_t> order;
-  pool.parallel_for(0, 10, [&](std::size_t i) { order.push_back(i); });
+  pool.parallel_for(0, 10,
+                    [&](std::size_t, std::size_t i) { order.push_back(i); });
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -50,7 +52,7 @@ TEST(ThreadPool, BlockedVariantLanesClaimEveryIndexOnce) {
     std::atomic<int> overlapping{0};
     std::atomic<int> lane0_elsewhere{0};
     std::atomic<int> other_lane_on_caller{0};
-    pool.parallel_for_blocked(0, kRange, [&](std::size_t lane, std::size_t i) {
+    pool.parallel_for(0, kRange, [&](std::size_t lane, std::size_t i) {
       hits[i]++;
       if (lane >= kWorkers) {
         bad_lane++;
@@ -84,7 +86,7 @@ TEST(ThreadPool, SlowIndexDoesNotHoldBackTheRest) {
   std::condition_variable cv;
   std::size_t done = 0;
   bool others_finished = false;
-  pool.parallel_for_blocked(0, kRange, [&](std::size_t, std::size_t i) {
+  pool.parallel_for(0, kRange, [&](std::size_t, std::size_t i) {
     std::unique_lock lock(mutex);
     if (i == 0) {
       others_finished = cv.wait_for(lock, std::chrono::seconds(30),
@@ -100,7 +102,7 @@ TEST(ThreadPool, PropagatesException) {
   ThreadPool pool(4);
   EXPECT_THROW(
       pool.parallel_for(0, 100,
-                        [&](std::size_t i) {
+                        [&](std::size_t, std::size_t i) {
                           if (i == 57) throw std::runtime_error("boom");
                         }),
       std::runtime_error);
@@ -110,7 +112,7 @@ TEST(ThreadPool, AllIterationsRunDespiteException) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
   try {
-    pool.parallel_for(0, 100, [&](std::size_t i) {
+    pool.parallel_for(0, 100, [&](std::size_t, std::size_t i) {
       count++;
       if (i % 10 == 0) throw std::runtime_error("boom");
     });
@@ -126,8 +128,8 @@ TEST(ThreadPool, AllIterationsRunDespiteException) {
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
-  pool.parallel_for(0, 8, [&](std::size_t) {
-    pool.parallel_for(0, 8, [&](std::size_t) { total++; });
+  pool.parallel_for(0, 8, [&](std::size_t, std::size_t) {
+    pool.parallel_for(0, 8, [&](std::size_t, std::size_t) { total++; });
   });
   EXPECT_EQ(total.load(), 64);
 }
@@ -182,7 +184,7 @@ TEST(ThreadPool, SubmittedTaskExceptionDoesNotKillWorker) {
   // the throws: a nested parallel_for from the worker still runs inline,
   // and a top-level one still fans out and completes.
   std::atomic<int> count{0};
-  pool.parallel_for(0, 64, [&](std::size_t) { count++; });
+  pool.parallel_for(0, 64, [&](std::size_t, std::size_t) { count++; });
   EXPECT_EQ(count.load(), 64);
 
 #if !defined(DREP_OBS_DISABLED)
@@ -196,136 +198,10 @@ TEST(ThreadPool, SubmittedTaskExceptionDoesNotKillWorker) {
 
 TEST(ThreadPool, SharedPoolIsUsable) {
   std::atomic<int> count{0};
-  ThreadPool::shared().parallel_for(0, 32, [&](std::size_t) { count++; });
+  ThreadPool::shared().parallel_for(
+      0, 32, [&](std::size_t, std::size_t) { count++; });
   EXPECT_EQ(count.load(), 32);
   EXPECT_GE(ThreadPool::shared().size(), 1u);
-}
-
-TEST(WaitGroup, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  WaitGroup group(pool);
-  for (int i = 0; i < 32; ++i) group.submit([&] { count++; });
-  group.run_inline([&] { count++; });
-  group.wait();
-  EXPECT_EQ(count.load(), 33);
-  EXPECT_EQ(group.failed(), 0u);
-}
-
-TEST(WaitGroup, SingleWorkerPoolRunsInline) {
-  ThreadPool pool(1);
-  std::vector<int> order;  // no mutex needed: everything runs on this thread
-  WaitGroup group(pool);
-  for (int i = 0; i < 8; ++i) group.submit([&, i] { order.push_back(i); });
-  group.wait();
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(WaitGroup, WaitRethrowsFirstExceptionOnce) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  WaitGroup group(pool);
-  for (int i = 0; i < 16; ++i) {
-    group.submit([&, i] {
-      count++;
-      if (i % 4 == 0) throw std::runtime_error("boom");
-    });
-  }
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  // Every task ran (a throwing task doesn't cancel its siblings), every
-  // thrower was counted, and a second wait() returns clean.
-  EXPECT_EQ(count.load(), 16);
-  EXPECT_EQ(group.failed(), 4u);
-  EXPECT_NO_THROW(group.wait());
-
-  // The pool's workers survived the exceptions (PR 3's park-on-exception
-  // path hands the error to the WaitGroup instead of the worker).
-  std::atomic<int> after{0};
-  pool.parallel_for(0, 64, [&](std::size_t) { after++; });
-  EXPECT_EQ(after.load(), 64);
-}
-
-TEST(WaitGroup, RunInlineCapturesExceptions) {
-  ThreadPool pool(2);
-  WaitGroup group(pool);
-  group.run_inline([] { throw std::runtime_error("inline boom"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  EXPECT_EQ(group.failed(), 1u);
-}
-
-TEST(WaitGroup, DestructorDrainsWithoutRethrow) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  {
-    WaitGroup group(pool);
-    for (int i = 0; i < 8; ++i) {
-      group.submit([&] {
-        count++;
-        throw std::runtime_error("boom");
-      });
-    }
-    // No wait(): the destructor must block until all 8 finished and must
-    // swallow the captured exception instead of throwing from ~WaitGroup.
-  }
-  EXPECT_EQ(count.load(), 8);
-}
-
-// Regression: a WaitGroup must be reusable wave after wave — the serving
-// load generator submits one wave per duration tick on a single group. The
-// old code accumulated failed() across waves and let an unharvested error
-// leak into (and double against) the next wave's wait().
-TEST(WaitGroup, ReusableAfterFailedWave) {
-  ThreadPool pool(4);
-  WaitGroup group(pool);
-
-  // Wave 1: three failures out of eight.
-  std::atomic<int> first{0};
-  for (int i = 0; i < 8; ++i) {
-    group.submit([&, i] {
-      first++;
-      if (i < 3) throw std::runtime_error("wave1");
-    });
-  }
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  EXPECT_EQ(first.load(), 8);
-  EXPECT_EQ(group.failed(), 3u);
-
-  // Wave 2, clean: must neither rethrow wave 1's error again nor report its
-  // failures. Pre-fix this wait() returned failed()==3.
-  std::atomic<int> second{0};
-  for (int i = 0; i < 8; ++i) group.submit([&] { second++; });
-  EXPECT_NO_THROW(group.wait());
-  EXPECT_EQ(second.load(), 8);
-  EXPECT_EQ(group.failed(), 0u);
-
-  // Wave 3: its own single failure reported with its own count (pre-fix:
-  // 3 + 1 = 4) and rethrown exactly once.
-  std::atomic<int> third{0};
-  for (int i = 0; i < 4; ++i) {
-    group.submit([&, i] {
-      third++;
-      if (i == 2) throw std::logic_error("wave3");
-    });
-  }
-  EXPECT_THROW(group.wait(), std::logic_error);
-  EXPECT_EQ(third.load(), 4);
-  EXPECT_EQ(group.failed(), 1u);
-  EXPECT_NO_THROW(group.wait());  // idempotent; keeps the latched count
-  EXPECT_EQ(group.failed(), 1u);
-}
-
-TEST(WaitGroup, FailedWaveDoesNotChargeNextWaveInline) {
-  // Same contract on the inline path (single-worker pool), where submit()
-  // degenerates to run_inline().
-  ThreadPool pool(1);
-  WaitGroup group(pool);
-  group.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  EXPECT_EQ(group.failed(), 1u);
-  group.submit([] {});
-  EXPECT_NO_THROW(group.wait());
-  EXPECT_EQ(group.failed(), 0u);
 }
 
 TEST(ThreadPool, ParallelSumMatchesSequential) {
@@ -333,10 +209,9 @@ TEST(ThreadPool, ParallelSumMatchesSequential) {
   std::vector<double> values(10000);
   std::iota(values.begin(), values.end(), 0.0);
   std::vector<double> partial(8, 0.0);
-  pool.parallel_for_blocked(0, values.size(),
-                            [&](std::size_t lane, std::size_t i) {
-                              partial[lane] += values[i];
-                            });
+  pool.parallel_for(0, values.size(), [&](std::size_t lane, std::size_t i) {
+    partial[lane] += values[i];
+  });
   const double total = std::accumulate(partial.begin(), partial.end(), 0.0);
   EXPECT_DOUBLE_EQ(total, std::accumulate(values.begin(), values.end(), 0.0));
 }
