@@ -31,8 +31,10 @@ struct HillClimbStats {
 
 /// Best-improvement local search with exact deltas (core::insertion_delta /
 /// core::removal_delta), starting from `start` (or primary-only when
-/// nullptr), until no move improves D or `max_moves` is reached.
-/// O(M²·N) per move — intended for small instances and tests.
+/// nullptr), until no move improves D or `max_moves` is reached. Keeps
+/// every cell's delta and re-derives only the moved object's column, so a
+/// move costs an M·N scan plus M deltas of one object — intended for small
+/// instances and tests. `delta_evaluations` counts the deltas derived.
 [[nodiscard]] AlgorithmResult hill_climb(const core::Problem& problem,
                                          const core::ReplicationScheme* start = nullptr,
                                          std::size_t max_moves = 10000,

@@ -1,6 +1,7 @@
 #include "algo/gra.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <stdexcept>
 
@@ -283,6 +284,7 @@ GraResult solve_gra_islands(const core::Problem& problem,
       }
     }
   }
+  GraEngine::set_fitness_gauges(engines);
   return merged;
 }
 
@@ -301,7 +303,9 @@ GraResult solve_gra(const core::Problem& problem, const GraConfig& config,
                   : random_population(problem, config.population, rng);
   }
   GraEngine engine(problem, config, rng);
-  return engine.run(std::move(initial));
+  GraResult result = engine.run(std::move(initial));
+  GraEngine::set_fitness_gauges(std::array{&engine});
+  return result;
 }
 
 GraResult evolve_population(const core::Problem& problem,
@@ -317,7 +321,9 @@ GraResult evolve_population(const core::Problem& problem,
   if (initial.size() < 2)
     throw std::invalid_argument("evolve_population: need at least 2 chromosomes");
   GraEngine engine(problem, config, rng);
-  return engine.run(std::move(initial));
+  GraResult result = engine.run(std::move(initial));
+  GraEngine::set_fitness_gauges(std::array{&engine});
+  return result;
 }
 
 }  // namespace drep::algo

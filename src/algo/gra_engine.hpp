@@ -203,6 +203,29 @@ class GraEngine {
                      std::move(history_), evaluations_, full_equivalents};
   }
 
+  /// Sets the drep_gra_best_fitness and drep_gra_mean_fitness gauges once
+  /// per solve, from its driver after the merge: the best fitness any
+  /// engine found, and the mean fitness of the engines' last generations
+  /// before elitism, summed in engine order. Engines never set them, so a
+  /// pooled island solve reports the same values on every run. Engines
+  /// that ran no generation are skipped. `engines` is a range of anything
+  /// `->` reaches a GraEngine through (pointers, optionals).
+  template <class Engines>
+  static void set_fitness_gauges(const Engines& engines) {
+    double best = 0.0;
+    double sum = 0.0;
+    std::size_t count = 0;
+    for (const auto& engine : engines) {
+      if (engine->generation_ == 0) continue;
+      best = std::max(best, engine->best_ever_.ind.fitness);
+      sum += engine->fitness_sum_;
+      count += engine->population_.size();
+    }
+    if (count == 0) return;
+    DREP_GAUGE_SET("drep_gra_best_fitness", best);
+    DREP_GAUGE_SET("drep_gra_mean_fitness", sum / static_cast<double>(count));
+  }
+
  private:
   void step_generation() {
     ++generation_;
@@ -217,11 +240,8 @@ class GraEngine {
     const std::size_t best_now = ga::best_index(fit);
     if (population_[best_now].ind.fitness > best_ever_.ind.fitness)
       best_ever_ = population_[best_now];
-    double fitness_sum = 0.0;
-    for (const double f : fit) fitness_sum += f;
-    DREP_GAUGE_SET("drep_gra_best_fitness", best_ever_.ind.fitness);
-    DREP_GAUGE_SET("drep_gra_mean_fitness",
-                   fitness_sum / static_cast<double>(fit.size()));
+    fitness_sum_ = 0.0;
+    for (const double f : fit) fitness_sum_ += f;
     // Elitism: the best-found-so-far chromosome replaces the current
     // worst, once every elite_interval generations (paper: 5, to avoid
     // premature convergence).
@@ -530,6 +550,7 @@ class GraEngine {
   EvalIndividual best_ever_;
   std::vector<double> history_;
   std::size_t generation_ = 0;
+  double fitness_sum_ = 0.0;  // the last generation's, before elitism
 };
 
 }  // namespace drep::algo

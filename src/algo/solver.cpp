@@ -78,8 +78,8 @@ class SraSolver final : public Solver {
     config.common = request.options.common;
     RequestRng rng(request.options);
     SraStats stats;
-    SolveResponse response{solve_sra(request.problem, config, rng.get(),
-                                     &stats)};
+    SolveResponse response{
+        solve_sra(request.problem, config, rng.get(), &stats), {}};
     response.details["site_visits"] = obs::Json(stats.site_visits);
     response.details["benefit_evaluations"] =
         obs::Json(stats.benefit_evaluations);
@@ -156,7 +156,7 @@ class AdrSolver final : public Solver {
   [[nodiscard]] SolveResponse solve(const SolveRequest& request) const override {
     AdrStats stats;
     SolveResponse response{
-        solve_adr_mst(request.problem, request.options.adr, &stats)};
+        solve_adr_mst(request.problem, request.options.adr, &stats), {}};
     response.details["expansions"] = obs::Json(stats.expansions);
     response.details["contractions"] = obs::Json(stats.contractions);
     response.details["rounds"] = obs::Json(stats.rounds);
@@ -172,7 +172,7 @@ class HillClimbSolver final : public Solver {
   [[nodiscard]] SolveResponse solve(const SolveRequest& request) const override {
     HillClimbStats stats;
     SolveResponse response{
-        hill_climb(request.problem, nullptr, /*max_moves=*/10000, &stats)};
+        hill_climb(request.problem, nullptr, /*max_moves=*/10000, &stats), {}};
     response.result.iterations = stats.insertions + stats.removals;
     response.details["insertions"] = obs::Json(stats.insertions);
     response.details["removals"] = obs::Json(stats.removals);
@@ -200,7 +200,7 @@ class ExhaustiveSolver final : public Solver {
           "exhaustive: instance exceeds exhaustive_max_free_cells free "
           "cells (use a tiny problem)");
     }
-    SolveResponse response{std::move(*optimal)};
+    SolveResponse response{std::move(*optimal), {}};
     response.details["nodes_visited"] = obs::Json(stats.nodes_visited);
     response.details["pruned"] = obs::Json(stats.pruned);
     if (availability != nullptr) {
@@ -235,7 +235,8 @@ class TreeDpSolver final : public Solver {
     TreeDpConfig config = request.options.treedp;
     config.common = request.options.common;
     TreeDpStats stats;
-    SolveResponse response{solve_tree_dp(request.problem, config, &stats)};
+    SolveResponse response{solve_tree_dp(request.problem, config, &stats),
+                           {}};
     response.details["dp_runs"] = obs::Json(stats.dp_runs);
     response.details["refined_objects"] = obs::Json(stats.refined_objects);
     response.details["lex_smallest"] = obs::Json(config.lex_smallest);
@@ -255,7 +256,7 @@ class ConstClientsSolver final : public Solver {
     config.common = request.options.common;
     ConstClientsStats stats;
     SolveResponse response{
-        solve_const_clients(request.problem, config, &stats)};
+        solve_const_clients(request.problem, config, &stats), {}};
     response.details["partitions_evaluated"] =
         obs::Json(stats.partitions_evaluated);
     response.details["max_clients_seen"] = obs::Json(stats.max_clients_seen);
@@ -290,9 +291,11 @@ const Solver& SolverRegistry::at(std::string_view name) const {
   const Solver* solver = find(name);
   if (solver != nullptr) return *solver;
   std::string message = "unknown solver '" + std::string(name) + "' (have:";
-  for (const std::string_view known : names())
-    message += " " + std::string(known);
-  message += ")";
+  for (const std::string_view known : names()) {
+    message += ' ';
+    message += known;
+  }
+  message += ')';
   throw std::invalid_argument(message);
 }
 

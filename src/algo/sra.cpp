@@ -23,20 +23,78 @@ AlgorithmResult make_result(core::ReplicationScheme scheme,
 
 namespace {
 
-/// A live candidate: object k at demand cell z of the visiting site. The
-/// benefit terms that stay constant over the candidate's lifetime are baked
-/// in at list build — its site is fixed, so the Eq. 5 write penalty
-/// (TW_k - w_k(i)) · C(i, SP_k) never changes, and neither do r_k(i) or o_k.
-/// The scan then touches one scattered array (the nearest-cost cache) per
-/// candidate instead of five; every precomputed double is the product
-/// core::local_benefit forms, so benefits are bit-identical to it.
+/// A live candidate: object k at demand cell z of its site, keyed in the
+/// site's heap by `bound`, its Eq. 5 benefit B_k(i) when last evaluated.
+/// The benefit terms that stay constant over the candidate's lifetime are
+/// baked in at list build — its site is fixed, so the write penalty
+/// (TW_k - w_k(i)) · C(i, SP_k) never changes, and neither do r_k(i) or
+/// o_k. An evaluation then reads one scattered double (the nearest-cost
+/// cache); every precomputed double is the product core::local_benefit
+/// forms, so benefits are bit-identical to it.
 struct Candidate {
-  core::ObjectId object = 0;
-  std::size_t demand_index = 0;
+  double bound = 0.0;          // benefit when last evaluated, >= current
   double reads = 0.0;          // r_k(i)
   double write_penalty = 0.0;  // (TW_k - w_k(i)) * C(i, SP_k)
   double size = 0.0;           // o_k
+  std::size_t demand_index = 0;
+  core::ObjectId object = 0;
 };
+
+/// Heap order: the larger bound first; equal bounds go to the lower object
+/// id, the scan's tie-break.
+bool before(const Candidate& a, const Candidate& b) {
+  return a.bound > b.bound || (a.bound == b.bound && a.object < b.object);
+}
+
+/// Moves heap[0] down to its place in the heap order.
+void sift_down(std::vector<Candidate>& heap) {
+  const Candidate moving = heap[0];
+  std::size_t at = 0;
+  for (std::size_t child = 1; child < heap.size(); child = 2 * at + 1) {
+    if (child + 1 < heap.size() && before(heap[child + 1], heap[child]))
+      ++child;
+    if (!before(heap[child], moving)) break;
+    heap[at] = heap[child];
+    at = child;
+  }
+  heap[at] = moving;
+}
+
+void pop_top(std::vector<Candidate>& heap) {
+  heap[0] = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) sift_down(heap);
+}
+
+/// Settles a site's heap at free capacity `free` (Minoux's lazy greedy).
+/// A top that no longer fits is popped for good, since capacity only
+/// shrinks while SRA runs; so is a top whose benefit is no longer positive,
+/// since benefits only fall. A top whose benefit fell below its bound is
+/// re-keyed and sifted down. The loop stops at a top whose benefit equals
+/// its bound: every other bound is at least its candidate's benefit, and
+/// equal bounds order by object id, so that top is the scan's first
+/// maximal candidate. Returns false when the heap empties.
+bool settle(std::vector<Candidate>& heap, double free, double slack,
+            const double* nearest_cost, std::size_t& evaluations) {
+  while (!heap.empty()) {
+    Candidate& top = heap[0];
+    ++evaluations;
+    if (!(free >= top.size - slack)) {  // prune: b(i) < o_k
+      pop_top(heap);
+      continue;
+    }
+    const double benefit =
+        top.reads * nearest_cost[top.demand_index] - top.write_penalty;
+    if (benefit <= 0.0) {  // prune: non-positive benefit
+      pop_top(heap);
+      continue;
+    }
+    if (benefit == top.bound) return true;
+    top.bound = benefit;
+    sift_down(heap);
+  }
+  return false;
+}
 
 /// Number of objects in `sorted_sizes` satisfying the fits() predicate
 /// `free >= o_k - slack` for a site with the given free capacity. The
@@ -63,6 +121,12 @@ AlgorithmResult solve_sra(const core::Problem& problem,
   const std::size_t n = problem.objects();
   const auto demand_reads = problem.demand_reads();
   const auto demand_writes = problem.demand_writes();
+  std::vector<double> initial_free(m);
+  std::vector<double> slack(m);
+  for (core::SiteId i = 0; i < m; ++i) {
+    initial_free[i] = scheme.free_capacity(i);
+    slack[i] = scheme.capacity_slack(i);
+  }
 
   // L(i): the paper lists every object site i does not hold and that fits.
   // Benefits only fall while SRA runs, so a candidate whose benefit is
@@ -71,27 +135,31 @@ AlgorithmResult solve_sra(const core::Problem& problem,
   // r_k(i) = 0 (its benefit is -(TW_k - w_k(i))·C(i,SP_k) <= 0), stored or
   // not. The list therefore splits:
   //   * live candidates (nonzero-read cells with positive initial benefit),
-  //     appended in ascending object order, which the lowest-object-id
-  //     tie-break below rides on;
+  //     one heap per site keyed by that benefit;
   //   * dead candidates (every other fitting non-primary object), carried
   //     as a per-site COUNT that is flushed into benefit_evaluations at the
   //     site's first visit; the site stays in LS until then.
-  std::vector<std::vector<Candidate>> candidates(m);
-  const double* initial_cost = scheme.nearest_cost_data();
+  // Before any replica exists SN_k(i) = SP_k, so the initial benefit reads
+  // C(i, SP_k) from SP_k's cost row; each expression is the one fits() and
+  // Eq. 5 form.
+  std::vector<std::vector<Candidate>> heaps(m);
   for (core::ObjectId k = 0; k < n; ++k) {
     const core::SiteId sp = problem.primary(k);
     const auto sp_row = problem.costs().row(sp);  // C(SP_k, i) == C(i, SP_k)
+    const double total_writes = problem.total_writes(k);
+    const double size = problem.object_size(k);
     const auto sites = problem.demand_sites(k);
     const std::size_t begin = problem.demand_begin(k);
     for (std::size_t j = 0; j < sites.size(); ++j) {
       const std::size_t z = begin + j;
       const core::SiteId i = sites[j];
-      if (i == sp || demand_reads[z] == 0.0 || !scheme.fits(i, k)) continue;
-      const double penalty =
-          (problem.total_writes(k) - demand_writes[z]) * sp_row[i];
-      if (demand_reads[z] * initial_cost[z] - penalty <= 0.0) continue;
-      candidates[i].push_back(
-          {k, z, demand_reads[z], penalty, problem.object_size(k)});
+      if (i == sp || demand_reads[z] == 0.0 ||
+          !(initial_free[i] >= size - slack[i]))
+        continue;
+      const double penalty = (total_writes - demand_writes[z]) * sp_row[i];
+      const double benefit = demand_reads[z] * sp_row[i] - penalty;
+      if (benefit <= 0.0) continue;
+      heaps[i].push_back({benefit, demand_reads[z], penalty, size, z, k});
     }
   }
 
@@ -108,19 +176,22 @@ AlgorithmResult solve_sra(const core::Problem& problem,
 
   std::vector<std::size_t> dead(m, 0);
   for (core::SiteId i = 0; i < m; ++i) {
-    const double free = scheme.free_capacity(i);
-    const double slack = scheme.capacity_slack(i);
-    const std::size_t fitting = count_fitting(sorted_sizes, free, slack);
+    const std::size_t fitting =
+        count_fitting(sorted_sizes, initial_free[i], slack[i]);
     const std::size_t fitting_primaries =
-        count_fitting(primary_sizes[i], free, slack);
-    dead[i] = fitting - fitting_primaries - candidates[i].size();
+        count_fitting(primary_sizes[i], initial_free[i], slack[i]);
+    dead[i] = fitting - fitting_primaries - heaps[i].size();
+    std::make_heap(heaps[i].begin(), heaps[i].end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     return before(b, a);
+                   });
   }
 
   // LS: sites with a non-empty candidate list (live or dead).
   std::vector<core::SiteId> active;
   active.reserve(m);
   for (core::SiteId i = 0; i < m; ++i) {
-    if (!candidates[i].empty() || dead[i] != 0) active.push_back(i);
+    if (!heaps[i].empty() || dead[i] != 0) active.push_back(i);
   }
 
   SraStats local_stats;
@@ -140,49 +211,24 @@ AlgorithmResult solve_sra(const core::Problem& problem,
     local_stats.benefit_evaluations += dead[site];
     dead[site] = 0;
 
-    // One pass over the live L(site): find the best strictly-positive
-    // benefit and prune candidates that became unprofitable or no longer
-    // fit. Benefits are non-increasing over the run, so pruning is
-    // permanent. Capacity is fixed for the whole scan (the placement
-    // happens after it), so free/slack hoist out of the loop — the
-    // per-candidate comparison is the exact fits() expression.
-    //
-    // Tie-break: strict `>` keeps the FIRST maximal candidate. The list is
-    // built in ascending object order and compaction preserves it, so equal
-    // benefits deterministically resolve to the lowest object id — `>=`
-    // would pick the last one and make results depend on list order.
-    double best_benefit = 0.0;
-    std::size_t best_pos = 0;
-    bool found = false;
-    auto& list = candidates[site];
-    const double free = scheme.free_capacity(site);
-    const double slack = scheme.capacity_slack(site);
+    // Replicate the best strictly-positive candidate, then settle the next
+    // top at the capacity read before the add, as the paper's scan prunes
+    // its list: the site stays in LS exactly while some other candidate
+    // fits with positive benefit. The add changes only the chosen object's
+    // nearest costs, so the other candidates' benefits are the ones the
+    // scan saw.
+    auto& heap = heaps[site];
+    const double site_free = scheme.free_capacity(site);
     const double* nearest_cost = scheme.nearest_cost_data();
-    std::size_t write_pos = 0;
-    const std::size_t count = list.size();
-    for (std::size_t at = 0; at < count; ++at) {
-      const Candidate cand = list[at];
-      ++local_stats.benefit_evaluations;
-      if (!(free >= cand.size - slack)) continue;  // prune: b(i) < o_k
-      const double benefit =
-          cand.reads * nearest_cost[cand.demand_index] - cand.write_penalty;
-      if (benefit <= 0.0) continue;  // prune: non-positive benefit
-      if (!found || benefit > best_benefit) {
-        best_benefit = benefit;
-        best_pos = write_pos;
-        found = true;
-      }
-      if (write_pos != at) list[write_pos] = cand;
-      ++write_pos;
-    }
-    list.resize(write_pos);
-
-    if (found) {
-      scheme.add(site, list[best_pos].object);
+    if (settle(heap, site_free, slack[site], nearest_cost,
+               local_stats.benefit_evaluations)) {
+      scheme.add(site, heap[0].object);
       ++local_stats.replicas_created;
-      list.erase(list.begin() + static_cast<std::ptrdiff_t>(best_pos));
+      pop_top(heap);
+      (void)settle(heap, site_free, slack[site], nearest_cost,
+                   local_stats.benefit_evaluations);
     }
-    if (list.empty()) {
+    if (heap.empty()) {
       active.erase(active.begin() + static_cast<std::ptrdiff_t>(slot));
       // Keep the round-robin cursor pointing at the element that shifted
       // into the vacated slot.

@@ -3,12 +3,19 @@
 //
 // Starting from the primary-copies-only allocation, SRA repeatedly picks a
 // site from the active list LS (round-robin in the paper; randomly when
-// seeding GRA's initial population), computes the per-storage-unit benefit
-// B_k(i) (Eq. 5) of every candidate object in the site's list L(i),
-// replicates the best strictly-positive one, and prunes candidates that no
-// longer fit or whose benefit has gone non-positive. Benefits only decrease
-// as replicas appear (nearest-replica distances shrink; update costs are
-// constant), so pruning is safe and the loop terminates.
+// seeding GRA's initial population), replicates the candidate object in the
+// site's list L(i) with the best strictly-positive per-storage-unit benefit
+// B_k(i) (Eq. 5), and prunes candidates that no longer fit or whose benefit
+// has gone non-positive. Benefits only decrease as replicas appear
+// (nearest-replica distances shrink; update costs are constant), so pruning
+// is safe and the loop terminates.
+//
+// The same monotonicity lets a visit skip the paper's rescan of L(i): each
+// site keeps its live candidates in a max-heap keyed by their benefit when
+// last evaluated, an upper bound on the current one, and re-evaluates only
+// the top until the top's bound is exact (Minoux's lazy greedy). The pick,
+// its lowest-object-id tie-break and the visit at which a site leaves LS are
+// the scan's, so placements, costs and rng draws are too.
 //
 // The loop walks the Problem's demand rows (core/problem.hpp), so it scales
 // in stored cells, not M·N. Only candidates whose benefit is positive when
@@ -43,7 +50,8 @@ struct SraStats {
   std::size_t site_visits = 0;
   /// Number of replicas created.
   std::size_t replicas_created = 0;
-  /// Number of benefit evaluations performed.
+  /// Number of benefit evaluations performed: the heap tops examined plus
+  /// the dead candidates charged at their site's first visit.
   std::size_t benefit_evaluations = 0;
 };
 

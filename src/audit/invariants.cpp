@@ -81,54 +81,40 @@ Violations check_scheme(const core::ReplicationScheme& scheme) {
     }
     total_replicas += list.size();
 
-    // Top-2 cache at every demand cell: the lex (cost, site id) minimum and
-    // runner-up over the list's cost entries. Costs are *copied*, never
-    // summed, so equality is exact; on cost ties the LOWEST site id must
-    // have won (any other winner betrays an insertion-order-dependent
-    // update path).
+    // Nearest cache at every demand cell: the lex (cost, site id) minimum
+    // over the list's cost entries. Costs are *copied*, never summed, so
+    // equality is exact; on cost ties the LOWEST site id must have won (any
+    // other winner betrays an insertion-order-dependent update path).
     const auto sites = p.demand_sites(k);
     for (std::size_t j = 0; j < sites.size(); ++j) {
       const std::size_t z = p.demand_begin(k) + j;
       const SiteId i = sites[j];
       double best_c = std::numeric_limits<double>::infinity();
-      double sec_c = std::numeric_limits<double>::infinity();
-      SiteId best_s = sp, sec_s = sp;
+      SiteId best_s = sp;
       for (const SiteId rep : list) {
         const double rc = p.cost(i, rep);
         if (core::closer_replica(rc, rep, best_c, best_s)) {
-          sec_c = best_c;
-          sec_s = best_s;
           best_c = rc;
           best_s = rep;
-        } else if (core::closer_replica(rc, rep, sec_c, sec_s)) {
-          sec_c = rc;
-          sec_s = rep;
         }
       }
-      const std::string at =
-          "(" + std::to_string(i) + "," + std::to_string(k) + ")";
-      if (scheme.nearest_cost_at(z) != best_c) {
+      const bool cost_ok = scheme.nearest_cost_at(z) == best_c;
+      const bool site_ok = scheme.nearest_site_at(z) == best_s;
+      if (cost_ok && site_ok) continue;
+      std::string at = "(";
+      at += std::to_string(i);
+      at += ',';
+      at += std::to_string(k);
+      at += ')';
+      if (!cost_ok) {
         add(out, "scheme.nearest_cost",
             "nearest_cost" + at + " = " + num(scheme.nearest_cost_at(z)) +
                 ", exact min = " + num(best_c));
       }
-      if (scheme.nearest_site_at(z) != best_s) {
+      if (!site_ok) {
         add(out, "scheme.nearest_site",
             "nearest" + at + " = " + std::to_string(scheme.nearest_site_at(z)) +
                 ", lex (cost, id) minimum is " + std::to_string(best_s));
-      }
-      if (scheme.second_cost_at(z) != sec_c) {
-        add(out, "scheme.second_cost",
-            "second_nearest_cost" + at + " = " +
-                num(scheme.second_cost_at(z)) + ", exact = " + num(sec_c));
-      }
-      const SiteId want_sec =
-          sec_c == std::numeric_limits<double>::infinity() ? sp : sec_s;
-      if (scheme.second_site_at(z) != want_sec) {
-        add(out, "scheme.second_site",
-            "second_nearest" + at + " = " +
-                std::to_string(scheme.second_site_at(z)) +
-                ", lex runner-up is " + std::to_string(want_sec));
       }
     }
   }
@@ -224,8 +210,10 @@ Violations check_availability(const core::ReplicationScheme& scheme,
         core::object_availability(constraint.site_availability, replicas);
     if (achieved < constraint.target - core::AvailabilityConstraint::kEps) {
       std::string sites;
-      for (const SiteId i : replicas)
-        sites += (sites.empty() ? "" : ",") + std::to_string(i);
+      for (const SiteId i : replicas) {
+        if (!sites.empty()) sites += ',';
+        sites += std::to_string(i);
+      }
       add(out, "scheme.availability",
           "object " + std::to_string(k) + " reaches availability " +
               num(achieved) + " < target " + num(constraint.target) +

@@ -61,7 +61,7 @@ void enforce(Violations violations, const std::string& where);
 // --- core structures ------------------------------------------------------
 
 /// ReplicationScheme internal consistency: the replica lists are the ground
-/// truth, and the top-2 cache, used-storage ledger, and replica counter
+/// truth, and the nearest cache, used-storage ledger, and replica counter
 /// must all agree with them. One pass over the Problem's demand rows, for
 /// full and partial rows alike.
 ///   * scheme.replica_list  — replicas(k) strictly ascending, in range, and
@@ -72,9 +72,6 @@ void enforce(Violations violations, const std::string& where);
 ///                            equality is exact; on cost ties the LOWEST
 ///                            site id must have won — the
 ///                            history-independence contract)
-///   * scheme.second_*      — (second site, second cost) is the lex
-///                            runner-up, or the (+inf, SP_k) sentinel when
-///                            |R_k| < 2
 ///   * scheme.used_ledger   — |used(i) - Σ_{k: i∈R_k} o_k| <=
 ///                            capacity_slack(i) (the explicit epsilon policy
 ///                            for += / -= churn)

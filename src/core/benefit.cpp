@@ -45,10 +45,9 @@ double removal_delta(const ReplicationScheme& scheme, SiteId i, ObjectId k) {
   // The replica stops receiving updates...
   double delta = -(p.total_writes(k) - p.writes(i, k)) * o * p.cost(i, p.primary(k));
   // ...but every demand cell whose nearest replica is i re-homes to its
-  // second-best, which the scheme's top-2 cache already holds (finite
-  // whenever i is a non-primary replica, since SP_k is always present too).
-  // The cached value equals the min over R_k \ {i} exactly — min of doubles
-  // is order-exact.
+  // second-best, derived from R_k (finite whenever i is a non-primary
+  // replica, since SP_k is always present too). That is the min over
+  // R_k \ {i} exactly — min of doubles is order-exact.
   const auto i_row = p.costs().row(i);  // C(i, j) == C(j, i)
   const auto sites = p.demand_sites(k);
   const std::size_t begin = p.demand_begin(k);
@@ -56,7 +55,8 @@ double removal_delta(const ReplicationScheme& scheme, SiteId i, ObjectId k) {
   for (std::size_t j = 0; j < sites.size(); ++j) {
     const std::size_t z = begin + j;
     if (scheme.nearest_site_at(z) != i) continue;
-    delta += reads[z] * o * (scheme.second_cost_at(z) - i_row[sites[j]]);
+    delta += reads[z] * o *
+             (scheme.second_nearest_cost(sites[j], k) - i_row[sites[j]]);
   }
   return delta;
 }

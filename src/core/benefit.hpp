@@ -35,8 +35,10 @@ namespace drep::core {
                                      ObjectId k);
 
 /// Exact ΔD of removing the replica of k at i (positive = degradation).
-/// O(|row k|) via the top-2 cache. Throws std::invalid_argument when i is the primary; returns 0
-/// when there is no replica at i.
+/// O(|row k| + A·|R_k|), A the demand cells whose nearest replica is i: each
+/// re-homes to its runner-up, derived from R_k. Throws
+/// std::invalid_argument when i is the primary; returns 0 when there is no
+/// replica at i.
 [[nodiscard]] double removal_delta(const ReplicationScheme& scheme, SiteId i,
                                    ObjectId k);
 

@@ -60,7 +60,7 @@ struct CostBreakdown {
 /// The one Eq. 4 kernel over raw replication matrices: GRA scores a
 /// chromosome by D (fitness (D' - D)/D'), AGRA's per-object micro-GA by V_k
 /// (fitness (V'_k - V_k)/V'_k). The GAs evaluate thousands of chromosomes
-/// per run and cannot afford a ReplicationScheme (top-2 cache and all) for
+/// per run and cannot afford a ReplicationScheme (nearest cache and all) for
 /// each.
 ///
 /// The evaluator reads the problem's demand rows on every call and caches

@@ -19,8 +19,6 @@ ReplicationScheme::ReplicationScheme(const Problem& problem)
   replicas_.assign(n, {});
   nearest_site_.assign(cells, 0);
   nearest_cost_.assign(cells, kInf);
-  second_site_.assign(cells, 0);
-  second_cost_.assign(cells, kInf);
   used_.assign(problem.sites(), 0.0);
   for (ObjectId k = 0; k < n; ++k) {
     const SiteId sp = problem.primary(k);
@@ -35,7 +33,6 @@ ReplicationScheme::ReplicationScheme(const Problem& problem)
     for (std::size_t j = 0; j < sites.size(); ++j) {
       nearest_site_[begin + j] = sp;
       nearest_cost_[begin + j] = sp_row[sites[j]];
-      second_site_[begin + j] = sp;  // |R_k| == 1: sentinel (sp, +inf)
     }
   }
 }
@@ -99,13 +96,11 @@ double ReplicationScheme::nearest_cost(SiteId i, ObjectId k) const {
 }
 
 SiteId ReplicationScheme::second_nearest(SiteId i, ObjectId k) const {
-  const std::size_t z = problem_->demand_index(i, k);
-  return z == Problem::kAbsent ? top2(i, k).second_site : second_site_[z];
+  return top2(i, k).second_site;
 }
 
 double ReplicationScheme::second_nearest_cost(SiteId i, ObjectId k) const {
-  const std::size_t z = problem_->demand_index(i, k);
-  return z == Problem::kAbsent ? top2(i, k).second_cost : second_cost_[z];
+  return top2(i, k).second_cost;
 }
 
 bool ReplicationScheme::is_valid() const {
@@ -131,14 +126,8 @@ void ReplicationScheme::add(SiteId i, ObjectId k) {
     const std::size_t z = begin + j;
     const double via_new = i_row[sites[j]];
     if (closer_replica(via_new, i, nearest_cost_[z], nearest_site_[z])) {
-      // New replica beats the old nearest: old nearest demotes to second.
-      second_cost_[z] = nearest_cost_[z];
-      second_site_[z] = nearest_site_[z];
       nearest_cost_[z] = via_new;
       nearest_site_[z] = i;
-    } else if (closer_replica(via_new, i, second_cost_[z], second_site_[z])) {
-      second_cost_[z] = via_new;
-      second_site_[z] = i;
     }
   }
 }
@@ -158,12 +147,10 @@ void ReplicationScheme::remove(SiteId i, ObjectId k) {
   const std::size_t begin = problem_->demand_begin(k);
   for (std::size_t j = 0; j < sites.size(); ++j) {
     const std::size_t z = begin + j;
-    if (nearest_site_[z] != i && second_site_[z] != i) continue;
+    if (nearest_site_[z] != i) continue;
     const Top2 top = top2(sites[j], k);
     nearest_site_[z] = top.best_site;
     nearest_cost_[z] = top.best_cost;
-    second_site_[z] = top.second_site;
-    second_cost_[z] = top.second_cost;
   }
 }
 

@@ -2,13 +2,13 @@
 // Replication scheme: the replica sets R_k of the boolean M×N matrix X plus
 // the derived state the algorithms need in their inner loops — per-object
 // replica lists kept sorted by site id (ascending, duplicate-free, so
-// iteration order is deterministic and history-independent), the
-// top-2-nearest replica cache per demand cell of the Problem (paper Section
-// 2.1 extended with the second-nearest, so remove() repairs locally instead
-// of rebuilding a whole row), and per-site used storage. All derived state
-// is maintained incrementally, and none of it is sized M·N: the cache
+// iteration order is deterministic and history-independent), the nearest
+// replica SN_k(i) and its cost per demand cell of the Problem (paper
+// Section 2.1; 12 bytes a cell), and per-site used storage. All derived
+// state is maintained incrementally, and none of it is sized M·N: the cache
 // follows the Problem's demand rows, which are M·N only when every row is
-// full (core/problem.hpp).
+// full (core/problem.hpp). The second-nearest replica, which only removals
+// need, is derived from R_k on demand.
 //
 // Determinism contract: every nearest/second-nearest decision orders
 // replicas by the lexicographic (cost, site id) key — on equal cost the
@@ -32,9 +32,9 @@ struct AvailabilityConstraint;  // core/availability.hpp
 ///
 /// Invariants (enforced by every mutator):
 ///   * SP_k ∈ R_k for every object (primary copies are immovable);
-///   * replica lists (sorted ascending), the demand-cell top-2 cache, and
+///   * replica lists (sorted ascending), the demand-cell nearest cache, and
 ///     used-capacity accounting always agree with each other;
-///   * nearest/second are the lex-smallest (cost, site id) replicators.
+///   * the cached nearest is the lex-smallest (cost, site id) replicator.
 /// Capacity is *checked* via fits()/is_valid() but not enforced on add(), so
 /// that the GA repair operators can inspect transiently invalid states.
 class ReplicationScheme {
@@ -77,23 +77,17 @@ class ReplicationScheme {
   /// The second-closest replicator of k from site i (lex (cost, id) order
   /// after SN_k(i)) — what site i re-homes to if SN_k(i) disappears. When
   /// |R_k| < 2 there is no fallback: second_nearest_cost is +infinity and
-  /// second_nearest returns SP_k as a sentinel.
+  /// second_nearest returns SP_k as a sentinel. Not cached: O(|R_k|).
   [[nodiscard]] SiteId second_nearest(SiteId i, ObjectId k) const;
   [[nodiscard]] double second_nearest_cost(SiteId i, ObjectId k) const;
 
-  /// The top-2 cache at demand cell z (an index into the Problem's demand
-  /// arrays), with the semantics of nearest()/second_nearest().
+  /// The nearest cache at demand cell z (an index into the Problem's demand
+  /// arrays), with the semantics of nearest()/nearest_cost().
   [[nodiscard]] SiteId nearest_site_at(std::size_t z) const {
     return nearest_site_.at(z);
   }
   [[nodiscard]] double nearest_cost_at(std::size_t z) const {
     return nearest_cost_.at(z);
-  }
-  [[nodiscard]] SiteId second_site_at(std::size_t z) const {
-    return second_site_.at(z);
-  }
-  [[nodiscard]] double second_cost_at(std::size_t z) const {
-    return second_cost_.at(z);
   }
   /// Unchecked view of the whole nearest-cost cache (demand-cell indexed)
   /// for hot scans that already hold in-range indices.
@@ -133,15 +127,14 @@ class ReplicationScheme {
   /// problem.
   [[nodiscard]] bool is_valid(const AvailabilityConstraint& constraint) const;
 
-  /// Adds a replica of k at i and updates the top-2 cache of object k's
+  /// Adds a replica of k at i and updates the nearest cache of object k's
   /// demand row in O(|row|). No-op when the replica already exists. Does
   /// not check capacity.
   void add(SiteId i, ObjectId k);
-  /// Removes the replica of k at i. Cells whose cached top-2 does not
-  /// involve i are untouched (O(1)); affected cells re-derive nearest/second
-  /// from the remaining replicas — O(|row| + A·|R_k|) with A the number of
-  /// affected cells. Throws std::invalid_argument when i is SP_k; no-op when
-  /// absent.
+  /// Removes the replica of k at i. Cells whose nearest replica is not i
+  /// are untouched (O(1)); the others re-derive their nearest from the
+  /// remaining replicas — O(|row| + A·|R_k|) with A the number of such
+  /// cells. Throws std::invalid_argument when i is SP_k; no-op when absent.
   void remove(SiteId i, ObjectId k);
 
   /// Total replica count Σ_k |R_k| (primaries included).
@@ -165,11 +158,9 @@ class ReplicationScheme {
 
   const Problem* problem_;
   std::vector<std::vector<SiteId>> replicas_;  // per object, ascending
-  // Top-2 cache, one entry per demand cell of the problem.
+  // Nearest cache, one entry per demand cell of the problem.
   std::vector<SiteId> nearest_site_;
   std::vector<double> nearest_cost_;
-  std::vector<SiteId> second_site_;
-  std::vector<double> second_cost_;
   std::vector<double> used_;
   std::size_t total_replicas_ = 0;
 };

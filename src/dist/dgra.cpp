@@ -376,6 +376,7 @@ DgraResult run_decentralized_gra(const core::Problem& problem,
     }
   }
 
+  GraEngine::set_fitness_gauges(engines);
   DgraResult out{std::move(merged)};
 
   out.traffic = network.stats();

@@ -68,7 +68,7 @@ class OnlineSolver final : public algo::Solver {
                              : 1.0;
 
     algo::SolveResponse response{
-        algo::make_result(std::move(scheme), watch.seconds())};
+        algo::make_result(std::move(scheme), watch.seconds()), {}};
     response.result.iterations = std::max<std::size_t>(1, trace.size());
     response.details["online_total_cost"] = obs::Json(stats.total_cost());
     response.details["online_serving_cost"] = obs::Json(stats.serving_cost);

@@ -17,7 +17,7 @@ EpochReport run_epochs(core::Problem problem, const EpochConfig& config,
 
   Monitor monitor(problem, config.monitor, rng);
   // The scheme in force, bound to the drifting `problem`. It is only ever
-  // built from a chromosome, and its top-2 cache depends only on R_k and C,
+  // built from a chromosome, and its nearest cache depends only on R_k and C,
   // so it faces each epoch's drifted pattern as it is.
   core::ReplicationScheme active(problem, monitor.current_scheme());
 

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "algo/sra.hpp"
 #include "core/benefit.hpp"
 #include "core/cost_model.hpp"
 #include "testing/builders.hpp"
+#include "workload/generator.hpp"
+#include "workload/stream_gen.hpp"
 
 namespace drep::algo {
 namespace {
@@ -79,6 +83,66 @@ TEST(HillClimb, MaxMovesBoundsWork) {
   HillClimbStats stats;
   (void)hill_climb(p, nullptr, 3, &stats);
   EXPECT_LE(stats.insertions + stats.removals, 3u);
+}
+
+/// FNV-1a over the scheme matrix — a compact bit-exact fingerprint.
+std::uint64_t scheme_hash(const core::ReplicationScheme& scheme) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint8_t b : scheme.matrix()) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+void expect_outcome(const AlgorithmResult& result, const HillClimbStats& stats,
+                    double cost, std::size_t insertions, std::size_t removals,
+                    std::uint64_t hash) {
+  EXPECT_EQ(result.cost, cost);
+  EXPECT_EQ(stats.insertions, insertions);
+  EXPECT_EQ(stats.removals, removals);
+  EXPECT_EQ(scheme_hash(result.scheme), hash);
+}
+
+// Keeping the deltas and re-deriving only the moved object's column must
+// make the moves that re-deriving every delta at every move makes. These
+// outcomes were recorded from the latter on three instances: full rows from
+// primary-only, partial rows from primary-only, and a random start that
+// needs removals.
+TEST(HillClimb, CachedDeltasKeepTheRecordedOutcomes) {
+  {
+    workload::GeneratorConfig config;
+    config.sites = 20;
+    config.objects = 100;
+    config.update_ratio_percent = 5.0;
+    config.capacity_percent = 15.0;
+    util::Rng rng(3);
+    const core::Problem p = workload::generate(config, rng);
+    HillClimbStats stats;
+    const AlgorithmResult result = hill_climb(p, nullptr, 10000, &stats);
+    expect_outcome(result, stats, 3013559.0, 202, 0,
+                   13620545061728062721ULL);
+  }
+  {
+    workload::StreamConfig config;
+    config.sites = 12;
+    config.objects = 80;
+    config.seed = 73;
+    const core::Problem p = workload::build_sparse_instance(config);
+    HillClimbStats stats;
+    const AlgorithmResult result = hill_climb(p, nullptr, 10000, &stats);
+    expect_outcome(result, stats, 1256961.9688907478, 16, 0,
+                   6798802136127313783ULL);
+  }
+  {
+    const core::Problem p = testing::small_random_problem(15, 10, 30, 10.0);
+    util::Rng rng(16);
+    const AlgorithmResult start = random_valid(p, rng);
+    HillClimbStats stats;
+    const AlgorithmResult result = hill_climb(p, &start.scheme, 10000, &stats);
+    expect_outcome(result, stats, 646425.0, 13, 15,
+                   11233331889658809112ULL);
+  }
 }
 
 }  // namespace

@@ -123,6 +123,44 @@ TEST(IslandGra, ThreadCountDoesNotChangeResults) {
   util::ThreadPool::configure_shared(pool_before);
 }
 
+// The fitness gauges are set once, by the driver after the merge: the best
+// fitness over the islands and the mean over their last generations. So a
+// pooled island solve reports the serial solve's values on every run, not
+// those of whichever island stepped last.
+TEST(IslandGra, PooledSolvesSetTheSameFitnessGauges) {
+#if defined(DREP_OBS_DISABLED)
+  GTEST_SKIP() << "the fitness gauges are obs metrics";
+#else
+  const auto gauge = [](const char* name) {
+    const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
+    const obs::MetricSample* sample = snapshot.find(name);
+    return sample != nullptr ? sample->value : -1.0;
+  };
+  const core::Problem problem = testing::small_random_problem(13, 20, 40);
+  GraConfig config = island_config();
+  config.common.threads = 1;
+  util::Rng serial_rng(14);
+  const GraResult serial = solve_gra(problem, config, serial_rng);
+  const double best = gauge("drep_gra_best_fitness");
+  const double mean = gauge("drep_gra_mean_fitness");
+  EXPECT_EQ(best, serial.best_fitness_history.back());
+  EXPECT_GT(mean, 0.0);
+  EXPECT_LE(mean, best);
+
+  const std::size_t pool_before = util::ThreadPool::shared().size();
+  util::ThreadPool::configure_shared(4);
+  config.common.threads = 0;
+  for (int run = 0; run < 5; ++run) {
+    SCOPED_TRACE(::testing::Message() << "pooled run " << run);
+    util::Rng rng(14);
+    (void)solve_gra(problem, config, rng);
+    EXPECT_EQ(gauge("drep_gra_best_fitness"), best);
+    EXPECT_EQ(gauge("drep_gra_mean_fitness"), mean);
+  }
+  util::ThreadPool::configure_shared(pool_before);
+#endif
+}
+
 // The merged result must carry the full population (all islands, in island
 // order) and a non-decreasing history of length generations+1.
 TEST(IslandGra, MergeKeepsPopulationAndHistoryShape) {

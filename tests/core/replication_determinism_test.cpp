@@ -1,5 +1,5 @@
 // Determinism contracts of the nearest-replica cache: the lex (cost, site
-// id) tie-break, the incremental second-nearest maintenance, and full
+// id) tie-break, the second-nearest derived from R_k, and full
 // history-independence — every cached value is a pure function of the
 // replica SET, never of the add/remove order that produced it.
 
@@ -82,8 +82,9 @@ TEST(ReplicationScheme, SecondNearestSentinelWhileSingleReplica) {
   EXPECT_EQ(scheme.second_nearest_cost(2, 0), kInf);
 }
 
-// Property: after randomized churn, the cached top-2 equals the exact lex
-// (cost, site id) top-2 recomputed from scratch over the replica list.
+// Property: after randomized churn, the cached nearest and the derived
+// second-nearest equal the exact lex (cost, site id) top-2 recomputed from
+// scratch over the replica list.
 class SecondNearestProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SecondNearestProperty, CacheMatchesBruteForceLexTop2) {

@@ -1,6 +1,7 @@
-// ReplicationScheme over partial demand rows: top-2 cache semantics at the
-// stored cells, the row-shape equivalence contract (partial rows vs the
-// full rows of the same instance), and history-independence of the caches.
+// ReplicationScheme over partial demand rows: nearest-cache and
+// second-nearest semantics at the stored cells, the row-shape equivalence
+// contract (partial rows vs the full rows of the same instance), and
+// history-independence of the cache.
 
 #include "core/replication.hpp"
 
@@ -50,8 +51,8 @@ TEST(SparseReplicationScheme, PrimaryOnlyInitialState) {
   // second is the (+inf, SP_k) sentinel.
   EXPECT_EQ(scheme.nearest_site_at(0), 0u);
   EXPECT_EQ(scheme.nearest_cost_at(0), 1.0);
-  EXPECT_EQ(scheme.second_site_at(0), 0u);
-  EXPECT_EQ(scheme.second_cost_at(0), kInf);
+  EXPECT_EQ(scheme.second_nearest(1, 0), 0u);
+  EXPECT_EQ(scheme.second_nearest_cost(1, 0), kInf);
   // (site 2, object 0) is absent from the row: answered from R_k.
   EXPECT_EQ(scheme.nearest(2, 0), 0u);
   EXPECT_EQ(scheme.nearest_cost(2, 0), 2.0);
@@ -67,19 +68,19 @@ TEST(SparseReplicationScheme, AddAndRemoveMaintainTop2) {
   // keeps the primary (site 0) nearest and site 2 second.
   EXPECT_EQ(scheme.nearest_site_at(0), 0u);
   EXPECT_EQ(scheme.nearest_cost_at(0), 1.0);
-  EXPECT_EQ(scheme.second_site_at(0), 2u);
-  EXPECT_EQ(scheme.second_cost_at(0), 1.0);
+  EXPECT_EQ(scheme.second_nearest(1, 0), 2u);
+  EXPECT_EQ(scheme.second_nearest_cost(1, 0), 1.0);
   // Cell (3, 0): site 2's replica at cost 1 beats the primary at cost 3.
   EXPECT_EQ(scheme.nearest_site_at(1), 2u);
   EXPECT_EQ(scheme.nearest_cost_at(1), 1.0);
-  EXPECT_EQ(scheme.second_site_at(1), 0u);
-  EXPECT_EQ(scheme.second_cost_at(1), 3.0);
+  EXPECT_EQ(scheme.second_nearest(3, 0), 0u);
+  EXPECT_EQ(scheme.second_nearest_cost(3, 0), 3.0);
 
   scheme.remove(2, 0);
   EXPECT_EQ(scheme.nearest_site_at(1), 0u);
   EXPECT_EQ(scheme.nearest_cost_at(1), 3.0);
-  EXPECT_EQ(scheme.second_site_at(1), 0u);
-  EXPECT_EQ(scheme.second_cost_at(1), kInf);
+  EXPECT_EQ(scheme.second_nearest(3, 0), 0u);
+  EXPECT_EQ(scheme.second_nearest_cost(3, 0), kInf);
   EXPECT_EQ(scheme.extra_replicas(), 0u);
   EXPECT_EQ(scheme.used(2), 0.0);
 }
@@ -118,7 +119,8 @@ TEST(SparseReplicationScheme, CapacityMirrorsDensePolicy) {
 
 // The central differential: mirrored add/remove churn on schemes over the
 // partial rows and over the full rows of one instance stays bit-identical —
-// per-cell top-2, used ledgers, and the Eq. 4 breakdown.
+// per-cell nearest and second-nearest, used ledgers, and the Eq. 4
+// breakdown.
 class SparseDenseChurn : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SparseDenseChurn, MirroredChurnStaysBitIdentical) {
@@ -175,7 +177,8 @@ TEST(SparseCostKernels, PrimaryOnlyAndSavingsMatchDense) {
 
 // History independence for the demand-cell caches: identical replica sets
 // reached through different orders (with decoy churn) agree bit-for-bit on
-// every cached top-2 entry, the used ledger, and the total cost.
+// every cached nearest entry, the second-nearest, the used ledger, and the
+// total cost.
 class SparseHistoryIndependence
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -213,11 +216,16 @@ TEST_P(SparseHistoryIndependence, CachesDependOnlyOnTheReplicaSet) {
 
   for (ObjectId k = 0; k < inst.objects(); ++k)
     ASSERT_EQ(a.replicas(k), b.replicas(k));
-  for (std::size_t z = 0; z < inst.demand_cells(); ++z) {
-    EXPECT_EQ(a.nearest_site_at(z), b.nearest_site_at(z));
-    EXPECT_EQ(a.nearest_cost_at(z), b.nearest_cost_at(z));
-    EXPECT_EQ(a.second_site_at(z), b.second_site_at(z));
-    EXPECT_EQ(a.second_cost_at(z), b.second_cost_at(z));
+  for (ObjectId k = 0; k < inst.objects(); ++k) {
+    const auto sites = inst.demand_sites(k);
+    for (std::size_t j = 0; j < sites.size(); ++j) {
+      const std::size_t z = inst.demand_begin(k) + j;
+      EXPECT_EQ(a.nearest_site_at(z), b.nearest_site_at(z));
+      EXPECT_EQ(a.nearest_cost_at(z), b.nearest_cost_at(z));
+      EXPECT_EQ(a.second_nearest(sites[j], k), b.second_nearest(sites[j], k));
+      EXPECT_EQ(a.second_nearest_cost(sites[j], k),
+                b.second_nearest_cost(sites[j], k));
+    }
   }
   for (SiteId i = 0; i < inst.sites(); ++i) EXPECT_EQ(a.used(i), b.used(i));
   EXPECT_EQ(total_cost(a), total_cost(b));
